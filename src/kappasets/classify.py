@@ -1,10 +1,18 @@
 """Exact, witness-producing classifiers for the subset size notions.
 
-Largeness is decided by minimal-cover search (greedy upper bound, then
-exhaustive by size with a counting prune); thickness by enumerating the
-inclusion-maximal test sets F. For the any-translate thickness variant the
-two routes are cross-checked against each other on every call: A is left
-thick exactly when its complement is not left large, and likewise per side.
+One-sided largeness and one-sided thickness both reduce to one exact
+hitting-set kernel, _min_hitting. A minimal cover F of G by translates of
+A is a set of indices whose translate masks cover G. A test set F fails
+thickness exactly when it meets every G minus dom(x), so the least failing
+F is a minimal cover of the candidates by the masks {x : f not in dom(x)}.
+The kernel takes a greedy upper bound and a counting lower bound, decides
+each size in between by branch and bound on the uncovered element with the
+fewest options (the column rule of Knuth's Algorithm X), and then finds the
+lex-least cover of the optimal size by one index-order search. The
+two-sided notions search pair tables by size. For the any-translate
+thickness variant the two routes are cross-checked against each other on
+every call: A is left thick exactly when its complement is not left large,
+and likewise per side.
 
 All searches are deterministic; witnesses are minimal in (size, lex) order
 and re-verified against the raw definitions before they are returned.
@@ -113,9 +121,23 @@ def _cover_masks(G: GroupTable, amask: int, side: str) -> list[int]:
     return [right_translate_mask(G, amask, f) for f in range(G.order)]
 
 
-def _greedy_cover_size(n: int, covers: list[int], full: int) -> int:
+def _min_hitting(
+    n: int, covers: list[int], full: int, counter: NodeCounter
+) -> tuple[int, ...] | None:
+    """(size, lex)-minimal tuple of indices f < n whose covers[f] (each a
+    subset of full) together contain full, or None when all of them
+    together do not. One node is spent per search-tree node of either phase.
+    """
+    if full == 0:
+        return ()
+    # opts[e]: bit f set when covers[f] holds element e
+    opts = [0] * full.bit_length()
+    for f, c in enumerate(covers):
+        for e in bits(c):
+            opts[e] |= 1 << f
+    # greedy upper bound: the index adding most new elements, least on ties
     got = 0
-    size = 0
+    upper = 0
     while got != full:
         best_f = -1
         best_new = 0
@@ -124,11 +146,79 @@ def _greedy_cover_size(n: int, covers: list[int], full: int) -> int:
             if new > best_new:
                 best_new = new
                 best_f = f
-        if best_f < 0:  # pragma: no cover - impossible for nonempty A
-            raise RuntimeError("greedy cover stalled")
+        if best_f < 0:
+            return None
         got |= covers[best_f]
-        size += 1
-    return size
+        upper += 1
+    maxcover = max(c.bit_count() for c in covers)
+    size = upper
+    for k in range(-(-full.bit_count() // maxcover), upper):
+        if _hits_within(full, k, (1 << n) - 1, covers, opts, maxcover, counter):
+            size = k
+            break
+    # dead[i]: elements with no option at index >= i
+    dead = [0] * (n + 1)
+    for e in bits(full):
+        dead[opts[e].bit_length()] |= 1 << e
+    for i in range(1, n + 1):
+        dead[i] |= dead[i - 1]
+    chosen: list[int] = []
+    if not _lex_first(full, size, 0, covers, dead, maxcover, chosen, counter):
+        raise RuntimeError("hitting-set lex phase found no witness")  # pragma: no cover
+    return tuple(chosen)
+
+
+def _hits_within(
+    uncovered: int, k: int, allowed: int, covers: list[int], opts: list[int], maxcover: int,
+    counter: NodeCounter,
+) -> bool:
+    """Some k indices in allowed cover uncovered (nonempty): branch on the
+    uncovered element with the fewest allowed options."""
+    counter.spend()
+    if uncovered.bit_count() > k * maxcover:
+        return False
+    fewest = len(covers) + 1
+    choice = 0
+    u = uncovered
+    while u:
+        low = u & -u
+        o = opts[low.bit_length() - 1] & allowed
+        c = o.bit_count()
+        if c < fewest:
+            fewest = c
+            choice = o
+            if c <= 1:
+                break
+        u ^= low
+    while choice:
+        low = choice & -choice
+        rest = uncovered & ~covers[low.bit_length() - 1]
+        if not rest or (k > 1 and _hits_within(rest, k - 1, allowed, covers, opts, maxcover, counter)):
+            return True
+        allowed ^= low  # later branches never use an index tried here
+        choice ^= low
+    return False
+
+
+def _lex_first(
+    uncovered: int, k: int, start: int, covers: list[int], dead: list[int], maxcover: int,
+    chosen: list[int], counter: NodeCounter,
+) -> bool:
+    """Append to chosen the lex-first k indices >= start covering uncovered."""
+    counter.spend()
+    for f in range(start, len(covers)):
+        if uncovered & dead[f]:
+            return False
+        rest = uncovered & ~covers[f]
+        if not rest:
+            chosen.append(f)
+            return True
+        if k > 1 and rest.bit_count() <= (k - 1) * maxcover and not rest & dead[f + 1]:
+            chosen.append(f)
+            if _lex_first(rest, k - 1, f + 1, covers, dead, maxcover, chosen, counter):
+                return True
+            chosen.pop()
+    return False
 
 
 def _pair_cover_table(G: GroupTable, amask: int) -> list[int]:
@@ -155,7 +245,12 @@ def _min_cover(
     G: GroupTable, amask: int, side: str, counter: NodeCounter
 ) -> tuple[int, tuple[int, ...]] | None:
     """Minimal (size, lex) F with F*A = G (left), A*F = G (right) or
-    F*A*F = G (two-sided); None when A is empty."""
+    F*A*F = G (two-sided); None when A is empty.
+
+    One-sided covers are hitting sets of the translate masks f*A (A*f),
+    found by _min_hitting; two-sided covers are searched by size over the
+    pair table.
+    """
     cache = _cache(G)["cover"]
     key = (side, amask)
     if key in cache:
@@ -185,20 +280,9 @@ def _min_cover(
             if result:
                 break
     else:
-        covers = _cover_masks(G, amask, side)
-        gsize = _greedy_cover_size(n, covers, full)
-        smin = -(-n // asize)  # ceil: |F| * |A| >= n is necessary
-        for s in range(max(1, smin), gsize + 1):
-            for combo in itertools.combinations(range(n), s):
-                counter.spend()
-                u = 0
-                for f in combo:
-                    u |= covers[f]
-                if u == full:
-                    result = (s, combo)
-                    break
-            if result:
-                break
+        combo = _min_hitting(n, _cover_masks(G, amask, side), full, counter)
+        if combo is not None:
+            result = (len(combo), combo)
     if result is None:  # pragma: no cover - a cover always exists for A != {}
         raise RuntimeError("cover search failed to terminate")
     cache[key] = result
@@ -210,7 +294,7 @@ def min_cover_size(G: GroupTable, amask: int, side: str, counter: NodeCounter) -
     return None if got is None else got[0]
 
 
-# -- thickness: maximal-F profiles ----------------------------------------------
+# -- thickness: least failing test sets ---------------------------------------
 
 
 def _dom_masks(G: GroupTable, amask: int, side: str, candidates: list[int]) -> list[int]:
@@ -250,7 +334,11 @@ def _thick_profile(
 
     fail_F is the (size, lex)-minimal F admitting no translating element;
     it has size lmax+1, or is None when every F up to size n-1 passes.
-    Thickness is monotone in |F|, so scanning sizes upward is exact.
+    One-sided: F fails exactly when, for every candidate x, some f in F
+    lies outside dom(x), so fail_F is the minimal hitting set of the
+    candidates by the masks {x : f not in dom(x)}, found by _min_hitting.
+    Two-sided: thickness is monotone in |F|, so the pair table is scanned by
+    size upward.
     """
     cache = _cache(G)["profile"]
     key = (side, variant, amask)
@@ -281,24 +369,16 @@ def _thick_profile(
         if result is None:
             result = (n - 1, None)
     else:
-        doms = _dom_masks(G, amask, side, candidates)
-        negs = [~d for d in doms]
-        capacity = max((d.bit_count() for d in doms), default=0)
-        result = None
-        for size in range(1, n):
-            if size > capacity:
-                result = (size - 1, tuple(range(size)))
-                break
-            for combo in itertools.combinations(range(n), size):
-                counter.spend()
-                fmask = mask_of(combo)
-                if not any(fmask & neg == 0 for neg in negs):
-                    result = (size - 1, combo)
-                    break
-            if result:
-                break
-        if result is None:
+        # F fails iff every candidate x has some f in F outside dom(x)
+        hits = [0] * n
+        for i, d in enumerate(_dom_masks(G, amask, side, candidates)):
+            for f in bits(d ^ G.full_mask):
+                hits[f] |= 1 << i
+        fail = _min_hitting(n, hits, (1 << len(candidates)) - 1, counter)
+        if fail is None or len(fail) >= n:
             result = (n - 1, None)
+        else:
+            result = (len(fail) - 1, fail)
     cache[key] = result
     return result
 
@@ -375,7 +455,8 @@ def is_thick(
         if verdict:
             witness = _thick_witness_map(G, A.mask, kappa - 1, side, variant, counter)
         else:
-            assert fail is not None and len(fail) <= kappa - 1
+            if fail is None or len(fail) > kappa - 1:  # pragma: no cover
+                raise RuntimeError("thick counterexample contradicts the profile")
             F = Subset.from_indices(G.order, fail)
             candidates = A.indices() if variant == "witness-in-A" else range(G.order)
             if any(_translate_into(G, F.mask, x, A.mask, side) for x in candidates):
@@ -416,27 +497,33 @@ def is_small(
 
     Decided by enumerating all large L on the given side; two-sided means
     left and right small. The failing L, if any, is (size, lex)-minimal.
+    Only L that meet A are tested (otherwise L minus A is L), and only sizes
+    with |L| * (kappa-1) >= |G|, below which no L is large.
     """
     check_subset(G, A)
     check_kappa(G, kappa)
     _check_side(side)
     if side == "two-sided":
+        spent = 0
         for part in ("left", "right"):
             got = is_small(G, A, kappa, part, node_budget=node_budget)
+            spent += got.nodes
             if got.verdict is not True:
                 return SizeVerdict(
                     "small", side, kappa, got.verdict, witness=got.witness,
-                    method=got.method, nodes=got.nodes,
+                    method=got.method, nodes=spent,
                 )
-        return SizeVerdict("small", side, kappa, True)
+        return SizeVerdict("small", side, kappa, True, nodes=spent)
     counter = NodeCounter(effective_node_budget(node_budget))
     n = G.order
     limit = kappa - 1
     try:
-        for size in range(1, n + 1):
+        for size in range(-(-n // limit), n + 1):
             for combo in itertools.combinations(range(n), size):
                 counter.spend()
                 lmask = mask_of(combo)
+                if not lmask & A.mask:
+                    continue
                 csize = min_cover_size(G, lmask, side, counter)
                 if csize is None or csize > limit:
                     continue

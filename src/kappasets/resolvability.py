@@ -116,7 +116,12 @@ def _search_exact_cells(
             sizes.pop()
         return None
 
-    return rec(0)
+    try:
+        return rec(0)
+    finally:
+        # rec refers to itself through its closure; break that cycle so the
+        # group and its caches are freed with the call, not at the next GC
+        del rec
 
 
 def res_search(
@@ -156,10 +161,10 @@ def res_search(
                 cells, f"res-search kappa={kappa} mode={mode}", group=G
             )
             best.verify_on_group()
+            sides = ("left", "right") if mode == "left+right" else ("left",)
             for cell in cells:  # re-verify through the public classifier
-                assert is_large(G, cell, kappa, "left").verdict
-                if mode == "left+right":
-                    assert is_large(G, cell, kappa, "right").verdict
+                if not all(is_large(G, cell, kappa, side).verdict for side in sides):
+                    raise RuntimeError("resolvability cell failed re-verification")  # pragma: no cover
             return SearchOutcome(constraint, t, optimal, counter.spent, best)
     if not optimal:
         # the budget died before even the trivial partition could be checked
@@ -222,7 +227,9 @@ def partition_search(
     part.verify_on_group()
     for cell in cells:  # re-verify through the public classifiers
         if target == "all-thick":
-            assert is_thick(G, cell, kappa, "left", variant).verdict
+            ok = is_thick(G, cell, kappa, "left", variant).verdict
         else:
-            assert not is_large(G, cell, kappa, "left").verdict
+            ok = not is_large(G, cell, kappa, "left").verdict
+        if not ok:
+            raise RuntimeError("probe cell failed re-verification")  # pragma: no cover
     return ProbeOutcome(target, part, exhaustive, counter.spent)

@@ -163,3 +163,25 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert got.returncode == 0
     assert "kappasets report" in got.stdout
+
+
+def test_search_reverifies_under_optimize_flag(tmp_path):
+    # the re-verifications raise explicitly, so -O (which strips asserts)
+    # must neither fail nor change the report
+    bodies = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / ("opt" if flags else "plain")
+        got = subprocess.run(
+            [
+                sys.executable, *flags, "-m", "kappasets", "search", "--group", "dihedral:6",
+                "--kappa", "4", "--mode", "res-left", "--out-dir", str(out),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert got.returncode == 0, got.stderr
+        (run,) = out.iterdir()
+        claims = json.loads((run / "report.json").read_text())["report"]["claims"]
+        bodies.append([(c["claim_id"], c["status"], c["detail"]) for c in claims])
+    assert bodies[0] == bodies[1]
+    assert bodies[0]

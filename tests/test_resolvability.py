@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from kappasets.classify import is_large, is_thick
@@ -90,6 +93,22 @@ class TestResSearch:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             res_search(Z4, 3, "right")
+
+
+def test_searches_free_the_group_without_a_collection():
+    # a group's caches live as long as the group, so searches must leave
+    # no reference cycle that keeps it alive until the next collection
+    gc.disable()
+    try:
+        G = build_group("dihedral:3")
+        ref = weakref.ref(G)
+        res_search(G, 3, "left+right")
+        partition_search(G, 3, 2, "all-thick")
+        partition_search(G, 3, 2, "all-non-large")
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestPartitionSearch:
