@@ -69,4 +69,13 @@ from .words import (
     words_over,
 )
 
-__version__ = "0.1.0"
+
+def __getattr__(name: str):
+    # the version literal is report.TOOL_VERSION; it is read on first use so
+    # that importing the package does not load report's json, hashlib and
+    # datetime imports
+    if name == "__version__":
+        from .report import TOOL_VERSION
+
+        return TOOL_VERSION
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,6 +5,18 @@ is left (or left-and-right) kappa-large; partition_search probes for
 partitions into all-thick or all-non-large cells. Both enumerate set
 partitions canonically (elements assigned in index order, first element
 pinned to cell 0), so outcomes are reproducible.
+
+Partial partitions are pruned only where no valid leaf lies below, so the
+first partition found and the exhaustive flag are those of the plain
+enumeration. The all-non-large probe drops a cell once it is large
+(largeness is closed under supersets). The all-thick probe drops a partial
+partition once some final cell can no longer be thick: a final cell misses
+everything placed in the other cells, and A is left witness-in-G thick iff
+G minus A is not left large, so a left-large set of elements placed outside
+a cell (or, for a cell not yet opened, all placed elements) rules it out;
+witness-in-A thickness implies witness-in-G thickness, so the same prune
+holds for that variant. A thick cell also holds a translate F*x with
+|F| = kappa-1, which sets the cell-size floor.
 """
 
 from __future__ import annotations
@@ -78,29 +90,30 @@ def _search_exact_cells(
     partial_ok=None,
 ) -> list[int] | None:
     """First (in canonical order) partition into exactly t cells passing
-    leaf_ok on every cell; cells are bitmasks. partial_ok may prune a cell
-    as soon as it grows."""
+    leaf_ok on every cell; cells are bitmasks. partial_ok(cells, j, placed)
+    may prune as soon as cell j grows; placed is the mask of elements
+    assigned so far."""
     n = G.order
     cells: list[int] = []
     sizes: list[int] = []
 
-    def rec(i: int) -> list[int] | None:
+    def rec(i: int, deficit: int) -> list[int] | None:
+        # deficit: elements still owed to reach t cells of min_cell each
         if i == n:
             if len(cells) == t and all(leaf_ok(m) for m in cells):
                 return list(cells)
             return None
-        remaining = n - i
-        opened = len(cells)
-        deficit = sum(max(0, min_cell - s) for s in sizes) + (t - opened) * min_cell
-        if deficit > remaining:
+        if deficit > n - i:
             return None
         counter.spend()
         bit = 1 << i
+        placed = (bit << 1) - 1
+        opened = len(cells)
         for j in range(opened):
             cells[j] |= bit
             sizes[j] += 1
-            if partial_ok is None or partial_ok(cells[j]):
-                got = rec(i + 1)
+            if partial_ok is None or partial_ok(cells, j, placed):
+                got = rec(i + 1, deficit - (sizes[j] <= min_cell))
                 if got is not None:
                     return got
             cells[j] ^= bit
@@ -108,8 +121,8 @@ def _search_exact_cells(
         if opened < t:
             cells.append(bit)
             sizes.append(1)
-            if partial_ok is None or partial_ok(cells[-1]):
-                got = rec(i + 1)
+            if partial_ok is None or partial_ok(cells, opened, placed):
+                got = rec(i + 1, deficit - 1)
                 if got is not None:
                     return got
             cells.pop()
@@ -117,7 +130,7 @@ def _search_exact_cells(
         return None
 
     try:
-        return rec(0)
+        return rec(0, t * min_cell)
     finally:
         # rec refers to itself through its closure; break that cycle so the
         # group and its caches are freed with the call, not at the next GC
@@ -188,6 +201,13 @@ def partition_search(
     Thickness here is the left notion: the probe tracks partitions whose
     cells all survive left-translate tests, the regime where small carriers
     behave like regular cardinalities.
+
+    The all-thick search cuts a partial partition as soon as the elements
+    placed outside some cell (all placed elements, for a cell not yet
+    opened) form a left kappa-large set, and it needs every cell to hold at
+    least kappa-1 elements. Both cuts are sound for either variant: a cell
+    whose complement is left large is not witness-in-G thick (duality), and
+    so not witness-in-A thick either (the variant chain).
     """
     check_kappa(G, kappa)
     if target not in PROBE_TARGETS:
@@ -204,18 +224,29 @@ def partition_search(
             lmax, _ = _thick_profile(G, mask, "left", variant, counter)
             return limit <= lmax
 
-        partial_ok = None
+        def partial_ok(cells: list[int], j: int, placed: int) -> bool:
+            # a final cell misses everything placed in the other cells, so
+            # its complement contains that mask; once it is left-large the
+            # cell cannot be thick (cell j's own mask is unchanged)
+            outside = [placed & ~m for k, m in enumerate(cells) if k != j]
+            if len(cells) < n_cells:
+                outside.append(placed)  # a cell not yet opened
+            return not any(_cell_large(G, m, limit, "left", counter) for m in outside)
+
+        min_cell = limit  # a thick cell holds a translate F*x with |F| = kappa-1
     else:
 
         def leaf_ok(mask: int) -> bool:
-            got = min_cover_size(G, mask, "left", counter)
-            return got is None or got > limit
+            return not _cell_large(G, mask, limit, "left", counter)
 
-        # largeness is monotone under growth: a large partial cell is dead
-        partial_ok = leaf_ok
+        def partial_ok(cells: list[int], j: int, placed: int) -> bool:
+            # largeness is monotone under growth: a large partial cell is dead
+            return leaf_ok(cells[j])
+
+        min_cell = 1
 
     try:
-        got = _search_exact_cells(G, n_cells, 1, counter, leaf_ok, partial_ok)
+        got = _search_exact_cells(G, n_cells, min_cell, counter, leaf_ok, partial_ok)
         exhaustive = True
     except BudgetExceeded:
         got = None

@@ -1,7 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import kappasets
+from kappasets import report
 from kappasets.cli import main
 from kappasets.groups import build_group
 
@@ -185,3 +190,14 @@ def test_search_reverifies_under_optimize_flag(tmp_path):
         bodies.append([(c["claim_id"], c["status"], c["detail"]) for c in claims])
     assert bodies[0] == bodies[1]
     assert bodies[0]
+
+
+def test_version_has_one_source():
+    assert kappasets.__version__ == report.TOOL_VERSION
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "kappasets.report.TOOL_VERSION"
+    }

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from kappasets.groups import (
     subset_inverse,
     translate,
 )
+from kappasets.suites import GRID_SPECS, ORACLE_SPECS
 
 SPECS = st.sampled_from(
     ["cyclic:3", "cyclic:5", "cyclic:6", "dihedral:3", "symmetric:3", "product:cyclic:2+cyclic:3"]
@@ -72,14 +76,75 @@ def test_group_axioms_hold(spec):
                 assert G.mul[G.mul[a][b]][c] == G.mul[a][G.mul[b][c]]
 
 
-def test_large_orders_use_sampled_verification():
+def test_large_orders_need_an_explicit_max_order():
     # symmetric:5 exceeds the default cap; an explicit max_order admits it
-    # and switches associativity checking to seeded sampling
     with pytest.raises(GroupSpecError):
         build_group("symmetric:5")
     G = build_group("symmetric:5", max_order=120)
     assert G.order == 120
     assert G.mul[0] == tuple(range(120))
+
+
+# the smallest non-associative loop: a Latin square with identity 0 in
+# which every element is its own two-sided inverse
+LOOP5 = (
+    (0, 1, 2, 3, 4),
+    (1, 0, 3, 4, 2),
+    (2, 4, 0, 1, 3),
+    (3, 2, 4, 0, 1),
+    (4, 3, 1, 2, 0),
+)
+
+
+def _write_table(path, mul):
+    path.write_text("\n".join([str(len(mul))] + [" ".join(map(str, r)) for r in mul]) + "\n")
+
+
+def test_exact_associativity_rejects_small_loop(tmp_path):
+    path = tmp_path / "loop5.txt"
+    _write_table(path, LOOP5)
+    with pytest.raises(GroupAxiomError, match="associativity"):
+        build_group(f"file:{path}")
+
+
+def test_exact_associativity_above_order_64(tmp_path):
+    # cyclic:13 x LOOP5 is a loop of order 65 with two-sided inverses, so
+    # only the associativity check can reject it
+    mul = [
+        [((c1 + c2) % 13) * 5 + LOOP5[l1][l2] for c2 in range(13) for l2 in range(5)]
+        for c1 in range(13)
+        for l1 in range(5)
+    ]
+    path = tmp_path / "loop65.txt"
+    _write_table(path, mul)
+    with pytest.raises(GroupAxiomError, match="associativity"):
+        build_group(f"file:{path}", max_order=65)
+    # the same construction over a group passes
+    _write_table(path, build_group("product:cyclic:13+cyclic:5", max_order=65).mul)
+    assert build_group(f"file:{path}", max_order=65).order == 65
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_catalogue_groups_pass_the_exact_check():
+    workloads = _benchmark_workloads()
+    specs = set(GRID_SPECS) | set(ORACLE_SPECS)
+    specs |= {s for family in workloads.CLASSIFY_FAMILIES.values() for s in family}
+    specs |= {entry[1] for entry in workloads.SEARCH_CATALOGUE}
+    for spec in sorted(specs):
+        G = build_group(spec)
+        assert all(
+            G.mul[G.mul[a][b]][c] == G.mul[a][G.mul[b][c]]
+            for a in range(G.order)
+            for b in range(G.order)
+            for c in range(G.order)
+        ), spec
 
 
 def test_spec_errors():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import weakref
 
@@ -6,6 +7,7 @@ import pytest
 from kappasets.classify import is_large, is_thick
 from kappasets.groups import Subset, build_group
 from kappasets.resolvability import SearchOutcome, partition_search, res_search
+from kappasets.suites import ORACLE_SPECS, _all_set_partitions
 
 Z4 = build_group("cyclic:4")
 Z6 = build_group("cyclic:6")
@@ -155,3 +157,44 @@ class TestWitnessInAProbe:
         assert got.found is not None
         for cell in got.found.cells:
             assert is_thick(Z6, cell, 2, "left", "witness-in-A").verdict
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_partition_search_matches_first_valid_partition(spec):
+    # the oracle scans every set partition in canonical order and keeps the
+    # first one with n_cells cells that all pass the public classifier
+    G = build_group(spec)
+    n = G.order
+    partitions = list(_all_set_partitions(n))
+    for kappa in range(2, n + 1):
+        for variant in ("witness-in-G", "witness-in-A"):
+            classifiers = {
+                "all-thick": lambda m: is_thick(G, Subset(n, m), kappa, "left", variant).verdict,
+                "all-non-large": lambda m: not is_large(G, Subset(n, m), kappa, "left").verdict,
+            }
+            for target, passes in classifiers.items():
+                ok = functools.cache(passes)
+                for n_cells in range(2, n + 1):
+                    oracle = next(
+                        (p for p in partitions if len(p) == n_cells and all(map(ok, p))),
+                        None,
+                    )
+                    got = partition_search(G, kappa, n_cells, target, variant)
+                    assert got.exhaustive, (spec, kappa, n_cells, target, variant)
+                    found = None if got.found is None else [c.mask for c in got.found.cells]
+                    assert found == oracle, (spec, kappa, n_cells, target, variant)
+
+
+class TestThickProbePruning:
+    def test_order_12_three_cells_refuted_within_budget(self):
+        # the complement-largeness prune refutes this probe in 5,657 nodes;
+        # without it the search runs past 10,000
+        got = partition_search(
+            build_group("product:symmetric:3+cyclic:2"), 3, 3, "all-thick", node_budget=10**4
+        )
+        assert got.exhaustive and got.found is None
+
+    def test_cyclic_10_probe_within_budget(self):
+        # 2,222 nodes with the prune; 6,751 without it
+        got = partition_search(build_group("cyclic:10"), 4, 2, "all-thick", node_budget=5000)
+        assert got.exhaustive
