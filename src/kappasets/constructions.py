@@ -64,9 +64,9 @@ class Partition:
             raise TypeError("not a free-group partition")
         if ball.alphabet_size != self.alphabet_size:
             raise ValueError("ball alphabet does not match the partition")
-        cells = self.cells
+        tests = [cell.fn for cell in self.cells]
         for w in ball.words:
-            hits = [i for i, cell in enumerate(cells) if cell(w)]
+            hits = [i for i, fn in enumerate(tests) if fn(w)]
             if len(hits) != 1:
                 raise PartitionError(
                     f"{self.provenance}: word {format_word(w)} lies in cells {hits}"

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .classify import (
     BudgetExceeded,
     NodeCounter,
+    _check_variant,
     _thick_profile,
     is_large,
     is_thick,
@@ -212,6 +213,7 @@ def partition_search(
     check_kappa(G, kappa)
     if target not in PROBE_TARGETS:
         raise ValueError(f"target must be one of {PROBE_TARGETS}, got {target!r}")
+    _check_variant(variant)
     if not 2 <= n_cells <= G.order:
         raise ValueError("cell count must lie in [2, |G|]")
     n = G.order

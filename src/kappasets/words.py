@@ -277,7 +277,9 @@ def ds_inverse(g: DSWord) -> DSWord:
 
 def ds_conjugate(x: DSWord, g: DSWord) -> DSWord:
     """g^-1 * x * g, componentwise."""
-    return ds_concat(ds_concat(ds_inverse(g), x), g)
+    if len(x) != len(g):
+        raise ValueError("direct-sum words have different numbers of summands")
+    return tuple(conjugate(c, h) for c, h in zip(x, g))
 
 
 def ds_support(g: DSWord) -> tuple[int, ...]:

@@ -150,6 +150,13 @@ class TestPartitionSearch:
         with pytest.raises(ValueError):
             partition_search(Z4, 3, 2, "all-sparse")
 
+    @pytest.mark.parametrize("target", ["all-thick", "all-non-large"])
+    def test_variant_validation(self, target):
+        # an unknown variant used to pass as witness-in-G (all-thick) or be
+        # ignored (all-non-large)
+        with pytest.raises(ValueError, match="variant"):
+            partition_search(Z6, 4, 3, target, "bogus")
+
 
 class TestWitnessInAProbe:
     def test_probe_with_letter_exact_variant(self):

@@ -1,0 +1,142 @@
+"""The tabulated word sweeps of the verify suites against their direct loops.
+
+The oracles below are the direct sweeps the tabulated checks replaced: one
+ds_conjugate per (g, x) pair, and one rank1_cell_of_int call per window
+cell. Each tabulated check must agree with its oracle on the outcome, the
+first counterexample, and the nodes spent.
+"""
+
+from operator import getitem
+
+import pytest
+
+from kappasets import suites, words
+from kappasets.classify import NodeCounter
+from kappasets.constructions import rank1_cell_of_int
+from kappasets.words import (
+    ds_concat,
+    ds_conjugate,
+    ds_inverse,
+    ds_support,
+    enumerate_ds_ball,
+)
+
+BIG = 10**9
+
+
+def old_ds_conjugate(x, g):
+    return ds_concat(ds_concat(ds_inverse(g), x), g)
+
+
+def oracle_c2_support(counter):
+    dsball = enumerate_ds_ball((2, 1), 3)
+    for g in dsball:
+        for x in dsball:
+            counter.spend()
+            if ds_support(ds_conjugate(x, g)) != ds_support(x):
+                return False, f"support moved for x={x} under g={g}"
+    return True, f"conjugation preserves support on all {len(dsball)}^2 pairs (ranks 2+1, radius 3)"
+
+
+def oracle_c1_rank1_blocks(counter, cell_of=rank1_cell_of_int):
+    for v in range(1, 8193):
+        if cell_of(-v) != cell_of(v):
+            return False, f"not mirrored at {v}"
+    checked = 0
+    for h in range(1, 9):
+        for k in range(1, 13):
+            if 2**k <= 2 * h:
+                continue
+            for nval in range(2**k + h + 1, 2 ** (k + 1) - h):
+                cell = cell_of(nval)
+                for m in range(nval - h, nval + h + 1):
+                    if cell_of(m) != cell:
+                        return False, f"window at n={nval}, h={h} touches the other cell"
+                checked += 1
+    return True, f"{checked} interior points have monochromatic translate windows"
+
+
+def run(check, *args):
+    counter = NodeCounter(BIG)
+    return check(counter, *args), counter.spent
+
+
+def conjugate_dropping(pair):
+    """words.conjugate, except that it gives the identity for one (w, h) pair."""
+    real = words.conjugate
+    return lambda w, h: () if (w, h) == pair else real(w, h)
+
+
+def cell_flipped_at(flip):
+    """rank1_cell_of_int with the colour of +-flip swapped (still mirrored)."""
+    return lambda v: rank1_cell_of_int(v) ^ (abs(v) == flip)
+
+
+def test_component_tables_match_the_direct_conjugate():
+    ball = enumerate_ds_ball((2, 1), 2)
+    assert len(ball) == 85
+    components = [list(dict.fromkeys(column)) for column in zip(*ball)]
+    for g in ball:
+        tables = suites._component_conjugates(components, g)
+        for x in ball:
+            expected = old_ds_conjugate(x, g)
+            assert tuple(map(getitem, tables, x)) == expected
+            assert ds_conjugate(x, g) == expected
+
+
+def test_ds_conjugate_rejects_mismatched_summands():
+    with pytest.raises(ValueError):
+        ds_conjugate(((1,), ()), ((1,),))
+
+
+@pytest.mark.parametrize("pair", [((1,), (2,)), ((-1,), (1,)), ((1, 2), (-1,))])
+def test_c2_support_reports_the_oracle_counterexample(monkeypatch, pair):
+    # a conjugate that drops to the identity for one (word, component) pair
+    # moves a support; both sweeps must stop at the same first (g, x)
+    broken = conjugate_dropping(pair)
+    monkeypatch.setattr(words, "conjugate", broken)
+    monkeypatch.setattr(suites, "conjugate", broken)
+    got, spent = run(suites._check_c2_support)
+    want, want_spent = run(oracle_c2_support)
+    assert got[0] is False and got == want
+    assert got[1].startswith("support moved for x=")
+    assert spent == want_spent
+
+
+def test_c2_support_first_counterexample_is_pinned(monkeypatch):
+    monkeypatch.setattr(suites, "conjugate", conjugate_dropping(((1,), (2,))))
+    (ok, detail), spent = run(suites._check_c2_support)
+    assert not ok
+    assert detail == "support moved for x=((1,), ()) under g=((2,), ())"
+    assert spent == 21 * 371 + 8
+
+
+def test_rank1_blocks_match_the_oracle():
+    assert run(suites._check_c1_rank1_blocks) == run(oracle_c1_rank1_blocks)
+
+
+@pytest.mark.parametrize("flip", [100, 5000, 8191])
+def test_rank1_blocks_report_the_oracle_window(monkeypatch, flip):
+    # flipping the colour of +-flip keeps the blocks mirrored but breaks
+    # every window that reaches flip
+    flipped = cell_flipped_at(flip)
+    monkeypatch.setattr(suites, "rank1_cell_of_int", flipped)
+    got = run(suites._check_c1_rank1_blocks)
+    assert got == run(oracle_c1_rank1_blocks, flipped)
+    assert got[0][0] is False and got[0][1].startswith("window at n=")
+
+
+def test_rank1_blocks_first_window_is_pinned(monkeypatch):
+    monkeypatch.setattr(suites, "rank1_cell_of_int", cell_flipped_at(100))
+    (ok, detail), _ = run(suites._check_c1_rank1_blocks)
+    assert not ok
+    assert detail == "window at n=99, h=1 touches the other cell"
+
+
+@pytest.mark.parametrize("budget,status", [(137_640, "inconclusive"), (137_641, "pass")])
+def test_support_preservation_budget_boundary(monkeypatch, budget, status):
+    # one node per (g, x) pair: the budget boundary sits at exactly 371^2
+    monkeypatch.setenv("KAPPASETS_NODE_BUDGET", str(budget))
+    records = suites.run_suite("comment2")
+    (record,) = [r for r in records if r.claim_id == "comment2.support-preservation"]
+    assert (record.status, record.nodes) == (status, 137_641)
