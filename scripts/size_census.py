@@ -30,27 +30,18 @@ def main() -> int:
         limit = kappa - 1
         large = thick_g = thick_a = gap = small = 0
         for amask in range(1 << n):
-            cs = cl.min_cover_size(G, amask, "left", counter)
-            if cs is not None and cs <= limit:
-                large += 1
-            lg, _ = cl._thick_profile(G, amask, "left", "witness-in-G", counter)
-            la, _ = cl._thick_profile(G, amask, "left", "witness-in-A", counter)
-            g_ok = limit <= lg
-            a_ok = limit <= la
+            large += cl.min_cover_size(G, amask, "left", counter) <= limit
+            g_ok = limit <= cl.thick_lmax(G, amask, "left", "witness-in-G", counter)
+            a_ok = limit <= cl.thick_lmax(G, amask, "left", "witness-in-A", counter)
             thick_g += g_ok
             thick_a += a_ok
             gap += g_ok != a_ok
         for amask in range(1 << n):
-            ok = True
-            for lmask in range(1 << n):
-                cs = cl.min_cover_size(G, lmask, "left", counter)
-                if cs is None or cs > limit:
-                    continue
-                rest = cl.min_cover_size(G, lmask & ~amask, "left", counter)
-                if rest is None or rest > limit:
-                    ok = False
-                    break
-            small += ok
+            small += all(
+                cl.min_cover_size(G, lmask & ~amask, "left", counter) <= limit
+                for lmask in range(1 << n)
+                if cl.min_cover_size(G, lmask, "left", counter) <= limit
+            )
         print(f"{kappa:5d} {large:6d} {thick_g:6d} {thick_a:6d} {gap:4d} {small:6d}")
     print(f"nodes spent: {counter.spent}")
     return 0

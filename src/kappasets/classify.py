@@ -9,10 +9,20 @@ The kernel takes a greedy upper bound and a counting lower bound, decides
 each size in between by branch and bound on the uncovered element with the
 fewest options (the column rule of Knuth's Algorithm X), and then finds the
 lex-least cover of the optimal size by one index-order search. The
-two-sided notions search pair tables by size. For the any-translate
-thickness variant the two routes are cross-checked against each other on
-every call: A is left thick exactly when its complement is not left large,
-and likewise per side.
+two-sided notions scan pair tables for the first F by size, then lex. For
+the any-translate thickness variant the two routes are cross-checked
+against each other on every call: A is left thick exactly when its
+complement is not left large, and likewise per side. The witness-in-G
+profile is therefore searched, never derived from the complement's cover,
+so that this check and the duality claims compare two independent searches.
+
+Callers outside this module ask two numbers per subset: min_cover_size,
+the least |F| with FA = G (AF = G, FAF = G), so A is kappa-large iff it is
+at most kappa-1; and thick_lmax, the largest test-set size that always
+translates into A, so A is kappa-thick iff kappa-1 is at most it. No F
+covers G from the empty set, and its cover number is |G| + 1, which
+exceeds kappa-1 for every admissible kappa; the empty set is then never
+large, without a special case at the caller.
 
 All searches are deterministic; witnesses are minimal in (size, lex) order
 and re-verified against the raw definitions before they are returned.
@@ -69,12 +79,12 @@ def effective_node_budget(explicit: int | None = None) -> int:
     return int(env) if env else DEFAULT_NODE_BUDGET
 
 
-def _check_side(side: str) -> None:
+def check_side(side: str) -> None:
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
-def _check_variant(variant: str) -> None:
+def check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
@@ -241,6 +251,24 @@ def _pair_cover_table(G: GroupTable, amask: int) -> list[int]:
     return got
 
 
+def _first_pair_hitting(
+    n: int, sizes: range, targets: list[int], counter: NodeCounter
+) -> tuple[int, ...] | None:
+    """First F with |F| in sizes, by size then lex, whose pair mask (bit
+    f1*n+f2 set for f1, f2 in F) meets every mask in targets; None when no
+    such F exists. One node is spent per F tried."""
+    for s in sizes:
+        for combo in itertools.combinations(range(n), s):
+            counter.spend()
+            fmask = mask_of(combo)
+            pm = 0
+            for f in combo:
+                pm |= fmask << (n * f)
+            if all(pm & t for t in targets):
+                return combo
+    return None
+
+
 def _min_cover(
     G: GroupTable, amask: int, side: str, counter: NodeCounter
 ) -> tuple[int, tuple[int, ...]] | None:
@@ -248,8 +276,8 @@ def _min_cover(
     F*A*F = G (two-sided); None when A is empty.
 
     One-sided covers are hitting sets of the translate masks f*A (A*f),
-    found by _min_hitting; two-sided covers are searched by size over the
-    pair table.
+    found by _min_hitting; a two-sided cover is the first F whose pair mask
+    meets every row of the pair table.
     """
     cache = _cache(G)["cover"]
     key = (side, amask)
@@ -259,39 +287,24 @@ def _min_cover(
         cache[key] = None
         return None
     n = G.order
-    full = G.full_mask
-    asize = amask.bit_count()
-    result: tuple[int, tuple[int, ...]] | None = None
     if side == "two-sided":
-        pair = _pair_cover_table(G, amask)
         smin = 1
-        while smin * smin * asize < n:
+        while smin * smin * amask.bit_count() < n:
             smin += 1
-        for s in range(smin, n + 1):
-            for combo in itertools.combinations(range(n), s):
-                counter.spend()
-                fmask = mask_of(combo)
-                pm = 0
-                for f in combo:
-                    pm |= fmask << (n * f)
-                if all(pm & p for p in pair):
-                    result = (s, combo)
-                    break
-            if result:
-                break
+        combo = _first_pair_hitting(n, range(smin, n + 1), _pair_cover_table(G, amask), counter)
     else:
-        combo = _min_hitting(n, _cover_masks(G, amask, side), full, counter)
-        if combo is not None:
-            result = (len(combo), combo)
-    if result is None:  # pragma: no cover - a cover always exists for A != {}
+        combo = _min_hitting(n, _cover_masks(G, amask, side), G.full_mask, counter)
+    if combo is None:  # pragma: no cover - a cover always exists for A != {}
         raise RuntimeError("cover search failed to terminate")
-    cache[key] = result
+    cache[key] = result = (len(combo), combo)
     return result
 
 
-def min_cover_size(G: GroupTable, amask: int, side: str, counter: NodeCounter) -> int | None:
+def min_cover_size(G: GroupTable, amask: int, side: str, counter: NodeCounter) -> int:
+    """Least |F| covering G from A on the given side; |G| + 1 for the empty
+    set, which no F covers."""
     got = _min_cover(G, amask, side, counter)
-    return None if got is None else got[0]
+    return G.order + 1 if got is None else got[0]
 
 
 # -- thickness: least failing test sets ---------------------------------------
@@ -337,8 +350,9 @@ def _thick_profile(
     One-sided: F fails exactly when, for every candidate x, some f in F
     lies outside dom(x), so fail_F is the minimal hitting set of the
     candidates by the masks {x : f not in dom(x)}, found by _min_hitting.
-    Two-sided: thickness is monotone in |F|, so the pair table is scanned by
-    size upward.
+    Two-sided: F fails when its pair mask meets, for every candidate x, the
+    complement of the pair-table row of x, so the first such F is scanned
+    for by size upward.
     """
     cache = _cache(G)["profile"]
     key = (side, variant, amask)
@@ -352,22 +366,7 @@ def _thick_profile(
     candidates = list(bits(amask)) if variant == "witness-in-A" else list(range(n))
     if side == "two-sided":
         table = _pair_thick_table(G, amask)
-        negs = [~table[x] for x in candidates]
-        result = None
-        for size in range(1, n):
-            for combo in itertools.combinations(range(n), size):
-                counter.spend()
-                fmask = mask_of(combo)
-                pm = 0
-                for f in combo:
-                    pm |= fmask << (n * f)
-                if not any(pm & neg == 0 for neg in negs):
-                    result = (size - 1, combo)
-                    break
-            if result:
-                break
-        if result is None:
-            result = (n - 1, None)
+        fail = _first_pair_hitting(n, range(1, n), [~table[x] for x in candidates], counter)
     else:
         # F fails iff every candidate x has some f in F outside dom(x)
         hits = [0] * n
@@ -375,12 +374,20 @@ def _thick_profile(
             for f in bits(d ^ G.full_mask):
                 hits[f] |= 1 << i
         fail = _min_hitting(n, hits, (1 << len(candidates)) - 1, counter)
-        if fail is None or len(fail) >= n:
-            result = (n - 1, None)
-        else:
-            result = (len(fail) - 1, fail)
+    if fail is None or len(fail) >= n:
+        result = (n - 1, None)
+    else:
+        result = (len(fail) - 1, fail)
     cache[key] = result
     return result
+
+
+def thick_lmax(G: GroupTable, amask: int, side: str, variant: str, counter: NodeCounter) -> int:
+    """Largest l such that every test set F with |F| <= l translates into A
+    (by an element of A for witness-in-A, of G for witness-in-G): A is
+    kappa-thick iff kappa-1 <= thick_lmax. It is -1 for witness-in-A and
+    the empty set, and |G| - 1 when every proper F passes."""
+    return _thick_profile(G, amask, side, variant, counter)[0]
 
 
 def _translate_into(G: GroupTable, fmask: int, x: int, amask: int, side: str) -> bool:
@@ -404,7 +411,7 @@ def is_large(
     """Exact decision of left/right/two-sided kappa-largeness with minimal witness."""
     check_subset(G, A)
     check_kappa(G, kappa)
-    _check_side(side)
+    check_side(side)
     counter = NodeCounter(effective_node_budget(node_budget))
     method = "exhaustive" if side == "two-sided" else "greedy-then-exact"
     try:
@@ -441,15 +448,14 @@ def is_thick(
     """
     check_subset(G, A)
     check_kappa(G, kappa)
-    _check_side(side)
-    _check_variant(variant)
+    check_side(side)
+    check_variant(variant)
     counter = NodeCounter(effective_node_budget(node_budget))
     try:
         lmax, fail = _thick_profile(G, A.mask, side, variant, counter)
         verdict = kappa - 1 <= lmax
         if variant == "witness-in-G":
-            comp_cover = min_cover_size(G, A.mask ^ G.full_mask, side, counter)
-            comp_large = comp_cover is not None and comp_cover <= kappa - 1
+            comp_large = min_cover_size(G, A.mask ^ G.full_mask, side, counter) <= kappa - 1
             if verdict == comp_large:  # pragma: no cover - internal duality check
                 raise RuntimeError("thickness/largeness duality cross-check failed")
         if verdict:
@@ -502,7 +508,7 @@ def is_small(
     """
     check_subset(G, A)
     check_kappa(G, kappa)
-    _check_side(side)
+    check_side(side)
     if side == "two-sided":
         spent = 0
         for part in ("left", "right"):
@@ -524,12 +530,9 @@ def is_small(
                 lmask = mask_of(combo)
                 if not lmask & A.mask:
                     continue
-                csize = min_cover_size(G, lmask, side, counter)
-                if csize is None or csize > limit:
+                if min_cover_size(G, lmask, side, counter) > limit:
                     continue
-                rest = lmask & ~A.mask
-                rsize = min_cover_size(G, rest, side, counter)
-                if rsize is None or rsize > limit:
+                if min_cover_size(G, lmask & ~A.mask, side, counter) > limit:
                     L = Subset(n, lmask)
                     shape = "FA" if side == "left" else "AF"
                     cover = _min_cover(G, lmask, side, counter)

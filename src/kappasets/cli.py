@@ -22,7 +22,7 @@ from .constructions import (
 from .groups import GroupSpecError, GroupTable, Subset, build_group
 from .report import ClaimRecord, RunReport, write_report
 from .resolvability import THICK_PROBE_NOTE, partition_search, res_search
-from .suites import run_suite
+from .suites import SUITES, run_suite
 from .words import (
     WordSyntaxError,
     ball_size,
@@ -85,6 +85,14 @@ def _letters_arg(value: str, alphabet_size: int) -> list[int]:
             raise UsageError(f"letter {part!r} out of range for alphabet size {alphabet_size}")
         out.append(i)
     return out
+
+
+def _one_letter(value: str, alphabet_size: int) -> int:
+    """The first letter of value, which must name at least one."""
+    letters = _letters_arg(value, alphabet_size)
+    if not letters:
+        raise UsageError(f"a letter is required, got {value!r}")
+    return letters[0]
 
 
 def _parse_adversary(text: str, alphabet_size: int) -> list:
@@ -183,7 +191,7 @@ def cmd_construct(args) -> RunReport:
     t0 = time.perf_counter()
     if name == "s-set":
         m = int(params.get("m", "2"))
-        letter = _letters_arg(params.get("letter", "a"), m)[0]
+        letter = _one_letter(params.get("letter", "a"), m)
         pred = s_set(m, letter)
         radius = args.radius or 6
         ball = enumerate_ball(m, radius)
@@ -246,7 +254,7 @@ def cmd_construct(args) -> RunReport:
     elif name == "c2-ds":
         sizes = tuple(int(x) for x in params.get("alphabets", "2,2,2").split(","))
         marks = tuple(
-            _letters_arg(v, m)[0] for v, m in zip(params.get("marks", "a,a,a").split(","), sizes)
+            _one_letter(v, m) for v, m in zip(params.get("marks", "a,a,a").split(","), sizes)
         )
         pred = comment2_bset(sizes, marks)
         rep.claims.append(
@@ -372,9 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--subset", required=True, help="comma-separated element indices or labels")
     sp.add_argument("--kappa", type=int, required=True)
     sp.add_argument("--sides", default=None, help="comma list from left,right,two-sided")
-    sp.add_argument(
-        "--variant", default="both", choices=("witness-in-A", "witness-in-G", "both")
-    )
+    sp.add_argument("--variant", default="both", choices=(*cl.VARIANTS, "both"))
     common(sp)
     sp.set_defaults(fn=cmd_classify)
 
@@ -395,18 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode", required=True, choices=("res-left", "res-both", "two-thick", "non-large")
     )
     sp.add_argument("--cells", type=int, default=None, help="cell count for probes (default 2)")
-    sp.add_argument(
-        "--variant", default="witness-in-G", choices=("witness-in-A", "witness-in-G")
-    )
+    sp.add_argument("--variant", default="witness-in-G", choices=cl.VARIANTS)
     common(sp)
     sp.set_defaults(fn=cmd_search)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument(
-        "--suite",
-        required=True,
-        choices=("all", "duality", "s-set", "thm3", "comment1", "comment2", "meets", "oracle"),
-    )
+    sp.add_argument("--suite", required=True, choices=("all", *SUITES))
     common(sp)
     sp.set_defaults(fn=cmd_verify)
     return p

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from .classify import (
     BudgetExceeded,
     NodeCounter,
-    _check_variant,
-    _thick_profile,
+    check_variant,
+    effective_node_budget,
     is_large,
     is_thick,
     min_cover_size,
-    effective_node_budget,
+    thick_lmax,
 )
 from .constructions import Partition
 from .groups import GroupTable, Subset, check_kappa
@@ -72,14 +72,11 @@ class ProbeOutcome:
 
 
 def _cell_large(G: GroupTable, mask: int, limit: int, mode: str, counter: NodeCounter) -> bool:
-    got = min_cover_size(G, mask, "left", counter)
-    if got is None or got > limit:
-        return False
-    if mode == "left+right":
-        got = min_cover_size(G, mask, "right", counter)
-        if got is None or got > limit:
-            return False
-    return True
+    # branches, not all() over the sides: this runs per leaf and per prune,
+    # where a generator per call costs the search workload 5-8%
+    return min_cover_size(G, mask, "left", counter) <= limit and (
+        mode == "left" or min_cover_size(G, mask, "right", counter) <= limit
+    )
 
 
 def _search_exact_cells(
@@ -213,7 +210,7 @@ def partition_search(
     check_kappa(G, kappa)
     if target not in PROBE_TARGETS:
         raise ValueError(f"target must be one of {PROBE_TARGETS}, got {target!r}")
-    _check_variant(variant)
+    check_variant(variant)
     if not 2 <= n_cells <= G.order:
         raise ValueError("cell count must lie in [2, |G|]")
     n = G.order
@@ -223,8 +220,7 @@ def partition_search(
     if target == "all-thick":
 
         def leaf_ok(mask: int) -> bool:
-            lmax, _ = _thick_profile(G, mask, "left", variant, counter)
-            return limit <= lmax
+            return limit <= thick_lmax(G, mask, "left", variant, counter)
 
         def partial_ok(cells: list[int], j: int, placed: int) -> bool:
             # a final cell misses everything placed in the other cells, so

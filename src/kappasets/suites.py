@@ -114,11 +114,11 @@ def _check_duality(G: GroupTable, counter: NodeCounter) -> tuple[bool, str]:
     for amask in range(1 << n):
         comp = amask ^ full
         for side in cl.SIDES:
-            lmax, _ = cl._thick_profile(G, amask, side, "witness-in-G", counter)
+            lmax = cl.thick_lmax(G, amask, side, "witness-in-G", counter)
             cs = cl.min_cover_size(G, comp, side, counter)
             for kappa in range(2, n + 1):
                 thick = kappa - 1 <= lmax
-                comp_large = cs is not None and cs <= kappa - 1
+                comp_large = cs <= kappa - 1
                 if thick == comp_large:
                     return False, (
                         f"divergence at A={_subset_str(n, amask)} side={side} kappa={kappa}"
@@ -132,8 +132,8 @@ def _check_variant_chain(G: GroupTable, counter: NodeCounter) -> tuple[bool, str
     checked = 0
     for amask in range(1 << n):
         for side in cl.SIDES:
-            la, _ = cl._thick_profile(G, amask, side, "witness-in-A", counter)
-            lg, _ = cl._thick_profile(G, amask, side, "witness-in-G", counter)
+            la = cl.thick_lmax(G, amask, side, "witness-in-A", counter)
+            lg = cl.thick_lmax(G, amask, side, "witness-in-G", counter)
             for kappa in range(2, n + 1):
                 in_a = kappa - 1 <= la
                 in_g = kappa - 1 <= lg
@@ -166,8 +166,8 @@ def _check_inversion(G: GroupTable, counter: NodeCounter) -> tuple[bool, str]:
             if cl.min_cover_size(G, amask, s1, counter) != cl.min_cover_size(G, iv, s2, counter):
                 return False, f"largeness inversion fails at A={_subset_str(n, amask)} {s1}/{s2}"
             for variant in cl.VARIANTS:
-                p1, _ = cl._thick_profile(G, amask, s1, variant, counter)
-                p2, _ = cl._thick_profile(G, iv, s2, variant, counter)
+                p1 = cl.thick_lmax(G, amask, s1, variant, counter)
+                p2 = cl.thick_lmax(G, iv, s2, variant, counter)
                 if p1 != p2:
                     return False, (
                         f"thickness inversion fails at A={_subset_str(n, amask)} {s1}/{s2} {variant}"
@@ -183,15 +183,15 @@ def _check_lattice(G: GroupTable, counter: NodeCounter) -> tuple[bool, str]:
     n = G.order
     checked = 0
     for amask in range(1 << n):
-        l2, _ = cl._thick_profile(G, amask, "two-sided", "witness-in-G", counter)
-        ll, _ = cl._thick_profile(G, amask, "left", "witness-in-G", counter)
-        lr, _ = cl._thick_profile(G, amask, "right", "witness-in-G", counter)
+        l2 = cl.thick_lmax(G, amask, "two-sided", "witness-in-G", counter)
+        ll = cl.thick_lmax(G, amask, "left", "witness-in-G", counter)
+        lr = cl.thick_lmax(G, amask, "right", "witness-in-G", counter)
         if l2 > min(ll, lr):
             return False, f"thick lattice fails at A={_subset_str(n, amask)}"
         s2 = cl.min_cover_size(G, amask, "two-sided", counter)
         sl = cl.min_cover_size(G, amask, "left", counter)
         sr = cl.min_cover_size(G, amask, "right", counter)
-        if amask and s2 > min(sl, sr):
+        if s2 > min(sl, sr):
             return False, f"large lattice fails at A={_subset_str(n, amask)}"
         checked += 1
     return True, f"{checked} subsets satisfy both lattice inequalities"
@@ -204,15 +204,14 @@ def _check_small_not_large(G: GroupTable, counter: NodeCounter) -> tuple[bool, s
         sizes = {m: cl.min_cover_size(G, m, side, counter) for m in range(1 << n)}
         for kappa in range(2, n + 1):
             limit = kappa - 1
-            large = [m for m in range(1 << n) if sizes[m] is not None and sizes[m] <= limit]
+            large = [m for m in range(1 << n) if sizes[m] <= limit]
             for amask in range(1 << n):
                 small = True
                 for lm in large:
-                    rest = sizes[lm & ~amask]
-                    if rest is None or rest > limit:
+                    if sizes[lm & ~amask] > limit:
                         small = False
                         break
-                if small and sizes[amask] is not None and sizes[amask] <= limit:
+                if small and sizes[amask] <= limit:
                     return False, (
                         f"small-but-large at A={_subset_str(n, amask)} side={side} kappa={kappa}"
                     )
@@ -288,11 +287,9 @@ def _check_meets(G: GroupTable, counter: NodeCounter) -> tuple[bool, str]:
         thick = []
         large = []
         for amask in range(1 << n):
-            lmax, _ = cl._thick_profile(G, amask, "left", "witness-in-G", counter)
-            if limit <= lmax:
+            if limit <= cl.thick_lmax(G, amask, "left", "witness-in-G", counter):
                 thick.append(amask)
-            cs = cl.min_cover_size(G, amask, "left", counter)
-            if cs is not None and cs <= limit:
+            if cl.min_cover_size(G, amask, "left", counter) <= limit:
                 large.append(amask)
         for am in thick:
             for lm in large:
@@ -544,15 +541,14 @@ def _check_c1_meet(counter: NodeCounter) -> tuple[bool, str]:
         comp = amask ^ G.full_mask        # unordered 2-cell partition appears once
         ca = cl.min_cover_size(G, amask, "left", counter)
         cc = cl.min_cover_size(G, comp, "left", counter)
-        if (ca is not None and ca <= limit) or (cc is not None and cc <= limit):
+        if ca <= limit or cc <= limit:
             continue
         part = Partition(
             (Subset(n, amask), Subset(n, comp)), "oracle 2-cell partition", group=G
         )
         for cell in meet_partition(G, part).cells:
             for side in ("left", "right"):
-                cs = cl.min_cover_size(G, cell.mask, side, counter)
-                if cs is not None and cs <= limit:
+                if cl.min_cover_size(G, cell.mask, side, counter) <= limit:
                     return False, (
                         f"meet cell {cell} is {side} 3-large for P = "
                         f"{_subset_str(n, amask)} | {_subset_str(n, comp)}"
@@ -673,8 +669,7 @@ def _check_thick_to_large(counter: NodeCounter) -> tuple[bool, str]:
         for kappa in (3, 4):
             limit = kappa - 1
             for amask in range(1 << n):
-                lmax, _ = cl._thick_profile(G, amask, "left", "witness-in-G", counter)
-                if limit > lmax:
+                if limit > cl.thick_lmax(G, amask, "left", "witness-in-G", counter):
                     continue
                 A = Subset(n, amask)
                 for block in range(1, kappa):
@@ -719,12 +714,10 @@ def _check_res_oracle(counter: NodeCounter) -> tuple[bool, str]:
                 left_ok = True
                 both_ok = True
                 for m in parts:
-                    csl = cl.min_cover_size(G, m, "left", counter)
-                    if csl is None or csl > limit:
+                    if cl.min_cover_size(G, m, "left", counter) > limit:
                         left_ok = both_ok = False
                         break
-                    csr = cl.min_cover_size(G, m, "right", counter)
-                    if csr is None or csr > limit:
+                    if cl.min_cover_size(G, m, "right", counter) > limit:
                         both_ok = False
                 if left_ok:
                     best["left"] = max(best["left"], len(parts))

@@ -142,7 +142,11 @@ def test_usage_errors(tmp_path, capsys):
     assert run_cli(
         ["classify", "--group", "cyclic:4", "--subset", "0", "--kappa", "9"], tmp_path
     ) == 2
-    capsys.readouterr()
+    assert run_cli(["construct", "--construction", "s-set", "--params", "letter="], tmp_path) == 2
+    assert run_cli(
+        ["construct", "--construction", "c2-ds", "--params", "alphabets=2,2", "marks=a,"], tmp_path
+    ) == 2
+    assert "error: a letter is required" in capsys.readouterr().err
 
 
 def test_file_group_spec(tmp_path, capsys):

@@ -1,8 +1,11 @@
-"""The hitting-set kernel against plain enumeration, plus node-budget
-regressions that an enumerating search cannot meet."""
+"""The hitting-set kernel and the two-sided scans against plain
+enumeration, the public size queries against the same oracles, and
+node-budget regressions that an enumerating search cannot meet."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,14 +16,19 @@ from kappasets.classify import (
     _dom_masks,
     _min_cover,
     _min_hitting,
+    _pair_cover_table,
+    _pair_thick_table,
     _thick_profile,
     is_small,
+    min_cover_size,
+    thick_lmax,
 )
 from kappasets.groups import Subset, bits, build_group, mask_of
 from kappasets.resolvability import res_search
 from kappasets.suites import GRID_SPECS
 
 ONE_SIDES = ("left", "right")
+SIDES = (*ONE_SIDES, "two-sided")
 VARIANTS = ("witness-in-A", "witness-in-G")
 #: Group families of orders 9-14, as swept by the classify command.
 LARGER_SPECS = (
@@ -36,8 +44,54 @@ LARGER_SPECS = (
 )
 
 
+def pair_mask(n, combo):
+    """Bit f1*n+f2 set for f1, f2 in combo."""
+    fmask = mask_of(combo)
+    pm = 0
+    for f in combo:
+        pm |= fmask << (n * f)
+    return pm
+
+
+def oracle_pair_cover(G, amask, counter):
+    """(size, lex)-least F with F*A*F = G, one node per F tried."""
+    if amask == 0:
+        return None
+    n = G.order
+    pair = _pair_cover_table(G, amask)
+    smin = 1
+    while smin * smin * amask.bit_count() < n:
+        smin += 1
+    for s in range(smin, n + 1):
+        for combo in itertools.combinations(range(n), s):
+            counter.spend()
+            pm = pair_mask(n, combo)
+            if all(pm & p for p in pair):
+                return (s, combo)
+    raise AssertionError("no two-sided cover of a nonempty subset")
+
+
+def oracle_pair_profile(G, amask, variant, counter):
+    """Two-sided (lmax, least failing F), one node per F tried."""
+    n = G.order
+    if variant == "witness-in-A" and amask == 0:
+        return (-1, ())
+    candidates = list(bits(amask)) if variant == "witness-in-A" else list(range(n))
+    table = _pair_thick_table(G, amask)
+    negs = [~table[x] for x in candidates]
+    for size in range(1, n):
+        for combo in itertools.combinations(range(n), size):
+            counter.spend()
+            pm = pair_mask(n, combo)
+            if not any(pm & neg == 0 for neg in negs):
+                return (size - 1, combo)
+    return (n - 1, None)
+
+
 def oracle_cover(G, amask, side):
     """(size, lex)-least F covering G, by enumerating subsets by size."""
+    if side == "two-sided":
+        return oracle_pair_cover(G, amask, NodeCounter(10**9))
     if amask == 0:
         return None
     n = G.order
@@ -54,6 +108,8 @@ def oracle_cover(G, amask, side):
 
 def oracle_profile(G, amask, side, variant):
     """(lmax, least failing F), by enumerating test sets by size."""
+    if side == "two-sided":
+        return oracle_pair_profile(G, amask, variant, NodeCounter(10**9))
     n = G.order
     if variant == "witness-in-A" and amask == 0:
         return (-1, ())
@@ -67,20 +123,37 @@ def oracle_profile(G, amask, side, variant):
     return (n - 1, None)
 
 
-def assert_matches_oracle(G, amask):
+def assert_matches_oracle(G, amask, sides=ONE_SIDES):
     counter = NodeCounter(10**9)
-    for side in ONE_SIDES:
-        assert _min_cover(G, amask, side, counter) == oracle_cover(G, amask, side), (side, amask)
+    for side in sides:
+        want = oracle_cover(G, amask, side)
+        assert _min_cover(G, amask, side, counter) == want, (side, amask)
+        size = G.order + 1 if want is None else want[0]
+        assert min_cover_size(G, amask, side, counter) == size, (side, amask)
         for variant in VARIANTS:
+            want = oracle_profile(G, amask, side, variant)
             got = _thick_profile(G, amask, side, variant, counter)
-            assert got == oracle_profile(G, amask, side, variant), (side, variant, amask)
+            assert got == want, (side, variant, amask)
+            assert thick_lmax(G, amask, side, variant, counter) == want[0], (side, variant, amask)
 
 
 @pytest.mark.parametrize("spec", GRID_SPECS)
 def test_every_grid_subset_matches_enumeration(spec):
     G = build_group(spec)
     for amask in range(G.full_mask + 1):
-        assert_matches_oracle(G, amask)
+        assert_matches_oracle(G, amask, SIDES)
+
+
+def test_two_sided_scans_spend_one_node_per_set_tried():
+    G = build_group("dihedral:4")  # fresh caches: every search runs
+    for amask in range(G.full_mask + 1):
+        got, want = NodeCounter(10**9), NodeCounter(10**9)
+        _min_cover(G, amask, "two-sided", got)
+        oracle_pair_cover(G, amask, want)
+        for variant in VARIANTS:
+            _thick_profile(G, amask, "two-sided", variant, got)
+            oracle_pair_profile(G, amask, variant, want)
+        assert got.spent == want.spent, amask
 
 
 def test_sampled_larger_subsets_match_enumeration():
@@ -135,3 +208,42 @@ def test_two_sided_small_reports_both_parts():
     parts = [is_small(build_group("cyclic:6"), A, 3, side) for side in ONE_SIDES]
     assert both.verdict is True and all(p.verdict for p in parts)
     assert both.nodes == sum(p.nodes for p in parts) > 0
+
+
+ROOT = Path(__file__).resolve().parents[1]
+#: Modules that read sizes through the public classify queries only.
+CLASSIFY_CLIENTS = (
+    ROOT / "src" / "kappasets" / "resolvability.py",
+    ROOT / "src" / "kappasets" / "suites.py",
+    ROOT / "src" / "kappasets" / "cli.py",
+    *sorted((ROOT / "scripts").glob("*.py")),
+)
+
+
+def private_classify_names(tree):
+    """Underscore-prefixed names a module imports from, or reads off,
+    kappasets.classify."""
+    aliases = set()
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("classify", "kappasets.classify"):
+                used += [a.name for a in node.names if a.name.startswith("_")]
+            elif node.module in (None, "kappasets"):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "classify"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name == "kappasets.classify" and a.asname}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr.startswith("_")
+        ):
+            used.append(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("path", CLASSIFY_CLIENTS, ids=lambda p: p.name)
+def test_clients_use_only_public_classify_names(path):
+    assert private_classify_names(ast.parse(path.read_text())) == []

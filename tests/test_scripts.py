@@ -1,4 +1,5 @@
-"""Smoke tests: the scripts under scripts/ run to completion."""
+"""Smoke tests: the scripts under scripts/ run to completion, and the size
+census prints its pinned table."""
 
 import os
 import subprocess
@@ -9,12 +10,19 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+CENSUS_CYCLIC6 = """\
+group cyclic:6 (order 6), left side
+kappa  large thickG thickA  gap  small
+    2      1     63     34   29      1
+    3     30     34     13   21      1
+    4     51     13      7    6      1
+    5     57      7      7    0      1
+    6     57      7      1    6      1
+nodes spent: 687
+"""
 
-@pytest.mark.parametrize(
-    "script,args",
-    [("size_census.py", ["--group", "cyclic:4"]), ("res_tables.py", [])],
-)
-def test_script_exits_zero(script, args):
+
+def run_script(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     got = subprocess.run(
@@ -24,4 +32,16 @@ def test_script_exits_zero(script, args):
         env=env,
     )
     assert got.returncode == 0, got.stderr
-    assert got.stdout.strip()
+    return got.stdout
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [("size_census.py", ["--group", "cyclic:4"]), ("res_tables.py", [])],
+)
+def test_script_exits_zero(script, args):
+    assert run_script(script, args).strip()
+
+
+def test_size_census_table_is_pinned():
+    assert run_script("size_census.py", ["--group", "cyclic:6"]) == CENSUS_CYCLIC6
