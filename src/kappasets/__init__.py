@@ -20,7 +20,6 @@ from .classify import (
 from .constructions import (
     Partition,
     PartitionError,
-    comment1_partition,
     comment2_bset,
     meet_partition,
     rank1_partition,
@@ -48,7 +47,6 @@ from .words import (
     Ball,
     WordSetPredicate,
     WordSyntaxError,
-    alph,
     ball_size,
     concat,
     conjugate,

@@ -105,7 +105,6 @@ class SizeVerdict:
     verdict: bool | None
     variant: str | None = None
     witness: object = None
-    method: str = "exhaustive"
     nodes: int = 0
 
 
@@ -413,21 +412,20 @@ def is_large(
     check_kappa(G, kappa)
     check_side(side)
     counter = NodeCounter(effective_node_budget(node_budget))
-    method = "exhaustive" if side == "two-sided" else "greedy-then-exact"
     try:
         got = _min_cover(G, A.mask, side, counter)
     except BudgetExceeded:
-        return SizeVerdict("large", side, kappa, None, method="budget-exhausted", nodes=counter.spent)
+        return SizeVerdict("large", side, kappa, None, nodes=counter.spent)
     if got is None:
-        return SizeVerdict("large", side, kappa, False, method=method, nodes=counter.spent)
+        return SizeVerdict("large", side, kappa, False, nodes=counter.spent)
     size, combo = got
     if size > kappa - 1:
-        return SizeVerdict("large", side, kappa, False, method=method, nodes=counter.spent)
+        return SizeVerdict("large", side, kappa, False, nodes=counter.spent)
     F = Subset.from_indices(G.order, combo)
     shape = {"left": "FA", "right": "AF", "two-sided": "FAF"}[side]
     if product_set(G, F, A, shape).mask != G.full_mask:  # pragma: no cover
         raise RuntimeError("large witness failed re-verification")
-    return SizeVerdict("large", side, kappa, True, witness=F, method=method, nodes=counter.spent)
+    return SizeVerdict("large", side, kappa, True, witness=F, nodes=counter.spent)
 
 
 def is_thick(
@@ -469,9 +467,7 @@ def is_thick(
                 raise RuntimeError("thick counterexample failed re-verification")  # pragma: no cover
             witness = F
     except BudgetExceeded:
-        return SizeVerdict(
-            "thick", side, kappa, None, variant=variant, method="budget-exhausted", nodes=counter.spent
-        )
+        return SizeVerdict("thick", side, kappa, None, variant=variant, nodes=counter.spent)
     return SizeVerdict(
         "thick", side, kappa, verdict, variant=variant, witness=witness, nodes=counter.spent
     )
@@ -516,8 +512,7 @@ def is_small(
             spent += got.nodes
             if got.verdict is not True:
                 return SizeVerdict(
-                    "small", side, kappa, got.verdict, witness=got.witness,
-                    method=got.method, nodes=spent,
+                    "small", side, kappa, got.verdict, witness=got.witness, nodes=spent
                 )
         return SizeVerdict("small", side, kappa, True, nodes=spent)
     counter = NodeCounter(effective_node_budget(node_budget))
@@ -543,7 +538,7 @@ def is_small(
                         "small", side, kappa, False, witness=L, nodes=counter.spent
                     )
     except BudgetExceeded:
-        return SizeVerdict("small", side, kappa, None, method="budget-exhausted", nodes=counter.spent)
+        return SizeVerdict("small", side, kappa, None, nodes=counter.spent)
     return SizeVerdict("small", side, kappa, True, nodes=counter.spent)
 
 

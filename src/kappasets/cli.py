@@ -14,9 +14,12 @@ import time
 from . import classify as cl
 from .classify import ball_uncovered_witness, is_large, is_small, is_thick
 from .constructions import (
-    comment1_partition,
+    Partition,
     comment2_bset,
+    rank1_partition,
+    rank2_partition,
     s_set,
+    split3_partition,
     thm3_partition,
 )
 from .groups import GroupSpecError, GroupTable, Subset, build_group
@@ -88,10 +91,12 @@ def _letters_arg(value: str, alphabet_size: int) -> list[int]:
 
 
 def _one_letter(value: str, alphabet_size: int) -> int:
-    """The first letter of value, which must name at least one."""
+    """The one letter that value names."""
     letters = _letters_arg(value, alphabet_size)
     if not letters:
         raise UsageError(f"a letter is required, got {value!r}")
+    if len(letters) > 1:
+        raise UsageError(f"only one letter is allowed, got {value!r}")
     return letters[0]
 
 
@@ -115,240 +120,226 @@ def _parse_adversary(text: str, alphabet_size: int) -> list:
     return words_over(letters, radius)
 
 
-def _claim(claim_id: str, anchor: str, status: str, detail: str, nodes: int = 0, secs: float = 0.0) -> ClaimRecord:
-    return ClaimRecord(claim_id, anchor, status, detail, nodes=nodes, wall_time_s=secs)
+def _timed(rep: RunReport, claim_id: str, anchor: str, run) -> None:
+    """Append the claim that run() -> (status, detail, nodes) decides, timed."""
+    t0 = time.perf_counter()
+    status, detail, nodes = run()
+    rep.claims.append(
+        ClaimRecord(claim_id, anchor, status, detail, nodes, time.perf_counter() - t0)
+    )
 
 
-def _verdict_claim(claim_id: str, anchor: str, v: cl.SizeVerdict, witness_text: str) -> ClaimRecord:
+def _verdict(v: cl.SizeVerdict, render) -> tuple[str, str, int]:
+    """The claim triple of a size verdict; render(v) words a decided witness."""
     if v.verdict is None:
-        return _claim(claim_id, anchor, "inconclusive", "node budget exhausted", v.nodes)
-    return _claim(claim_id, anchor, "pass", f"verdict={v.verdict} {witness_text}".strip(), v.nodes)
+        return "inconclusive", "node budget exhausted", v.nodes
+    return "pass", f"verdict={v.verdict} {render(v)}".strip(), v.nodes
 
 
-def _render_thick_witness(v: cl.SizeVerdict) -> str:
-    if v.verdict is True:
-        entries = v.witness
-        shown = "; ".join(f"{F}->{x}" for F, x in entries[:4])
-        more = "" if len(entries) <= 4 else f" (+{len(entries) - 4} more)"
-        return f"translates per maximal F: {shown}{more}"
-    if v.verdict is False:
+def _render_large(v: cl.SizeVerdict) -> str:
+    return f"witness F={v.witness}" if v.verdict else ""
+
+
+def _render_thick(v: cl.SizeVerdict) -> str:
+    if not v.verdict:
         return f"failing F={v.witness}"
-    return ""
+    entries = v.witness
+    shown = "; ".join(f"{F}->{x}" for F, x in entries[:4])
+    more = "" if len(entries) <= 4 else f" (+{len(entries) - 4} more)"
+    return f"translates per maximal F: {shown}{more}"
+
+
+def _render_small(v: cl.SizeVerdict) -> str:
+    return "" if v.verdict else f"failing large L={v.witness}"
 
 
 def cmd_classify(args) -> RunReport:
     G = build_group(args.group, max_order=args.max_order)
     A = _parse_subset(G, args.subset)
     kappa = args.kappa
+    budget = args.node_budget
     sides = args.sides.split(",") if args.sides else list(cl.SIDES)
     variants = list(cl.VARIANTS) if args.variant == "both" else [args.variant]
     rep = RunReport(command=_echo(args))
     for side in sides:
         side = side.strip()
-        t0 = time.perf_counter()
-        v = is_large(G, A, kappa, side, node_budget=args.node_budget)
-        wit = f"witness F={v.witness}" if v.verdict else ""
-        rec = _verdict_claim(
+        _timed(
+            rep,
             f"classify.large.{side}",
             f"{side} {kappa}-large: some F with |F| <= {kappa - 1} covers G from A",
-            v,
-            wit,
+            lambda: _verdict(is_large(G, A, kappa, side, node_budget=budget), _render_large),
         )
-        rec.wall_time_s = time.perf_counter() - t0
-        rep.claims.append(rec)
         for variant in variants:
-            t0 = time.perf_counter()
-            v = is_thick(G, A, kappa, side, variant, node_budget=args.node_budget)
-            rec = _verdict_claim(
+            _timed(
+                rep,
                 f"classify.thick.{side}.{variant}",
                 f"{side} {kappa}-thick ({variant}): every small F translates into A",
-                v,
-                _render_thick_witness(v),
+                lambda: _verdict(
+                    is_thick(G, A, kappa, side, variant, node_budget=budget), _render_thick
+                ),
             )
-            rec.wall_time_s = time.perf_counter() - t0
-            rep.claims.append(rec)
-        t0 = time.perf_counter()
-        v = is_small(G, A, kappa, side, node_budget=args.node_budget)
-        wit = f"failing large L={v.witness}" if v.verdict is False else ""
-        rec = _verdict_claim(
+        _timed(
+            rep,
             f"classify.small.{side}",
             f"{side} {kappa}-small: removing A keeps every {side} {kappa}-large set large",
-            v,
-            wit,
+            lambda: _verdict(is_small(G, A, kappa, side, node_budget=budget), _render_small),
         )
-        rec.wall_time_s = time.perf_counter() - t0
-        rep.claims.append(rec)
     return rep
 
 
-_CONSTRUCTIONS = ("s-set", "thm3", "c1-split3", "c1-rank2", "c1-rank1", "c2-ds")
+# -- constructions: name -> (parameter defaults, builder) --------------------------
+# A builder takes the merged parameters and the --radius value (None when not
+# given) and returns (anchor, detail, cells, alphabet size); the alphabet size
+# is None when no adversary can be scanned against the cells.
+
+
+def _verified(part: Partition, radius: int) -> tuple:
+    part.verify_on_ball(enumerate_ball(part.alphabet_size, radius))
+    detail = f"{part.num_cells}-cell partition verified on the radius-{radius} ball"
+    return part.provenance, detail, part.cells, part.alphabet_size
+
+
+def _build_s_set(p: dict[str, str], radius: int | None) -> tuple:
+    m = int(p["m"])
+    pred = s_set(m, _one_letter(p["letter"], m))
+    radius = radius or 6
+    ball = enumerate_ball(m, radius)
+    members = sum(1 for w in ball.words if pred(w))
+    detail = f"{members} of {ball.size} radius-{radius} words are members"
+    return f"endpoint-marked set on {m} letters", detail, (pred,), m
+
+
+def _build_thm3(p: dict[str, str], radius: int | None) -> tuple:
+    m = int(p["m"])
+    radius = radius or 5
+    part = thm3_partition(m, _letters_arg(p["a1"], m), check_radius=min(radius, 3))
+    part.verify_on_ball(enumerate_ball(m, radius))
+    detail = f"partition verified on the radius-{radius} ball ({ball_size(m, radius)} words)"
+    return "two-cell last-letter split", detail, part.cells, m
+
+
+def _build_split3(p: dict[str, str], radius: int | None) -> tuple:
+    m = int(p["m"])
+    radius = radius or 5
+    a1, a2, a3 = (_letters_arg(p[k], m) for k in ("a1", "a2", "a3"))
+    return _verified(split3_partition(m, a1, a2, a3, check_radius=min(radius, 3)), radius)
+
+
+def _build_rank2(p: dict[str, str], radius: int | None) -> tuple:
+    radius = radius or 8
+    return _verified(rank2_partition(check_radius=min(radius, 8)), radius)
+
+
+def _build_rank1(p: dict[str, str], radius: int | None) -> tuple:
+    radius = radius or 32
+    return _verified(rank1_partition(check_radius=min(radius, 8)), radius)
+
+
+def _build_c2_ds(p: dict[str, str], radius: int | None) -> tuple:
+    sizes = tuple(int(x) for x in p["alphabets"].split(","))
+    marks = tuple(
+        _one_letter(v, m) for v, m in zip(p["marks"].split(","), sizes, strict=True)
+    )
+    pred = comment2_bset(sizes, marks)
+    detail = f"direct sum of {len(sizes)} free groups, alphabet sizes {sizes}"
+    return pred.description, detail, (pred,), None
+
+
+_CONSTRUCTIONS = {
+    "s-set": ({"m": "2", "letter": "a"}, _build_s_set),
+    "thm3": ({"m": "4", "a1": "a,b"}, _build_thm3),
+    "c1-split3": ({"m": "3", "a1": "a", "a2": "b", "a3": "c"}, _build_split3),
+    "c1-rank2": ({}, _build_rank2),
+    "c1-rank1": ({}, _build_rank1),
+    "c2-ds": ({"alphabets": "2,2,2", "marks": "a,a,a"}, _build_c2_ds),
+}
+
+
+def _params_help() -> str:
+    keys = "; ".join(
+        f"{name}: {' '.join(f'{k}={v}' for k, v in defaults.items()) or 'none'}"
+        for name, (defaults, _) in _CONSTRUCTIONS.items()
+    )
+    return f"key=value parameters, with these keys and defaults: {keys}"
+
+
+def _scan_adversary(ball, H: list, cell) -> tuple[str, str, int]:
+    w = ball_uncovered_witness(ball, H, cell)
+    if w is None:
+        return "fail", "every ball word is covered", 0
+    if any(cell(concat(inverse(h), w)) for h in H):
+        return "fail", "witness failed re-verification", 0
+    return "pass", f"uncovered witness {format_word(w)}", 0
 
 
 def cmd_construct(args) -> RunReport:
-    params = _parse_params(args.params or [])
-    rep = RunReport(command=_echo(args))
     name = args.construction
+    defaults, build = _CONSTRUCTIONS[name]
+    given = _parse_params(args.params or [])
+    unknown = sorted(given.keys() - defaults.keys())
+    if unknown:
+        takes = ", ".join(defaults) or "none"
+        raise UsageError(f"unknown {name} parameter {', '.join(unknown)}; it takes: {takes}")
+    rep = RunReport(command=_echo(args))
+    # the anchor comes out of the builder, so this claim is timed here
     t0 = time.perf_counter()
-    if name == "s-set":
-        m = int(params.get("m", "2"))
-        letter = _one_letter(params.get("letter", "a"), m)
-        pred = s_set(m, letter)
-        radius = args.radius or 6
-        ball = enumerate_ball(m, radius)
-        members = sum(1 for w in ball.words if pred(w))
-        rep.claims.append(
-            _claim(
-                "construct.s-set",
-                f"endpoint-marked set on {m} letters",
-                "pass",
-                f"{members} of {ball.size} radius-{radius} words are members",
-                secs=time.perf_counter() - t0,
-            )
-        )
-        cells = [pred]
-        m_out = m
-    elif name == "thm3":
-        m = int(params.get("m", "4"))
-        a1 = _letters_arg(params.get("a1", "a,b"), m)
-        radius = args.radius or 5
-        part = thm3_partition(m, a1, check_radius=min(radius, 3))
-        part.verify_on_ball(enumerate_ball(m, radius))
-        rep.claims.append(
-            _claim(
-                "construct.thm3",
-                "two-cell last-letter split",
-                "pass",
-                f"partition verified on the radius-{radius} ball ({ball_size(m, radius)} words)",
-                secs=time.perf_counter() - t0,
-            )
-        )
-        cells = list(part.cells)
-        m_out = m
-    elif name in ("c1-split3", "c1-rank2", "c1-rank1"):
-        case = name.removeprefix("c1-")
-        if case == "split3":
-            m = int(params.get("m", "3"))
-            a1 = _letters_arg(params.get("a1", "a"), m)
-            a2 = _letters_arg(params.get("a2", "b"), m)
-            a3 = _letters_arg(params.get("a3", "c"), m)
-            radius = args.radius or 5
-            part = comment1_partition(
-                "split3", check_radius=min(radius, 3), alphabet_size=m, a1=a1, a2=a2, a3=a3
-            )
-        else:
-            m = 2 if case == "rank2" else 1
-            radius = args.radius or (8 if case == "rank2" else 32)
-            part = comment1_partition(case, check_radius=min(radius, 8))
-        part.verify_on_ball(enumerate_ball(m, radius))
-        rep.claims.append(
-            _claim(
-                f"construct.{name}",
-                f"{part.provenance}",
-                "pass",
-                f"{part.num_cells}-cell partition verified on the radius-{radius} ball",
-                secs=time.perf_counter() - t0,
-            )
-        )
-        cells = list(part.cells)
-        m_out = m
-    elif name == "c2-ds":
-        sizes = tuple(int(x) for x in params.get("alphabets", "2,2,2").split(","))
-        marks = tuple(
-            _one_letter(v, m) for v, m in zip(params.get("marks", "a,a,a").split(","), sizes)
-        )
-        pred = comment2_bset(sizes, marks)
-        rep.claims.append(
-            _claim(
-                "construct.c2-ds",
-                pred.description,
-                "pass",
-                f"direct sum of {len(sizes)} free groups, alphabet sizes {sizes}",
-                secs=time.perf_counter() - t0,
-            )
-        )
-        cells = [pred]
-        m_out = None
-    else:
-        raise UsageError(f"unknown construction {name!r}; choose from {_CONSTRUCTIONS}")
-
-    if args.adversary and m_out is not None:
-        H = _parse_adversary(args.adversary, m_out)
-        scan_ball = enumerate_ball(m_out, args.radius or 6)
+    anchor, detail, cells, m = build({**defaults, **given}, args.radius)
+    rep.claims.append(
+        ClaimRecord(f"construct.{name}", anchor, "pass", detail, 0, time.perf_counter() - t0)
+    )
+    if args.adversary:
+        if m is None:
+            raise UsageError(f"{name} takes no --adversary")
+        H = _parse_adversary(args.adversary, m)
+        scan_ball = enumerate_ball(m, args.radius or 6)
         for i, cell in enumerate(cells):
-            t0 = time.perf_counter()
-            w = ball_uncovered_witness(scan_ball, H, cell)
-            if w is None:
-                rec = _claim(
-                    f"construct.adversary.cell{i}",
-                    f"cell {i} vs adversary ({len(H)} words)",
-                    "fail",
-                    "every ball word is covered",
-                )
-            else:
-                ok = all(not cell(concat(inverse(h), w)) for h in H)
-                rec = _claim(
-                    f"construct.adversary.cell{i}",
-                    f"cell {i} vs adversary ({len(H)} words)",
-                    "pass" if ok else "fail",
-                    f"uncovered witness {format_word(w)}" if ok else "witness failed re-verification",
-                )
-            rec.wall_time_s = time.perf_counter() - t0
-            rep.claims.append(rec)
+            _timed(
+                rep,
+                f"construct.adversary.cell{i}",
+                f"cell {i} vs adversary ({len(H)} words)",
+                lambda: _scan_adversary(scan_ball, H, cell),
+            )
     return rep
 
 
 def cmd_search(args) -> RunReport:
     G = build_group(args.group, max_order=args.max_order)
     rep = RunReport(command=_echo(args))
-    t0 = time.perf_counter()
+    kappa, budget = args.kappa, args.node_budget
     if args.mode in ("res-left", "res-both"):
         mode = "left" if args.mode == "res-left" else "left+right"
-        out = res_search(G, args.kappa, mode, node_budget=args.node_budget)
-        if out.best is None:
-            detail = "search inconclusive: node budget exhausted"
-        else:
-            cells = " | ".join(str(c) for c in out.best.cells)
-            detail = f"cells={out.cells} optimal={out.optimal} partition: {cells}"
-        rep.claims.append(
-            _claim(
-                f"search.{args.mode}",
-                f"max cells in a partition into {mode} {args.kappa}-large subsets",
-                "pass" if out.optimal else "inconclusive",
-                detail,
-                nodes=out.nodes,
-                secs=time.perf_counter() - t0,
-            )
-        )
-    elif args.mode in ("two-thick", "non-large"):
+        anchor = f"max cells in a partition into {mode} {kappa}-large subsets"
+
+        def run():
+            out = res_search(G, kappa, mode, node_budget=budget)
+            if out.best is None:
+                detail = "search inconclusive: node budget exhausted"
+            else:
+                cells = " | ".join(str(c) for c in out.best.cells)
+                detail = f"cells={out.cells} optimal={out.optimal} partition: {cells}"
+            return "pass" if out.optimal else "inconclusive", detail, out.nodes
+
+    else:
         target = "all-thick" if args.mode == "two-thick" else "all-non-large"
         n_cells = args.cells or 2
-        out = partition_search(
-            G, args.kappa, n_cells, target, args.variant, node_budget=args.node_budget
+        anchor = (
+            f"partition into {n_cells} cells, each {target.replace('-', ' ')} at kappa={kappa}"
         )
-        if out.found is not None:
-            cells = " | ".join(str(c) for c in out.found.cells)
-            detail = f"found: {cells}"
+
+        def run():
+            out = partition_search(G, kappa, n_cells, target, args.variant, node_budget=budget)
             status = "pass"
-        elif out.exhaustive:
-            detail = f"no {n_cells}-cell partition with {target} cells exists (exhaustive)"
-            status = "pass"
-        else:
-            detail = "search inconclusive: node budget exhausted"
-            status = "inconclusive"
-        if target == "all-thick":
-            detail += f" [note: {THICK_PROBE_NOTE}]"
-        rep.claims.append(
-            _claim(
-                f"search.{args.mode}",
-                f"partition into {n_cells} cells, each {target.replace('-', ' ')} at kappa={args.kappa}",
-                status,
-                detail,
-                nodes=out.nodes,
-                secs=time.perf_counter() - t0,
-            )
-        )
-    else:
-        raise UsageError(f"unknown search mode {args.mode!r}")
+            if out.found is not None:
+                detail = "found: " + " | ".join(str(c) for c in out.found.cells)
+            elif out.exhaustive:
+                detail = f"no {n_cells}-cell partition with {target} cells exists (exhaustive)"
+            else:
+                status, detail = "inconclusive", "search inconclusive: node budget exhausted"
+            if target == "all-thick":
+                detail += f" [note: {THICK_PROBE_NOTE}]"
+            return status, detail, out.nodes
+
+    _timed(rep, f"search.{args.mode}", anchor, run)
     return rep
 
 
@@ -386,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("construct", help="emit a construction plus witness checks")
     sp.add_argument("--construction", required=True, choices=_CONSTRUCTIONS)
-    sp.add_argument("--params", nargs="*", default=[], help="key=value parameters")
+    sp.add_argument("--params", nargs="*", default=[], help=_params_help())
     sp.add_argument("--radius", type=int, default=None, help="verification ball radius")
     sp.add_argument(
         "--adversary", default=None, help='e.g. "letters=a,b;radius=2" or "words=ab\',b"'

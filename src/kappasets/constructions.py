@@ -229,27 +229,6 @@ def rank1_partition(check_radius: int = 16) -> Partition:
     return part
 
 
-def comment1_partition(case: str, check_radius: int | None = None, **params) -> Partition:
-    """Dispatch for the three-cell family: split3 (any alphabet split into
-    three), rank2 (two letters), rank1 (one letter)."""
-    if case == "split3":
-        kwargs = {}
-        if check_radius is not None:
-            kwargs["check_radius"] = check_radius
-        return split3_partition(
-            params["alphabet_size"], params["a1"], params["a2"], params["a3"], **kwargs
-        )
-    if case == "rank2":
-        if params:
-            raise ValueError("rank2 takes no parameters (alphabet is {a, b})")
-        return rank2_partition(**({"check_radius": check_radius} if check_radius else {}))
-    if case == "rank1":
-        if params:
-            raise ValueError("rank1 takes no parameters (alphabet is {a})")
-        return rank1_partition(**({"check_radius": check_radius} if check_radius else {}))
-    raise ValueError(f"unknown construction case {case!r}")
-
-
 # -- meet of a partition with its inverse ------------------------------------------
 
 

@@ -219,61 +219,49 @@ def _check_small_not_large(G: GroupTable, counter: NodeCounter) -> tuple[bool, s
     return True, f"{checked} (A, side, kappa) small=>not-large instances hold"
 
 
+def _grid_claims(
+    prefix: str, anchor: str, check: Callable[[GroupTable, NodeCounter], tuple[bool, str]]
+) -> list[ClaimRecord]:
+    """One claim "<prefix>.<spec>" per GRID_SPECS group, in grid order."""
+    return [
+        _run_claim(f"{prefix}.{spec}", anchor, lambda c, G=grid_group(spec): check(G, c))
+        for spec in GRID_SPECS
+    ]
+
+
 def suite_duality() -> list[ClaimRecord]:
-    records = []
-    for spec in GRID_SPECS:
-        G = grid_group(spec)
-        records.append(
-            _run_claim(
-                f"duality.{spec}",
-                "any-translate thickness equals non-largeness of the complement, per side",
-                lambda c, G=G: _check_duality(G, c),
-            )
-        )
-    for spec in GRID_SPECS:
-        G = grid_group(spec)
-        records.append(
-            _run_claim(
-                f"variant-chain.{spec}",
-                "in-A thick at kappa implies in-G thick at kappa implies in-A thick at kappa-1",
-                lambda c, G=G: _check_variant_chain(G, c),
-            )
-        )
-    records.append(
+    return [
+        *_grid_claims(
+            "duality",
+            "any-translate thickness equals non-largeness of the complement, per side",
+            _check_duality,
+        ),
+        *_grid_claims(
+            "variant-chain",
+            "in-A thick at kappa implies in-G thick at kappa implies in-A thick at kappa-1",
+            _check_variant_chain,
+        ),
         _run_claim(
             "variant-divergence.cyclic:2",
             "the two thickness variants split at the finite boundary",
             _check_divergence,
-        )
-    )
-    for spec in GRID_SPECS:
-        G = grid_group(spec)
-        records.append(
-            _run_claim(
-                f"inversion.{spec}",
-                "largeness and thickness swap sides under subset inversion",
-                lambda c, G=G: _check_inversion(G, c),
-            )
-        )
-    for spec in GRID_SPECS:
-        G = grid_group(spec)
-        records.append(
-            _run_claim(
-                f"lattice.{spec}",
-                "two-sided thick implies one-sided thick; one-sided large implies two-sided large",
-                lambda c, G=G: _check_lattice(G, c),
-            )
-        )
-    for spec in GRID_SPECS:
-        G = grid_group(spec)
-        records.append(
-            _run_claim(
-                f"small-not-large.{spec}",
-                "a small subset is never large on the same side",
-                lambda c, G=G: _check_small_not_large(G, c),
-            )
-        )
-    return records
+        ),
+        *_grid_claims(
+            "inversion",
+            "largeness and thickness swap sides under subset inversion",
+            _check_inversion,
+        ),
+        *_grid_claims(
+            "lattice",
+            "two-sided thick implies one-sided thick; one-sided large implies two-sided large",
+            _check_lattice,
+        ),
+        *_grid_claims(
+            "small-not-large",
+            "a small subset is never large on the same side",
+            _check_small_not_large,
+        ),
+    ]
 
 
 # -- the meets property -----------------------------------------------------------
@@ -303,14 +291,9 @@ def _check_meets(G: GroupTable, counter: NodeCounter) -> tuple[bool, str]:
 
 
 def suite_meets() -> list[ClaimRecord]:
-    return [
-        _run_claim(
-            f"meets.{spec}",
-            "every left thick subset meets every left large subset",
-            lambda c, G=grid_group(spec): _check_meets(G, c),
-        )
-        for spec in GRID_SPECS
-    ]
+    return _grid_claims(
+        "meets", "every left thick subset meets every left large subset", _check_meets
+    )
 
 
 # -- the endpoint-marked set -------------------------------------------------------

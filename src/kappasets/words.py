@@ -50,13 +50,6 @@ def concat(u: Word, v: Word) -> Word:
     return u[:i] + v[j:]
 
 
-def concat_all(*words: Word) -> Word:
-    out: Word = ()
-    for w in words:
-        out = concat(out, w)
-    return out
-
-
 def inverse(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 
@@ -78,11 +71,6 @@ def first_last2(w: Word) -> tuple[Word, Word]:
     if len(w) < 2:
         raise ValueError("length-2 prefix/suffix require a word of length >= 2")
     return w[:2], w[-2:]
-
-
-def alph(w: Word) -> frozenset[int]:
-    """0-based indices of the letters occurring in w with either sign."""
-    return frozenset(abs(x) - 1 for x in w)
 
 
 def letter_rank(x: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 
 import kappasets
 from kappasets import report
-from kappasets.cli import main
+from kappasets.cli import _CONSTRUCTIONS, main
 from kappasets.groups import build_group
 
 
@@ -114,6 +114,78 @@ def test_construct_word_list_adversary(tmp_path, capsys):
     capsys.readouterr()
 
 
+_S_SET = ("construct.s-set", "endpoint-marked set on 2 letters", "pass",
+          "364 of 1457 radius-6 words are members", 0)
+_SPLIT3 = ("construct.c1-split3", "endpoint-class 3-split", "pass",
+           "3-cell partition verified on the radius-5 ball", 0)
+_RANK2 = ("construct.c1-rank2", "rank-2 end-factor 3-split", "pass",
+          "3-cell partition verified on the radius-8 ball", 0)
+_RANK1 = ("construct.c1-rank1", "rank-1 doubling-block 2-split", "pass",
+          "2-cell partition verified on the radius-32 ball", 0)
+
+
+def _adversary(cell, words, witness):
+    return (f"construct.adversary.cell{cell}", f"cell {cell} vs adversary ({words} words)",
+            "pass", f"uncovered witness {witness}", 0)
+
+
+#: (claim_id, anchor, status, detail, nodes) of every claim, per construct
+#: command: the six constructions at their defaults, with parameters, and
+#: with an adversary for each one that can scan it
+CONSTRUCT_BODIES = [
+    (["s-set"], [_S_SET]),
+    (["thm3"], [("construct.thm3", "two-cell last-letter split", "pass",
+                 "partition verified on the radius-5 ball (22409 words)", 0)]),
+    (["c1-split3"], [_SPLIT3]),
+    (["c1-rank2"], [_RANK2]),
+    (["c1-rank1"], [_RANK1]),
+    (["c2-ds"], [("construct.c2-ds", "top component ends in mark (a,a,a)", "pass",
+                  "direct sum of 3 free groups, alphabet sizes (2, 2, 2)", 0)]),
+    (["s-set", "--adversary", "letters=a;radius=2"], [_S_SET, _adversary(0, 5, "b")]),
+    (
+        ["s-set", "--params", "m=3", "letter=c", "--radius", "4",
+         "--adversary", "letters=a,b;radius=2"],
+        [("construct.s-set", "endpoint-marked set on 3 letters", "pass",
+          "104 of 937 radius-4 words are members", 0), _adversary(0, 17, "1")],
+    ),
+    (
+        ["thm3", "--params", "m=4", "a1=a,b", "--radius", "4",
+         "--adversary", "letters=a,b,c;radius=2"],
+        [("construct.thm3", "two-cell last-letter split", "pass",
+          "partition verified on the radius-4 ball (3201 words)", 0),
+         _adversary(0, 37, "d"), _adversary(1, 37, "da")],
+    ),
+    (
+        ["c1-split3", "--adversary", "letters=a,b;radius=2"],
+        [_SPLIT3, _adversary(0, 17, "aa"), _adversary(1, 17, "ab"), _adversary(2, 17, "c")],
+    ),
+    (
+        ["c1-split3", "--params", "m=6", "a1=a,b", "a2=c,d", "a3=e,f", "--radius", "3"],
+        [("construct.c1-split3", "endpoint-class 3-split", "pass",
+          "3-cell partition verified on the radius-3 ball", 0)],
+    ),
+    (
+        ["c1-rank2", "--adversary", "words=a,b,ab"],
+        [_RANK2, _adversary(0, 3, "bb"), _adversary(1, 3, "1"), _adversary(2, 3, "a'")],
+    ),
+    (["c1-rank1", "--adversary", "words=a,a'"], [_RANK1, _adversary(0, 2, "a"), _adversary(1, 2, "1")]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,claims", CONSTRUCT_BODIES, ids=[" ".join(argv) for argv, _ in CONSTRUCT_BODIES]
+)
+def test_construct_bodies_are_pinned(argv, claims, tmp_path, capsys):
+    assert run_cli(["construct", "--construction", *argv], tmp_path) == 0
+    body, _ = latest_report(tmp_path)
+    got = [
+        (c["claim_id"], c["anchor"], c["status"], c["detail"], c["nodes"])
+        for c in body["report"]["claims"]
+    ]
+    assert got == claims
+    capsys.readouterr()
+
+
 def test_verify_suite_exit_zero(tmp_path, capsys):
     code = run_cli(["verify", "--suite", "thm3"], tmp_path)
     assert code == 0
@@ -147,6 +219,25 @@ def test_usage_errors(tmp_path, capsys):
         ["construct", "--construction", "c2-ds", "--params", "alphabets=2,2", "marks=a,"], tmp_path
     ) == 2
     assert "error: a letter is required" in capsys.readouterr().err
+    # input that construct used to drop without a word
+    for argv, message in (
+        (["s-set", "--params", "letter=a,b"], "only one letter is allowed"),
+        (["c2-ds", "--params", "alphabets=2,2", "marks=a,b,a"], "zip()"),
+        (["s-set", "--params", "letters=b"], "unknown s-set parameter letters"),
+        (["c1-rank2", "--params", "m=3"], "unknown c1-rank2 parameter m"),
+        (["c2-ds", "--adversary", "letters=a"], "c2-ds takes no --adversary"),
+    ):
+        assert run_cli(["construct", "--construction", *argv], tmp_path) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_construct_params_help_lists_every_key(capsys):
+    assert main(["construct", "--help"]) == 0
+    out = capsys.readouterr().out
+    for name, (defaults, _) in _CONSTRUCTIONS.items():
+        assert name in out
+        for key, value in defaults.items():
+            assert f"{key}={value}" in out
 
 
 def test_file_group_spec(tmp_path, capsys):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from kappasets.constructions import (
     Partition,
     PartitionError,
-    comment1_partition,
     comment2_bset,
     meet_partition,
     rank1_cell_of_int,
@@ -95,10 +94,6 @@ class TestRank2:
         for short in ((), (1,), (-2,)):
             assert b3(short)
 
-    def test_takes_no_parameters(self):
-        with pytest.raises(ValueError):
-            comment1_partition("rank2", alphabet_size=3)
-
 
 class TestRank1:
     def test_blocks_alternate_and_mirror(self):
@@ -126,13 +121,6 @@ class TestRank1:
 
 
 class TestPartitionVerification:
-    def test_dispatcher(self):
-        part = comment1_partition("split3", alphabet_size=3, a1=[0], a2=[1], a3=[2])
-        assert part.num_cells == 3
-        assert comment1_partition("rank1").num_cells == 2
-        with pytest.raises(ValueError):
-            comment1_partition("rank7")
-
     def test_overlapping_cells_rejected(self):
         always = WordSetPredicate("everything", lambda w: True)
         bad = Partition((always, always), "overlap", alphabet_size=2)

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from kappasets.words import (
     WordSyntaxError,
-    alph,
     ball_size,
     concat,
     conjugate,
@@ -90,12 +89,6 @@ def test_first_last2():
     assert first_last2((1, 1)) == ((1, 1), (1, 1))
     with pytest.raises(ValueError):
         first_last2((1,))
-
-
-def test_alph():
-    assert alph((1, -2, 1)) == {0, 1}
-    assert alph(()) == frozenset()
-    assert alph((-1,)) == {0}
 
 
 def test_ball_small_examples():
