@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 
+from kappasets.classify import DEFAULT_NODE_BUDGET
 from kappasets.groups import build_group
 from kappasets.resolvability import res_search
 
@@ -30,7 +31,7 @@ DEFAULT_SPECS = [
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--groups", nargs="*", default=DEFAULT_SPECS, help="group specs")
-    ap.add_argument("--node-budget", type=int, default=None)
+    ap.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     args = ap.parse_args()
 
     print(f"{'group':28s} {'kappa':>5s} {'left':>5s} {'both':>5s}  witness (left mode)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 
 from kappasets import classify as cl
-from kappasets.classify import NodeCounter, effective_node_budget
+from kappasets.classify import DEFAULT_NODE_BUDGET, NodeCounter
 from kappasets.groups import build_group
 
 
@@ -23,7 +23,7 @@ def main() -> int:
 
     G = build_group(args.group)
     n = G.order
-    counter = NodeCounter(effective_node_budget())
+    counter = NodeCounter(DEFAULT_NODE_BUDGET)
     print(f"group {args.group} (order {n}), left side")
     print(f"{'kappa':>5s} {'large':>6s} {'thickG':>6s} {'thickA':>6s} {'gap':>4s} {'small':>6s}")
     for kappa in range(2, n + 1):

@@ -31,7 +31,6 @@ and re-verified against the raw definitions before they are returned.
 from __future__ import annotations
 
 import itertools
-import os
 import weakref
 from dataclasses import dataclass
 
@@ -52,7 +51,6 @@ SIDES = ("left", "right", "two-sided")
 VARIANTS = ("witness-in-A", "witness-in-G")
 
 DEFAULT_NODE_BUDGET = 10**8
-_BUDGET_ENV = "KAPPASETS_NODE_BUDGET"
 
 
 class BudgetExceeded(Exception):
@@ -70,13 +68,6 @@ class NodeCounter:
         self.spent += k
         if self.spent > self.budget:
             raise BudgetExceeded
-
-
-def effective_node_budget(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(_BUDGET_ENV)
-    return int(env) if env else DEFAULT_NODE_BUDGET
 
 
 def check_side(side: str) -> None:
@@ -405,13 +396,14 @@ def _translate_into(G: GroupTable, fmask: int, x: int, amask: int, side: str) ->
 
 
 def is_large(
-    G: GroupTable, A: Subset, kappa: int, side: str = "left", *, node_budget: int | None = None
+    G: GroupTable, A: Subset, kappa: int, side: str = "left", *,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SizeVerdict:
     """Exact decision of left/right/two-sided kappa-largeness with minimal witness."""
     check_subset(G, A)
     check_kappa(G, kappa)
     check_side(side)
-    counter = NodeCounter(effective_node_budget(node_budget))
+    counter = NodeCounter(node_budget)
     try:
         got = _min_cover(G, A.mask, side, counter)
     except BudgetExceeded:
@@ -435,7 +427,7 @@ def is_thick(
     side: str = "left",
     variant: str = "witness-in-G",
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SizeVerdict:
     """Exact decision of kappa-thickness.
 
@@ -448,7 +440,7 @@ def is_thick(
     check_kappa(G, kappa)
     check_side(side)
     check_variant(variant)
-    counter = NodeCounter(effective_node_budget(node_budget))
+    counter = NodeCounter(node_budget)
     try:
         lmax, fail = _thick_profile(G, A.mask, side, variant, counter)
         verdict = kappa - 1 <= lmax
@@ -493,14 +485,16 @@ def _thick_witness_map(
 
 
 def is_small(
-    G: GroupTable, A: Subset, kappa: int, side: str = "left", *, node_budget: int | None = None
+    G: GroupTable, A: Subset, kappa: int, side: str = "left", *,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SizeVerdict:
     """A is kappa-small when removing it keeps every kappa-large set large.
 
     Decided by enumerating all large L on the given side; two-sided means
     left and right small. The failing L, if any, is (size, lex)-minimal.
     Only L that meet A are tested (otherwise L minus A is L), and only sizes
-    with |L| * (kappa-1) >= |G|, below which no L is large.
+    with |L| * (kappa-1) >= |G|, below which no L is large. The two sides
+    share one budget: the right side gets what the left side left over.
     """
     check_subset(G, A)
     check_kappa(G, kappa)
@@ -508,14 +502,14 @@ def is_small(
     if side == "two-sided":
         spent = 0
         for part in ("left", "right"):
-            got = is_small(G, A, kappa, part, node_budget=node_budget)
+            got = is_small(G, A, kappa, part, node_budget=node_budget - spent)
             spent += got.nodes
             if got.verdict is not True:
                 return SizeVerdict(
                     "small", side, kappa, got.verdict, witness=got.witness, nodes=spent
                 )
         return SizeVerdict("small", side, kappa, True, nodes=spent)
-    counter = NodeCounter(effective_node_budget(node_budget))
+    counter = NodeCounter(node_budget)
     n = G.order
     limit = kappa - 1
     try:

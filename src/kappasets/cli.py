@@ -202,7 +202,7 @@ def _verified(part: Partition, radius: int) -> tuple:
 def _build_s_set(p: dict[str, str], radius: int | None) -> tuple:
     m = int(p["m"])
     pred = s_set(m, _one_letter(p["letter"], m))
-    radius = radius or 6
+    radius = 6 if radius is None else radius
     ball = enumerate_ball(m, radius)
     members = sum(1 for w in ball.words if pred(w))
     detail = f"{members} of {ball.size} radius-{radius} words are members"
@@ -211,7 +211,7 @@ def _build_s_set(p: dict[str, str], radius: int | None) -> tuple:
 
 def _build_thm3(p: dict[str, str], radius: int | None) -> tuple:
     m = int(p["m"])
-    radius = radius or 5
+    radius = 5 if radius is None else radius
     part = thm3_partition(m, _letters_arg(p["a1"], m), check_radius=min(radius, 3))
     part.verify_on_ball(enumerate_ball(m, radius))
     detail = f"partition verified on the radius-{radius} ball ({ball_size(m, radius)} words)"
@@ -220,18 +220,18 @@ def _build_thm3(p: dict[str, str], radius: int | None) -> tuple:
 
 def _build_split3(p: dict[str, str], radius: int | None) -> tuple:
     m = int(p["m"])
-    radius = radius or 5
+    radius = 5 if radius is None else radius
     a1, a2, a3 = (_letters_arg(p[k], m) for k in ("a1", "a2", "a3"))
     return _verified(split3_partition(m, a1, a2, a3, check_radius=min(radius, 3)), radius)
 
 
 def _build_rank2(p: dict[str, str], radius: int | None) -> tuple:
-    radius = radius or 8
+    radius = 8 if radius is None else radius
     return _verified(rank2_partition(check_radius=min(radius, 8)), radius)
 
 
 def _build_rank1(p: dict[str, str], radius: int | None) -> tuple:
-    radius = radius or 32
+    radius = 32 if radius is None else radius
     return _verified(rank1_partition(check_radius=min(radius, 8)), radius)
 
 
@@ -265,8 +265,8 @@ def _params_help() -> str:
 
 def _scan_adversary(ball, H: list, cell) -> tuple[str, str, int]:
     w = ball_uncovered_witness(ball, H, cell)
-    if w is None:
-        return "fail", "every ball word is covered", 0
+    if w is None:  # a finite ball can show a witness, never that none exists
+        return "inconclusive", "every ball word is covered", 0
     if any(cell(concat(inverse(h), w)) for h in H):
         return "fail", "witness failed re-verification", 0
     return "pass", f"uncovered witness {format_word(w)}", 0
@@ -291,7 +291,7 @@ def cmd_construct(args) -> RunReport:
         if m is None:
             raise UsageError(f"{name} takes no --adversary")
         H = _parse_adversary(args.adversary, m)
-        scan_ball = enumerate_ball(m, args.radius or 6)
+        scan_ball = enumerate_ball(m, 6 if args.radius is None else args.radius)
         for i, cell in enumerate(cells):
             _timed(
                 rep,
@@ -345,7 +345,7 @@ def cmd_search(args) -> RunReport:
 
 def cmd_verify(args) -> RunReport:
     rep = RunReport(command=_echo(args))
-    rep.claims.extend(run_suite(args.suite))
+    rep.claims.extend(run_suite(args.suite, args.node_budget))
     return rep
 
 
@@ -361,10 +361,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *options):
+        """Add --out-dir and the named options, which the command reads."""
         sp.add_argument("--out-dir", default="runs", help="report output root (default: runs)")
-        sp.add_argument("--node-budget", type=int, default=None, help="search node budget")
-        sp.add_argument("--max-order", type=int, default=64, help="largest allowed group order")
+        if "node-budget" in options:
+            sp.add_argument(
+                "--node-budget", type=int, default=cl.DEFAULT_NODE_BUDGET,
+                help="nodes per claim, nested searches included (default: %(default)s)",
+            )
+        if "max-order" in options:
+            sp.add_argument("--max-order", type=int, default=64, help="largest allowed group order")
 
     sp = sub.add_parser("classify", help="full size-verdict battery for one subset")
     sp.add_argument("--group", required=True, help="group spec, e.g. cyclic:6")
@@ -372,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa", type=int, required=True)
     sp.add_argument("--sides", default=None, help="comma list from left,right,two-sided")
     sp.add_argument("--variant", default="both", choices=(*cl.VARIANTS, "both"))
-    common(sp)
+    common(sp, "node-budget", "max-order")
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("construct", help="emit a construction plus witness checks")
@@ -393,12 +399,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--cells", type=int, default=None, help="cell count for probes (default 2)")
     sp.add_argument("--variant", default="witness-in-G", choices=cl.VARIANTS)
-    common(sp)
+    common(sp, "node-budget", "max-order")
     sp.set_defaults(fn=cmd_search)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", required=True, choices=("all", *SUITES))
-    common(sp)
+    common(sp, "node-budget")
     sp.set_defaults(fn=cmd_verify)
     return p
 

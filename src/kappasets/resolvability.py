@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import (
+    DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     NodeCounter,
     check_variant,
-    effective_node_budget,
     is_large,
     is_thick,
     min_cover_size,
@@ -136,7 +136,8 @@ def _search_exact_cells(
 
 
 def res_search(
-    G: GroupTable, kappa: int, mode: str = "left", *, node_budget: int | None = None
+    G: GroupTable, kappa: int, mode: str = "left", *,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchOutcome:
     """Largest number of cells in a partition into left (or left-and-right)
     kappa-large subsets.
@@ -153,7 +154,7 @@ def res_search(
     limit = kappa - 1
     min_cell = -(-n // limit)  # ceil(n / (kappa-1))
     t_max = n // min_cell
-    counter = NodeCounter(effective_node_budget(node_budget))
+    counter = NodeCounter(node_budget)
     constraint = "all-left-large" if mode == "left" else "all-left-and-right-large"
 
     def leaf_ok(mask: int) -> bool:
@@ -191,7 +192,7 @@ def partition_search(
     target: str,
     variant: str = "witness-in-G",
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ProbeOutcome:
     """Search for a partition into n_cells cells, each left kappa-thick
     (given variant) or each not left kappa-large; canonical tie-break.
@@ -215,7 +216,7 @@ def partition_search(
         raise ValueError("cell count must lie in [2, |G|]")
     n = G.order
     limit = kappa - 1
-    counter = NodeCounter(effective_node_budget(node_budget))
+    counter = NodeCounter(node_budget)
 
     if target == "all-thick":
 

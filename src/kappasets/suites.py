@@ -1,8 +1,13 @@
 """Claim-level verification suites, shared by the CLI and the acceptance tests.
 
-Each suite returns ClaimRecords whose checks are deterministic sweeps:
-exhaustive over small-group grids, or exact-product sweeps over free-group
-balls. A failing sweep reports its first counterexample.
+SUITES maps each suite name to its claims, each a (claim_id, anchor, check)
+triple; run_suite turns them into ClaimRecords. A check is a deterministic
+sweep: exhaustive over small-group grids, or exact-product sweeps over
+free-group balls. A failing sweep reports its first counterexample.
+
+Each claim spends from one node counter, and every search it runs spends
+from that counter too, so a budget that runs out anywhere in the claim makes
+it inconclusive, never a failure.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ from typing import Callable, Iterator
 
 from . import classify as cl
 from .classify import (
+    DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     CoverDecomposition,
     NodeCounter,
     ball_uncovered_witness,
     is_thick,
-    effective_node_budget,
     thick_to_large_witness,
 )
 from .constructions import (
@@ -82,21 +87,29 @@ def grid_group(spec: str) -> GroupTable:
     return build_group(spec)
 
 
-def _run_claim(claim_id: str, anchor: str, fn: Callable[[NodeCounter], tuple[bool, str]]) -> ClaimRecord:
-    counter = NodeCounter(effective_node_budget())
-    t0 = time.perf_counter()
-    try:
-        ok, detail = fn(counter)
-        status = "pass" if ok else "fail"
-    except BudgetExceeded:
-        status, detail = "inconclusive", "node budget exhausted"
-    return ClaimRecord(
-        claim_id,
-        anchor,
-        status,
-        detail,
-        nodes=counter.spent,
-        wall_time_s=time.perf_counter() - t0,
+#: A claim's check: it spends from the claim's counter and returns (ok, detail).
+Check = Callable[[NodeCounter], tuple[bool, str]]
+#: A suite entry: (claim_id, anchor, check).
+Claim = tuple[str, str, Check]
+
+
+def _charged(counter: NodeCounter, search, *args):
+    """search(*args) run on what is left of counter's budget, its nodes then
+    charged to counter. A search that runs out reports more nodes than it was
+    given, so the charge raises BudgetExceeded."""
+    got = search(*args, node_budget=counter.budget - counter.spent)
+    counter.spend(got.nodes)
+    return got
+
+
+def _grid(
+    prefix: str, anchor: str, check: Callable[[GroupTable, NodeCounter], tuple[bool, str]]
+) -> tuple[Claim, ...]:
+    """One claim "<prefix>.<spec>" per GRID_SPECS group, in grid order; the
+    group is looked up when the claim runs."""
+    return tuple(
+        (f"{prefix}.{spec}", anchor, lambda c, spec=spec: check(grid_group(spec), c))
+        for spec in GRID_SPECS
     )
 
 
@@ -148,8 +161,8 @@ def _check_variant_chain(G: GroupTable, counter: NodeCounter) -> tuple[bool, str
 def _check_divergence(counter: NodeCounter) -> tuple[bool, str]:
     G = grid_group("cyclic:2")
     A = Subset.from_indices(2, [1])
-    va = is_thick(G, A, 2, "left", "witness-in-A")
-    vg = is_thick(G, A, 2, "left", "witness-in-G")
+    va = _charged(counter, is_thick, G, A, 2, "left", "witness-in-A")
+    vg = _charged(counter, is_thick, G, A, 2, "left", "witness-in-G")
     ok = va.verdict is False and vg.verdict is True and va.witness == Subset.from_indices(2, [1])
     return ok, (
         f"cyclic:2 A={{1}} kappa=2: in-A={va.verdict} (failing F={va.witness}), in-G={vg.verdict}"
@@ -219,51 +232,6 @@ def _check_small_not_large(G: GroupTable, counter: NodeCounter) -> tuple[bool, s
     return True, f"{checked} (A, side, kappa) small=>not-large instances hold"
 
 
-def _grid_claims(
-    prefix: str, anchor: str, check: Callable[[GroupTable, NodeCounter], tuple[bool, str]]
-) -> list[ClaimRecord]:
-    """One claim "<prefix>.<spec>" per GRID_SPECS group, in grid order."""
-    return [
-        _run_claim(f"{prefix}.{spec}", anchor, lambda c, G=grid_group(spec): check(G, c))
-        for spec in GRID_SPECS
-    ]
-
-
-def suite_duality() -> list[ClaimRecord]:
-    return [
-        *_grid_claims(
-            "duality",
-            "any-translate thickness equals non-largeness of the complement, per side",
-            _check_duality,
-        ),
-        *_grid_claims(
-            "variant-chain",
-            "in-A thick at kappa implies in-G thick at kappa implies in-A thick at kappa-1",
-            _check_variant_chain,
-        ),
-        _run_claim(
-            "variant-divergence.cyclic:2",
-            "the two thickness variants split at the finite boundary",
-            _check_divergence,
-        ),
-        *_grid_claims(
-            "inversion",
-            "largeness and thickness swap sides under subset inversion",
-            _check_inversion,
-        ),
-        *_grid_claims(
-            "lattice",
-            "two-sided thick implies one-sided thick; one-sided large implies two-sided large",
-            _check_lattice,
-        ),
-        *_grid_claims(
-            "small-not-large",
-            "a small subset is never large on the same side",
-            _check_small_not_large,
-        ),
-    ]
-
-
 # -- the meets property -----------------------------------------------------------
 
 
@@ -288,12 +256,6 @@ def _check_meets(G: GroupTable, counter: NodeCounter) -> tuple[bool, str]:
                     )
                 checked += 1
     return True, f"{checked} thick/large pairs all meet"
-
-
-def suite_meets() -> list[ClaimRecord]:
-    return _grid_claims(
-        "meets", "every left thick subset meets every left large subset", _check_meets
-    )
 
 
 # -- the endpoint-marked set -------------------------------------------------------
@@ -345,31 +307,6 @@ def _check_s_symmetric(counter: NodeCounter) -> tuple[bool, str]:
     return True, f"inverse-symmetric on all {ball.size} ball words"
 
 
-def suite_s_set() -> list[ClaimRecord]:
-    return [
-        _run_claim(
-            "s-set.sandwich",
-            "K(.)K with K = {1, a, a'} maps every word into the endpoint-marked set",
-            _check_s_sandwich,
-        ),
-        _run_claim(
-            "s-set.power-witness",
-            "b^4 escapes H*S for H the radius-3 ball on two letters",
-            _check_s_power_witness,
-        ),
-        _run_claim(
-            "s-set.fresh-letter-witness",
-            "a letter unused by the adversary escapes H*S on four letters",
-            _check_s_fresh_letter_witness,
-        ),
-        _run_claim(
-            "s-set.symmetric",
-            "the endpoint-marked set equals its inverse",
-            _check_s_symmetric,
-        ),
-    ]
-
-
 # -- last-letter split (two cells) --------------------------------------------------
 
 
@@ -407,26 +344,6 @@ def _check_thm3_suffix_stability(counter: NodeCounter) -> tuple[bool, str]:
         if direct != from_data:
             return False, f"membership not a function of the last letter at {format_word(w)}"
     return True, "cell membership depends only on the last letter, radius-4 sweep"
-
-
-def suite_thm3() -> list[ClaimRecord]:
-    return [
-        _run_claim(
-            "thm3.partition",
-            "the last-letter split is a verified two-cell partition",
-            _check_thm3_partition,
-        ),
-        _run_claim(
-            "thm3.witnesses",
-            "each cell escapes covering by its letter-avoiding adversary",
-            _check_thm3_witnesses,
-        ),
-        _run_claim(
-            "thm3.suffix-stability",
-            "cell membership is a function of the length-1 suffix",
-            _check_thm3_suffix_stability,
-        ),
-    ]
 
 
 # -- three-cell constructions and the meet property ----------------------------------
@@ -540,41 +457,6 @@ def _check_c1_meet(counter: NodeCounter) -> tuple[bool, str]:
     return True, f"{checked} qualifying 2-cell partitions: every meet cell stays non-large"
 
 
-def suite_comment1() -> list[ClaimRecord]:
-    return [
-        _run_claim(
-            "comment1.partitions",
-            "all four three-cell-family constructions partition their balls",
-            _check_c1_partitions,
-        ),
-        _run_claim(
-            "comment1.rank2-witnesses",
-            "power and alternating words escape the covered rank-2 cells",
-            _check_c1_rank2_witnesses,
-        ),
-        _run_claim(
-            "comment1.rank2-factor-stability",
-            "rank-2 cell membership is a function of the length-2 end factors",
-            _check_c1_rank2_factor_stability,
-        ),
-        _run_claim(
-            "comment1.split3-endpoint-stability",
-            "3-split cell membership is a function of the endpoint letters",
-            _check_c1_split3_endpoint_stability,
-        ),
-        _run_claim(
-            "comment1.rank1-blocks",
-            "doubling blocks are mirrored and outgrow every translate window",
-            _check_c1_rank1_blocks,
-        ),
-        _run_claim(
-            "comment1.meet",
-            "meeting a non-large 2-cell partition with its inverse keeps every cell non-large both ways",
-            _check_c1_meet,
-        ),
-    ]
-
-
 # -- direct sums ---------------------------------------------------------------------
 
 
@@ -624,21 +506,6 @@ def _check_c2_witness(counter: NodeCounter) -> tuple[bool, str]:
         if B(ds_concat(ds_inverse(h), g)):
             return False, "witness (e, d) covered by H*B"
     return True, f"(e, d) escapes H*B for the {len(H)} support-0 adversaries of length <= 2"
-
-
-def suite_comment2() -> list[ClaimRecord]:
-    return [
-        _run_claim(
-            "comment2.support-preservation",
-            "conjugation in a direct sum never changes the support",
-            _check_c2_support,
-        ),
-        _run_claim(
-            "comment2.bset-witness",
-            "the top-mark set escapes covering by adversaries supported below",
-            _check_c2_witness,
-        ),
-    ]
 
 
 # -- searches: the constructive witness, resolvability oracle, and the probe ---------
@@ -707,7 +574,7 @@ def _check_res_oracle(counter: NodeCounter) -> tuple[bool, str]:
                 if both_ok:
                     best["left+right"] = max(best["left+right"], len(parts))
             for mode in ("left", "left+right"):
-                got = res_search(G, kappa, mode)
+                got = _charged(counter, res_search, G, kappa, mode)
                 if got.cells != best[mode] or not got.optimal:
                     return False, (
                         f"mismatch at {spec} kappa={kappa} mode={mode}: "
@@ -724,7 +591,7 @@ def _check_res_pinned(counter: NodeCounter) -> tuple[bool, str]:
         ("cyclic:6", 4, 3),
     )
     for spec, kappa, cells in expected:
-        got = res_search(grid_group(spec), kappa, "left")
+        got = _charged(counter, res_search, grid_group(spec), kappa, "left")
         if got.cells != cells or not got.optimal:
             return False, f"res({spec}, kappa={kappa}) = {got.cells}, expected {cells}"
     return True, "pinned values: res(cyclic:4,3)=2, res(cyclic:4,2)=1, res(cyclic:6,4)=3"
@@ -732,60 +599,177 @@ def _check_res_pinned(counter: NodeCounter) -> tuple[bool, str]:
 
 def _check_two_thick_probe(counter: NodeCounter) -> tuple[bool, str]:
     G = grid_group("cyclic:6")
-    got = partition_search(G, 3, 2, "all-thick")
+    got = _charged(counter, partition_search, G, 3, 2, "all-thick")
     if got.found is None or not got.exhaustive:
         return False, "no two-cell all-thick partition found"
     cells = tuple(cell.indices() for cell in got.found.cells)
     for cell in got.found.cells:
-        if not is_thick(G, cell, 3, "left", "witness-in-G").verdict:
+        if not _charged(counter, is_thick, G, cell, 3, "left", "witness-in-G").verdict:
             return False, f"cell {cell} failed thickness re-verification"
     if cells != ((0, 1, 3), (2, 4, 5)):
         return False, f"non-canonical probe outcome {cells}"
     return True, f"cells {{0,1,3}} | {{2,4,5}} are both left 3-thick; {THICK_PROBE_NOTE}"
 
 
-def suite_oracle() -> list[ClaimRecord]:
-    return [
-        _run_claim(
+#: Suite name -> its (claim_id, anchor, check) triples, in report order.
+SUITES: dict[str, tuple[Claim, ...]] = {
+    "duality": (
+        *_grid(
+            "duality",
+            "any-translate thickness equals non-largeness of the complement, per side",
+            _check_duality,
+        ),
+        *_grid(
+            "variant-chain",
+            "in-A thick at kappa implies in-G thick at kappa implies in-A thick at kappa-1",
+            _check_variant_chain,
+        ),
+        (
+            "variant-divergence.cyclic:2",
+            "the two thickness variants split at the finite boundary",
+            _check_divergence,
+        ),
+        *_grid(
+            "inversion",
+            "largeness and thickness swap sides under subset inversion",
+            _check_inversion,
+        ),
+        *_grid(
+            "lattice",
+            "two-sided thick implies one-sided thick; one-sided large implies two-sided large",
+            _check_lattice,
+        ),
+        *_grid(
+            "small-not-large",
+            "a small subset is never large on the same side",
+            _check_small_not_large,
+        ),
+    ),
+    "meets": _grid(
+        "meets", "every left thick subset meets every left large subset", _check_meets
+    ),
+    "s-set": (
+        (
+            "s-set.sandwich",
+            "K(.)K with K = {1, a, a'} maps every word into the endpoint-marked set",
+            _check_s_sandwich,
+        ),
+        (
+            "s-set.power-witness",
+            "b^4 escapes H*S for H the radius-3 ball on two letters",
+            _check_s_power_witness,
+        ),
+        (
+            "s-set.fresh-letter-witness",
+            "a letter unused by the adversary escapes H*S on four letters",
+            _check_s_fresh_letter_witness,
+        ),
+        ("s-set.symmetric", "the endpoint-marked set equals its inverse", _check_s_symmetric),
+    ),
+    "thm3": (
+        (
+            "thm3.partition",
+            "the last-letter split is a verified two-cell partition",
+            _check_thm3_partition,
+        ),
+        (
+            "thm3.witnesses",
+            "each cell escapes covering by its letter-avoiding adversary",
+            _check_thm3_witnesses,
+        ),
+        (
+            "thm3.suffix-stability",
+            "cell membership is a function of the length-1 suffix",
+            _check_thm3_suffix_stability,
+        ),
+    ),
+    "comment1": (
+        (
+            "comment1.partitions",
+            "all four three-cell-family constructions partition their balls",
+            _check_c1_partitions,
+        ),
+        (
+            "comment1.rank2-witnesses",
+            "power and alternating words escape the covered rank-2 cells",
+            _check_c1_rank2_witnesses,
+        ),
+        (
+            "comment1.rank2-factor-stability",
+            "rank-2 cell membership is a function of the length-2 end factors",
+            _check_c1_rank2_factor_stability,
+        ),
+        (
+            "comment1.split3-endpoint-stability",
+            "3-split cell membership is a function of the endpoint letters",
+            _check_c1_split3_endpoint_stability,
+        ),
+        (
+            "comment1.rank1-blocks",
+            "doubling blocks are mirrored and outgrow every translate window",
+            _check_c1_rank1_blocks,
+        ),
+        (
+            "comment1.meet",
+            "meeting a non-large 2-cell partition with its inverse keeps every cell non-large both ways",
+            _check_c1_meet,
+        ),
+    ),
+    "comment2": (
+        (
+            "comment2.support-preservation",
+            "conjugation in a direct sum never changes the support",
+            _check_c2_support,
+        ),
+        (
+            "comment2.bset-witness",
+            "the top-mark set escapes covering by adversaries supported below",
+            _check_c2_witness,
+        ),
+    ),
+    "oracle": (
+        (
             "oracle.thick-to-large",
             "the cover-based construction turns left thickness into a right cover",
             _check_thick_to_large,
         ),
-        _run_claim(
+        (
             "oracle.res-vs-bruteforce",
             "resolvability search equals the brute-force set-partition maximum",
             _check_res_oracle,
         ),
-        _run_claim(
-            "oracle.res-pinned",
-            "pinned resolvability values reproduce",
-            _check_res_pinned,
-        ),
-        _run_claim(
+        ("oracle.res-pinned", "pinned resolvability values reproduce", _check_res_pinned),
+        (
             "oracle.two-thick-probe",
             "a two-cell all-left-thick partition exists at finite scale",
             _check_two_thick_probe,
         ),
-    ]
-
-
-SUITES: dict[str, Callable[[], list[ClaimRecord]]] = {
-    "duality": suite_duality,
-    "meets": suite_meets,
-    "s-set": suite_s_set,
-    "thm3": suite_thm3,
-    "comment1": suite_comment1,
-    "comment2": suite_comment2,
-    "oracle": suite_oracle,
+    ),
 }
 
 
-def run_suite(name: str) -> list[ClaimRecord]:
+def run_suite(name: str, node_budget: int = DEFAULT_NODE_BUDGET) -> list[ClaimRecord]:
+    """The records of the named suite's claims, or of every suite's for
+    "all", in table order. Each claim spends from its own counter of
+    node_budget nodes and is inconclusive when that runs out."""
     if name == "all":
-        out: list[ClaimRecord] = []
-        for fn in SUITES.values():
-            out.extend(fn())
-        return out
-    if name not in SUITES:
+        claims = [claim for suite in SUITES.values() for claim in suite]
+    elif name in SUITES:
+        claims = SUITES[name]
+    else:
         raise ValueError(f"unknown suite {name!r}; choose from all, {', '.join(SUITES)}")
-    return SUITES[name]()
+    records = []
+    for claim_id, anchor, check in claims:
+        counter = NodeCounter(node_budget)
+        t0 = time.perf_counter()
+        try:
+            ok, detail = check(counter)
+            status = "pass" if ok else "fail"
+        except BudgetExceeded:
+            status, detail = "inconclusive", "node budget exhausted"
+        records.append(
+            ClaimRecord(
+                claim_id, anchor, status, detail, counter.spent, time.perf_counter() - t0
+            )
+        )
+    return records

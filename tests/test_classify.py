@@ -238,9 +238,3 @@ class TestBudget:
         assert is_large(G, A, 5, "left", node_budget=1).verdict is None
         assert is_thick(G, A, 5, "left", node_budget=1).verdict is None
         assert is_small(G, A, 5, "left", node_budget=1).verdict is None
-
-    def test_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv("KAPPASETS_NODE_BUDGET", "1")
-        G = build_group("cyclic:5")
-        # fresh masks so the cover cache cannot answer without searching
-        assert is_large(G, sub(G, 1, 2), 3, "left").verdict is None

@@ -169,6 +169,9 @@ CONSTRUCT_BODIES = [
         [_RANK2, _adversary(0, 3, "bb"), _adversary(1, 3, "1"), _adversary(2, 3, "a'")],
     ),
     (["c1-rank1", "--adversary", "words=a,a'"], [_RANK1, _adversary(0, 2, "a"), _adversary(1, 2, "1")]),
+    # radius 0 is the one-word ball, not the default radius
+    (["thm3", "--radius", "0"], [("construct.thm3", "two-cell last-letter split", "pass",
+                                  "partition verified on the radius-0 ball (1 words)", 0)]),
 ]
 
 
@@ -183,6 +186,53 @@ def test_construct_bodies_are_pinned(argv, claims, tmp_path, capsys):
         for c in body["report"]["claims"]
     ]
     assert got == claims
+    capsys.readouterr()
+
+
+def test_adversary_scan_without_witness_is_inconclusive(tmp_path, capsys):
+    # the doubling blocks outgrow every window, so cell 1 has an uncovered
+    # word, only not within radius 12: the scan cannot refute the claim
+    argv = ["construct", "--construction", "c1-rank1", "--radius", "12", "--adversary", "radius=3"]
+    assert run_cli(argv, tmp_path) == 3
+    body, _ = latest_report(tmp_path)
+    got = [(c["claim_id"], c["status"], c["detail"]) for c in body["report"]["claims"]]
+    assert got == [
+        ("construct.c1-rank1", "pass", "2-cell partition verified on the radius-12 ball"),
+        ("construct.adversary.cell0", "pass", "uncovered witness aaaaaaaaaaa"),
+        ("construct.adversary.cell1", "inconclusive", "every ball word is covered"),
+    ]
+    capsys.readouterr()
+
+
+def claim_outcomes(tmp_path, argv):
+    """Exit code and (claim_id, status, nodes) per claim of one command."""
+    code = run_cli(argv, tmp_path)
+    body, _ = latest_report(tmp_path)
+    return code, [(c["claim_id"], c["status"], c["nodes"]) for c in body["report"]["claims"]]
+
+
+@pytest.mark.parametrize(
+    "budget,code,small", [(42, 3, ("inconclusive", 43)), (84, 0, ("pass", 84))]
+)
+def test_two_sided_small_sides_share_the_budget(budget, code, small, tmp_path, capsys):
+    # each side of the two-sided small claim spends 42 nodes here, so at 42
+    # the right side runs out one node past the budget
+    argv = ["classify", "--group", "cyclic:6", "--subset", "", "--kappa", "3",
+            "--sides", "two-sided", "--node-budget", str(budget)]
+    got_code, claims = claim_outcomes(tmp_path, argv)
+    assert got_code == code
+    assert claims[-1] == ("classify.small.two-sided", *small)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("budget,code", [(137_640, 3), (137_641, 0)])
+def test_verify_honours_the_node_budget(budget, code, tmp_path, capsys):
+    argv = ["verify", "--suite", "comment2", "--node-budget", str(budget)]
+    got_code, claims = claim_outcomes(tmp_path, argv)
+    assert got_code == code
+    assert claims[0] == (
+        "comment2.support-preservation", "pass" if code == 0 else "inconclusive", 137_641
+    )
     capsys.readouterr()
 
 
@@ -229,6 +279,14 @@ def test_usage_errors(tmp_path, capsys):
     ):
         assert run_cli(["construct", "--construction", *argv], tmp_path) == 2
         assert f"error: {message}" in capsys.readouterr().err
+    # options a subcommand does not read are not declared
+    for argv in (
+        ["construct", "--construction", "thm3", "--node-budget", "5"],
+        ["construct", "--construction", "thm3", "--max-order", "8"],
+        ["verify", "--suite", "thm3", "--max-order", "8"],
+    ):
+        assert run_cli(argv, tmp_path) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_construct_params_help_lists_every_key(capsys):

@@ -247,3 +247,23 @@ def private_classify_names(tree):
 @pytest.mark.parametrize("path", CLASSIFY_CLIENTS, ids=lambda p: p.name)
 def test_clients_use_only_public_classify_names(path):
     assert private_classify_names(ast.parse(path.read_text())) == []
+
+
+def environment_reads(tree):
+    """os.environ and os.getenv uses in a module, by attribute or import."""
+    names = ("environ", "environb", "getenv", "getenvb")
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            used.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            used += [a.name for a in node.names if a.name in names]
+    return used
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "kappasets").glob("*.py")), ids=lambda p: p.name
+)
+def test_package_reads_no_environment(path):
+    # the node budget has one source, --node-budget (node_budget= in the API)
+    assert environment_reads(ast.parse(path.read_text())) == []

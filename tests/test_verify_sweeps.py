@@ -3,9 +3,12 @@
 The oracles below are the direct sweeps the tabulated checks replaced: one
 ds_conjugate per (g, x) pair, and one rank1_cell_of_int call per window
 cell. Each tabulated check must agree with its oracle on the outcome, the
-first counterexample, and the nodes spent.
+first counterexample, and the nodes spent. The tests at the end hold the
+suites to one node budget per claim.
 """
 
+import subprocess
+import sys
 from operator import getitem
 
 import pytest
@@ -134,9 +137,27 @@ def test_rank1_blocks_first_window_is_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("budget,status", [(137_640, "inconclusive"), (137_641, "pass")])
-def test_support_preservation_budget_boundary(monkeypatch, budget, status):
+def test_support_preservation_budget_boundary(budget, status):
     # one node per (g, x) pair: the budget boundary sits at exactly 371^2
-    monkeypatch.setenv("KAPPASETS_NODE_BUDGET", str(budget))
-    records = suites.run_suite("comment2")
+    records = suites.run_suite("comment2", budget)
     (record,) = [r for r in records if r.claim_id == "comment2.support-preservation"]
     assert (record.status, record.nodes) == (status, 137_641)
+
+
+@pytest.mark.parametrize(
+    "suite,budget",
+    [("oracle", 1), ("oracle", 5), ("oracle", 50), ("oracle", 2000), ("duality", 1), ("duality", 100)],
+)
+def test_a_small_budget_never_refutes(suite, budget):
+    # the searches nested in a claim spend from the claim's counter, so
+    # running out in one is inconclusive, and a pass stays within budget
+    records = suites.run_suite(suite, budget)
+    assert [r.claim_id for r in records if r.status == "fail"] == []
+    assert [r.claim_id for r in records if r.status == "pass" and r.nodes > budget] == []
+
+
+def test_suite_table_builds_no_group_at_import():
+    code = "from kappasets import suites; print(suites.grid_group.cache_info().currsize)"
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == "0\n"
