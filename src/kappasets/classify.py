@@ -25,7 +25,10 @@ exceeds kappa-1 for every admissible kappa; the empty set is then never
 large, without a special case at the caller.
 
 All searches are deterministic; witnesses are minimal in (size, lex) order
-and re-verified against the raw definitions before they are returned.
+and re-verified against the raw definitions before they are returned. A
+thick=True verdict is re-checked on every maximal test set by one sweep
+over rows read straight off the multiplication table, apart from the
+masks the searches use.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ class NodeCounter:
     __slots__ = ("spent", "budget")
 
     def __init__(self, budget: int):
+        if budget < 0:
+            raise ValueError(f"node budget must be >= 0, got {budget}")
         self.spent = 0
         self.budget = budget
 
@@ -86,8 +91,9 @@ class SizeVerdict:
 
     verdict None means the node budget ran out (inconclusive, never a
     guess). The witness depends on the notion: the minimal cover F for
-    large=True; the per-F translation map ((F, x), ...) for thick=True; the
-    minimal failing F for thick=False; the failing large L for small=False.
+    large=True; a ThickWitness (every maximal F checked, the first few shown
+    with their least translating element) for thick=True; the minimal
+    failing F for thick=False; the failing large L for small=False.
     """
 
     notion: str
@@ -97,6 +103,23 @@ class SizeVerdict:
     variant: str | None = None
     witness: object = None
     nodes: int = 0
+
+
+#: Maximal test sets a thick=True witness shows with their translating element.
+SHOWN_TRANSLATES = 4
+
+
+@dataclass(frozen=True)
+class ThickWitness:
+    """Witness of thick=True: every maximal test set F was checked against
+    the table. shown holds the first SHOWN_TRANSLATES of them in lex order,
+    each with its least translating element; len() is the number checked."""
+
+    shown: tuple[tuple[Subset, int], ...]
+    total: int
+
+    def __len__(self) -> int:
+        return self.total
 
 
 # -- per-group memoization -----------------------------------------------------
@@ -465,23 +488,88 @@ def is_thick(
     )
 
 
+def _translate_rows(G: GroupTable, amask: int, side: str) -> list:
+    """Straight off the multiplication table: per f, the mask of x with
+    f*x in A (left) or x*f in A (right); two-sided, rows[f1][f2] is the mask
+    of x with f1*x*f2 in A."""
+    mul = G.mul
+    n = G.order
+    if side == "left":
+        return [mask_of(x for x, y in enumerate(mul[f]) if amask >> y & 1) for f in range(n)]
+    if side == "right":
+        return [mask_of(x for x in range(n) if amask >> mul[x][f] & 1) for f in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for f1, row in enumerate(rows):
+        for x in range(n):
+            t = mul[mul[f1][x]]
+            bit = 1 << x
+            for f2 in range(n):
+                if amask >> t[f2] & 1:
+                    row[f2] |= bit
+    return rows
+
+
+def _sweep_translates(
+    start: int, depth: int, inter: int, cols: list[int], pairs: list[list[int]] | None,
+    xs: list[int], counter: NodeCounter,
+) -> int:
+    """Check, in lex order, every completion of a prefix by depth more
+    indices >= start, and return how many there are. inter is the mask of
+    candidates translating the prefix, cols[l] that of those that still do
+    once l joins it; pairs[f][l] narrows cols[l] when f joins (two-sided).
+    One node is spent per completion, and the least candidate of each of
+    the first SHOWN_TRANSLATES completions is appended to xs."""
+    n = len(cols)
+    if depth > 1:
+        total = 0
+        for f in range(start, n - depth + 1):
+            nxt = cols if pairs is None else list(map(int.__and__, cols, pairs[f]))
+            total += _sweep_translates(f + 1, depth - 1, inter & cols[f], nxt, pairs, xs, counter)
+        return total
+    last = cols[start:]
+    run = len(last)
+    if len(xs) >= SHOWN_TRANSLATES and counter.spent + run <= counter.budget and all(
+        map(inter.__and__, last)
+    ):
+        counter.spend(run)
+        return run
+    # one F at a time, so the budget runs out (or a check fails) at the same F
+    for c in last:
+        counter.spend()
+        m = inter & c
+        if not m:  # pragma: no cover - contradicts the profile
+            raise RuntimeError("thick witness map failed re-verification")
+        if len(xs) < SHOWN_TRANSLATES:
+            xs.append((m & -m).bit_length() - 1)
+    return run
+
+
 def _thick_witness_map(
     G: GroupTable, amask: int, fsize: int, side: str, variant: str, counter: NodeCounter
-) -> tuple[tuple[Subset, int], ...]:
-    """For every maximal F, the least translating element, re-verified raw."""
+) -> ThickWitness:
+    """Check every maximal F (|F| = fsize) for a translating element, by one
+    lex-order sweep that intersects the rows of F's elements; the shown
+    entries' least elements are then re-verified raw, smaller candidates
+    included."""
     n = G.order
-    candidates = list(bits(amask)) if variant == "witness-in-A" else list(range(n))
-    entries = []
-    for combo in itertools.combinations(range(n), fsize):
-        counter.spend()
+    cand = amask if variant == "witness-in-A" else G.full_mask
+    rows = _translate_rows(G, amask, side)
+    if side == "two-sided":
+        cols = [rows[f][f] for f in range(n)]
+        pairs = [[rows[f][l] & rows[l][f] for l in range(n)] for f in range(n)]
+    else:
+        cols, pairs = rows, None
+    xs: list[int] = []
+    total = _sweep_translates(0, fsize, cand, cols, pairs, xs, counter)
+    shown = []
+    for combo, x in zip(itertools.combinations(range(n), fsize), xs):
         fmask = mask_of(combo)
-        for x in candidates:
-            if _translate_into(G, fmask, x, amask, side):
-                entries.append((Subset(n, fmask), x))
-                break
-        else:  # pragma: no cover - contradicts the profile
+        if not _translate_into(G, fmask, x, amask, side) or any(
+            _translate_into(G, fmask, y, amask, side) for y in bits(cand & ((1 << x) - 1))
+        ):  # pragma: no cover
             raise RuntimeError("thick witness map failed re-verification")
-    return tuple(entries)
+        shown.append((Subset(n, fmask), x))
+    return ThickWitness(tuple(shown), total)
 
 
 def is_small(

@@ -143,9 +143,9 @@ def _render_large(v: cl.SizeVerdict) -> str:
 def _render_thick(v: cl.SizeVerdict) -> str:
     if not v.verdict:
         return f"failing F={v.witness}"
-    entries = v.witness
-    shown = "; ".join(f"{F}->{x}" for F, x in entries[:4])
-    more = "" if len(entries) <= 4 else f" (+{len(entries) - 4} more)"
+    w = v.witness
+    shown = "; ".join(f"{F}->{x}" for F, x in w.shown)
+    more = "" if w.total <= len(w.shown) else f" (+{w.total - len(w.shown)} more)"
     return f"translates per maximal F: {shown}{more}"
 
 

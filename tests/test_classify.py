@@ -84,8 +84,12 @@ class TestIsThick:
         for variant in ("witness-in-A", "witness-in-G"):
             v = is_thick(Z6, Subset.full(6), 4, "left", variant)
             assert v.verdict is True
-            # every maximal F gets a verified translating element
-            assert all(x in range(6) for _, x in v.witness)
+            # every maximal F is checked, the first four shown with a
+            # verified translating element (test_hitting holds every F to
+            # the raw per-(F, x) check)
+            assert v.witness.total == len(v.witness) == 20  # C(6,3)
+            assert [F.size for F, _ in v.witness.shown] == [3] * 4
+            assert all(x in range(6) for _, x in v.witness.shown)
 
     def test_true_witness_map_is_total(self):
         v = is_thick(Z6, sub(Z6, 1, 2, 3, 4, 5), 3, "left", "witness-in-G")

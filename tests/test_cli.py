@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -287,6 +288,14 @@ def test_usage_errors(tmp_path, capsys):
     ):
         assert run_cli(argv, tmp_path) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+    # a negative node budget
+    for argv in (
+        ["classify", "--group", "cyclic:6", "--subset", "0,1,2", "--kappa", "3"],
+        ["search", "--group", "cyclic:8", "--kappa", "3", "--mode", "two-thick"],
+        ["verify", "--suite", "s-set"],
+    ):
+        assert run_cli([*argv, "--node-budget", "-5"], tmp_path) == 2
+        assert "error: node budget must be >= 0, got -5" in capsys.readouterr().err
 
 
 def test_construct_params_help_lists_every_key(capsys):
@@ -321,6 +330,35 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert got.returncode == 0
     assert "kappasets report" in got.stdout
+
+
+#: Runs the command in its argv in a child and prints the child's peak RSS
+#: in kB, then its standard output; this process starts no other child.
+PEAK_RSS_CHILD = """
+import resource, subprocess, sys
+got = subprocess.run(sys.argv[1:], capture_output=True, text=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.stdout.write(got.stdout + got.stderr)
+"""
+
+
+def test_thick_sweep_memory_stays_bounded(tmp_path):
+    # C(24, 9) = 1,307,504 maximal test sets are checked, and four are kept
+    argv = [
+        sys.executable, "-m", "kappasets", "classify", "--group", "symmetric:4",
+        "--subset", ",".join(map(str, range(1, 24))), "--kappa", "10", "--sides", "left",
+        "--variant", "witness-in-G", "--out-dir", str(tmp_path / "runs"),
+    ]
+    got = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, *argv], capture_output=True, text=True
+    )
+    assert got.returncode == 0, got.stderr
+    peak_kb, out = got.stdout.split("\n", 1)
+    assert int(peak_kb) < 64 * 1024, out
+    (detail,) = [
+        line for line in out.split("[claim ")[2].splitlines() if line.startswith("detail: ")
+    ]
+    assert detail.endswith(f"(+{math.comb(24, 9) - 4} more)")
 
 
 def test_search_reverifies_under_optimize_flag(tmp_path):

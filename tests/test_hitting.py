@@ -1,5 +1,6 @@
 """The hitting-set kernel and the two-sided scans against plain
-enumeration, the public size queries against the same oracles, and
+enumeration, the public size queries against the same oracles, the
+thick=True re-verification sweep against a per-(F, x) check, and
 node-budget regressions that an enumerating search cannot meet."""
 
 import ast
@@ -19,6 +20,8 @@ from kappasets.classify import (
     _pair_cover_table,
     _pair_thick_table,
     _thick_profile,
+    _thick_witness_map,
+    _translate_into,
     is_small,
     min_cover_size,
     thick_lmax,
@@ -170,6 +173,56 @@ def test_sampled_larger_subsets_match_enumeration():
         else:
             amask = rng.randint(0, G.full_mask)
         assert_matches_oracle(G, amask)
+
+
+def oracle_witness_map(G, amask, fsize, side, variant, counter):
+    """For every maximal F in lex order, one node each, the least candidate
+    that translates F by the raw definition, tried one (F, x) at a time."""
+    n = G.order
+    candidates = list(bits(amask)) if variant == "witness-in-A" else list(range(n))
+    entries = []
+    for combo in itertools.combinations(range(n), fsize):
+        counter.spend()
+        fmask = mask_of(combo)
+        for x in candidates:
+            if _translate_into(G, fmask, x, amask, side):
+                entries.append((Subset(n, fmask), x))
+                break
+        else:
+            raise AssertionError(f"no translate of {combo} into a thick set")
+    return tuple(entries)
+
+
+def spent_until_exhausted(search, budget):
+    counter = NodeCounter(budget)
+    with pytest.raises(BudgetExceeded):
+        search(counter)
+    return counter.spent
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS)
+def test_witness_sweep_matches_the_raw_map(spec):
+    G = build_group(spec)
+    n = G.order
+    for amask in range(G.full_mask + 1):
+        for side in SIDES:
+            for variant in VARIANTS:
+                lmax = thick_lmax(G, amask, side, variant, NodeCounter(10**9))
+                for fsize in range(1, min(lmax, n - 1) + 1):
+                    case = (amask, side, variant, fsize)
+                    want_counter, got_counter = NodeCounter(10**9), NodeCounter(10**9)
+                    want = oracle_witness_map(G, amask, fsize, side, variant, want_counter)
+                    got = _thick_witness_map(G, amask, fsize, side, variant, got_counter)
+                    assert got.shown == want[:4], case
+                    assert got.total == len(got) == len(want), case
+                    assert got_counter.spent == want_counter.spent, case
+                    # one node short, or half the nodes, runs out at the same F
+                    for budget in (want_counter.spent - 1, want_counter.spent // 2):
+                        assert spent_until_exhausted(
+                            lambda c: _thick_witness_map(G, amask, fsize, side, variant, c), budget
+                        ) == spent_until_exhausted(
+                            lambda c: oracle_witness_map(G, amask, fsize, side, variant, c), budget
+                        ) == budget + 1, (*case, budget)
 
 
 def test_kernel_edge_cases():

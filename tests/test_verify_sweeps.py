@@ -161,3 +161,11 @@ def test_suite_table_builds_no_group_at_import():
     got = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert got.returncode == 0, got.stderr
     assert got.stdout == "0\n"
+
+
+def test_a_negative_budget_is_rejected():
+    for suite in ("s-set", "all"):
+        with pytest.raises(ValueError, match="node budget must be >= 0"):
+            suites.run_suite(suite, -1)
+    # the word sweeps spend no nodes, so a budget of 0 passes them
+    assert {r.status for r in suites.run_suite("s-set", 0)} == {"pass"}
