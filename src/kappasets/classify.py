@@ -24,6 +24,21 @@ covers G from the empty set, and its cover number is |G| + 1, which
 exceeds kappa-1 for every admissible kappa; the empty set is then never
 large, without a special case at the caller.
 
+Both one-sided numbers are translation invariant: F*(g*A) = (F*g)*A and
+(A*g)*F = A*(g*F) keep the cover number, and since F*x lands in A*h iff
+F*(x*h^-1) lands in A, and x lies in A*h iff x*h^-1 lies in A (mirrored
+on the right), thick_lmax keeps in both variants. A one-sided search
+already builds translates of A: the cover masks f*A (A*f) and the
+thickness masks A*x^-1 (x^-1*A). When it finishes it enters its number
+for each of them in one of two per-group size tables, "cover_size" keyed
+(side, mask) and "lmax" keyed (side, variant, mask); min_cover_size and
+thick_lmax read them before any search, at no node cost. A search cut
+off by its budget enters nothing. Witnesses are not translated: the
+lex-least cover of g*A is not g times that of A, so _min_cover and
+_thick_profile, with their exact-key "cover" and "profile" caches, still
+search A itself. The two-sided numbers are not invariant in general
+(F*(g*A)*F translates only the inner factor) and have no size table.
+
 All searches are deterministic; witnesses are minimal in (size, lex) order
 and re-verified against the raw definitions before they are returned. A
 thick=True verdict is re-checked on every maximal test set by one sweep
@@ -130,7 +145,10 @@ _caches: "weakref.WeakKeyDictionary[GroupTable, dict]" = weakref.WeakKeyDictiona
 def _cache(G: GroupTable) -> dict:
     c = _caches.get(G)
     if c is None:
-        c = {"cover": {}, "profile": {}, "paircover": {}, "pairthick": {}}
+        c = {
+            "cover": {}, "profile": {}, "paircover": {}, "pairthick": {},
+            "cover_size": {}, "lmax": {},
+        }
         _caches[G] = c
     return c
 
@@ -290,9 +308,11 @@ def _min_cover(
 
     One-sided covers are hitting sets of the translate masks f*A (A*f),
     found by _min_hitting; a two-sided cover is the first F whose pair mask
-    meets every row of the pair table.
+    meets every row of the pair table. A finished one-sided search enters
+    its number for every translate f*A (A*f) in the cover_size table.
     """
-    cache = _cache(G)["cover"]
+    tables = _cache(G)
+    cache = tables["cover"]
     key = (side, amask)
     if key in cache:
         return cache[key]
@@ -305,17 +325,26 @@ def _min_cover(
         while smin * smin * amask.bit_count() < n:
             smin += 1
         combo = _first_pair_hitting(n, range(smin, n + 1), _pair_cover_table(G, amask), counter)
+        translates = []
     else:
-        combo = _min_hitting(n, _cover_masks(G, amask, side), G.full_mask, counter)
+        translates = _cover_masks(G, amask, side)
+        combo = _min_hitting(n, translates, G.full_mask, counter)
     if combo is None:  # pragma: no cover - a cover always exists for A != {}
         raise RuntimeError("cover search failed to terminate")
     cache[key] = result = (len(combo), combo)
+    sizes = tables["cover_size"]
+    for m in translates:
+        sizes[side, m] = len(combo)
     return result
 
 
 def min_cover_size(G: GroupTable, amask: int, side: str, counter: NodeCounter) -> int:
     """Least |F| covering G from A on the given side; |G| + 1 for the empty
-    set, which no F covers."""
+    set, which no F covers. A one-sided number already found for a
+    translate of A is read from the size table at no node cost."""
+    got = _cache(G)["cover_size"].get((side, amask))
+    if got is not None:
+        return got
     got = _min_cover(G, amask, side, counter)
     return G.order + 1 if got is None else got[0]
 
@@ -365,9 +394,11 @@ def _thick_profile(
     candidates by the masks {x : f not in dom(x)}, found by _min_hitting.
     Two-sided: F fails when its pair mask meets, for every candidate x, the
     complement of the pair-table row of x, so the first such F is scanned
-    for by size upward.
+    for by size upward. A finished one-sided search enters its lmax for
+    every dom(x), which is the translate A*x^-1 (x^-1*A), in the lmax table.
     """
-    cache = _cache(G)["profile"]
+    tables = _cache(G)
+    cache = tables["profile"]
     key = (side, variant, amask)
     if key in cache:
         return cache[key]
@@ -380,10 +411,12 @@ def _thick_profile(
     if side == "two-sided":
         table = _pair_thick_table(G, amask)
         fail = _first_pair_hitting(n, range(1, n), [~table[x] for x in candidates], counter)
+        translates = []
     else:
         # F fails iff every candidate x has some f in F outside dom(x)
+        translates = _dom_masks(G, amask, side, candidates)
         hits = [0] * n
-        for i, d in enumerate(_dom_masks(G, amask, side, candidates)):
+        for i, d in enumerate(translates):
             for f in bits(d ^ G.full_mask):
                 hits[f] |= 1 << i
         fail = _min_hitting(n, hits, (1 << len(candidates)) - 1, counter)
@@ -392,6 +425,9 @@ def _thick_profile(
     else:
         result = (len(fail) - 1, fail)
     cache[key] = result
+    lmaxes = tables["lmax"]
+    for m in translates:
+        lmaxes[side, variant, m] = result[0]
     return result
 
 
@@ -399,7 +435,12 @@ def thick_lmax(G: GroupTable, amask: int, side: str, variant: str, counter: Node
     """Largest l such that every test set F with |F| <= l translates into A
     (by an element of A for witness-in-A, of G for witness-in-G): A is
     kappa-thick iff kappa-1 <= thick_lmax. It is -1 for witness-in-A and
-    the empty set, and |G| - 1 when every proper F passes."""
+    the empty set, and |G| - 1 when every proper F passes. A one-sided
+    number already found for a translate of A is read from the lmax table
+    at no node cost."""
+    got = _cache(G)["lmax"].get((side, variant, amask))
+    if got is not None:
+        return got
     return _thick_profile(G, amask, side, variant, counter)[0]
 
 

@@ -114,6 +114,8 @@ def _parse_adversary(text: str, alphabet_size: int) -> list:
     if "words" in fields:
         return [parse_word(w, alphabet_size) for w in fields["words"].split(",")]
     radius = int(fields.get("radius", "2"))
+    if radius < 0:
+        raise UsageError("radius must be >= 0")
     letters = _letters_arg(fields.get("letters", ""), alphabet_size) or list(
         range(alphabet_size)
     )
@@ -158,11 +160,12 @@ def cmd_classify(args) -> RunReport:
     A = _parse_subset(G, args.subset)
     kappa = args.kappa
     budget = args.node_budget
-    sides = args.sides.split(",") if args.sides else list(cl.SIDES)
+    sides = [s.strip() for s in args.sides.split(",")] if args.sides else list(cl.SIDES)
+    if len(set(sides)) < len(sides):
+        raise UsageError(f"a side is repeated in --sides {args.sides}")
     variants = list(cl.VARIANTS) if args.variant == "both" else [args.variant]
     rep = RunReport(command=_echo(args))
     for side in sides:
-        side = side.strip()
         _timed(
             rep,
             f"classify.large.{side}",
@@ -307,6 +310,8 @@ def cmd_search(args) -> RunReport:
     rep = RunReport(command=_echo(args))
     kappa, budget = args.kappa, args.node_budget
     if args.mode in ("res-left", "res-both"):
+        if args.cells is not None:
+            raise UsageError(f"{args.mode} searches for the cell count and takes no --cells")
         mode = "left" if args.mode == "res-left" else "left+right"
         anchor = f"max cells in a partition into {mode} {kappa}-large subsets"
 
@@ -321,7 +326,7 @@ def cmd_search(args) -> RunReport:
 
     else:
         target = "all-thick" if args.mode == "two-thick" else "all-non-large"
-        n_cells = args.cells or 2
+        n_cells = 2 if args.cells is None else args.cells
         anchor = (
             f"partition into {n_cells} cells, each {target.replace('-', ' ')} at kappa={kappa}"
         )
@@ -397,7 +402,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--mode", required=True, choices=("res-left", "res-both", "two-thick", "non-large")
     )
-    sp.add_argument("--cells", type=int, default=None, help="cell count for probes (default 2)")
+    sp.add_argument(
+        "--cells", type=int, default=None,
+        help="cell count for the two-thick and non-large probes (default 2)",
+    )
     sp.add_argument("--variant", default="witness-in-G", choices=cl.VARIANTS)
     common(sp, "node-budget", "max-order")
     sp.set_defaults(fn=cmd_search)

@@ -296,6 +296,23 @@ def test_usage_errors(tmp_path, capsys):
     ):
         assert run_cli([*argv, "--node-budget", "-5"], tmp_path) == 2
         assert "error: node budget must be >= 0, got -5" in capsys.readouterr().err
+    # input that used to run anyway: a zero cell count read as the default 2,
+    # a cell count the resolvability searches ignored, a negative adversary
+    # radius scanned as the one-word ball, and a side classified twice
+    for argv, message in (
+        (["search", "--group", "cyclic:6", "--kappa", "3", "--mode", "two-thick", "--cells", "0"],
+         "cell count must lie in [2, |G|]"),
+        (["search", "--group", "cyclic:6", "--kappa", "3", "--mode", "res-left", "--cells", "3"],
+         "res-left searches for the cell count and takes no --cells"),
+        (["search", "--group", "cyclic:6", "--kappa", "3", "--mode", "res-both", "--cells", "2"],
+         "res-both searches for the cell count and takes no --cells"),
+        (["construct", "--construction", "s-set", "--adversary", "radius=-1"],
+         "radius must be >= 0"),
+        (["classify", "--group", "cyclic:6", "--subset", "0,1", "--kappa", "3",
+          "--sides", "left,left"], "a side is repeated in --sides left,left"),
+    ):
+        assert run_cli(argv, tmp_path) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_construct_params_help_lists_every_key(capsys):

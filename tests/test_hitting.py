@@ -1,11 +1,14 @@
 """The hitting-set kernel and the two-sided scans against plain
 enumeration, the public size queries against the same oracles, the
-thick=True re-verification sweep against a per-(F, x) check, and
-node-budget regressions that an enumerating search cannot meet."""
+translate size tables against fresh groups, the thick=True
+re-verification sweep against a per-(F, x) check, and node-budget
+regressions that an enumerating search cannot meet."""
 
 import ast
+import functools
 import itertools
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from kappasets.classify import (
     BudgetExceeded,
     NodeCounter,
+    _caches,
     _cover_masks,
     _dom_masks,
     _min_cover,
@@ -22,7 +26,9 @@ from kappasets.classify import (
     _thick_profile,
     _thick_witness_map,
     _translate_into,
+    is_large,
     is_small,
+    is_thick,
     min_cover_size,
     thick_lmax,
 )
@@ -223,6 +229,104 @@ def test_witness_sweep_matches_the_raw_map(spec):
                         ) == spent_until_exhausted(
                             lambda c: oracle_witness_map(G, amask, fsize, side, variant, c), budget
                         ) == budget + 1, (*case, budget)
+
+
+def cover_size(G, side, amask, counter=None):
+    return min_cover_size(G, amask, side, counter or NodeCounter(10**9))
+
+
+def lmax(G, side, variant, amask, counter=None):
+    return thick_lmax(G, amask, side, variant, counter or NodeCounter(10**9))
+
+
+def verdicts(G, side, amask):
+    """is_large and is_thick in both variants at every kappa, nodes left out
+    (a table hit spends none)."""
+    A = Subset(G.order, amask)
+    out = []
+    for kappa in range(2, G.order + 1):
+        out.append(replace(is_large(G, A, kappa, side), nodes=0))
+        for variant in VARIANTS:
+            out.append(replace(is_thick(G, A, kappa, side, variant), nodes=0))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def on_fresh_group(spec, query, *args):
+    """query(G, *args) on a group built for this call alone, whose size
+    tables are empty."""
+    return query(build_group(spec), *args)
+
+
+def table_entries(G):
+    """The filled (query, key) -> number entries of G's two size tables."""
+    tables = _caches.get(G, {})
+    return {
+        **{(cover_size, key): size for key, size in tables.get("cover_size", {}).items()},
+        **{(lmax, key): size for key, size in tables.get("lmax", {}).items()},
+    }
+
+
+def assert_tables_match_fresh_groups(spec, amask, side, witnessed):
+    """One search of A per variant on one side fills G's size tables: every
+    entry, what the queries read back on every side for each filled
+    translate, and its verdicts and witnesses (once per side and translate)
+    equal what a fresh group computes."""
+    G = build_group(spec)
+    cover_size(G, side, amask)
+    for variant in VARIANTS:
+        lmax(G, side, variant, amask)
+    entries = table_entries(G)
+    for (query, key), size in entries.items():
+        assert size == on_fresh_group(spec, query, *key), (query.__name__, key, amask)
+    for m in sorted({key[-1] for _, key in entries}):
+        for s in SIDES:
+            assert cover_size(G, s, m) == on_fresh_group(spec, cover_size, s, m), (s, m)
+            for variant in VARIANTS:
+                want = on_fresh_group(spec, lmax, s, variant, m)
+                assert lmax(G, s, variant, m) == want, (s, variant, m)
+        if (side, m) not in witnessed:
+            witnessed.add((side, m))
+            assert verdicts(G, side, m) == on_fresh_group(spec, verdicts, side, m), (side, m)
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS)
+def test_size_tables_match_fresh_groups(spec):
+    witnessed = set()
+    for amask in range(build_group(spec).full_mask + 1):
+        for side in ONE_SIDES:
+            assert_tables_match_fresh_groups(spec, amask, side, witnessed)
+
+
+#: Subsets whose left and right numbers differ (cover number and lmax in
+#: both variants). In the GRID_SPECS groups the two sides always agree, so a
+#: number entered under the wrong side would not show there.
+SIDED_SUBSETS = (("dihedral:6", 715), ("product:symmetric:3+cyclic:2", 95), ("dihedral:7", 14636))
+
+
+@pytest.mark.parametrize("spec,amask", SIDED_SUBSETS)
+def test_size_tables_keep_the_sides_apart(spec, amask):
+    G = build_group(spec)
+    assert cover_size(G, "left", amask) != cover_size(G, "right", amask)
+    for variant in VARIANTS:
+        assert lmax(G, "left", variant, amask) != lmax(G, "right", variant, amask)
+    for side in ONE_SIDES:
+        assert_tables_match_fresh_groups(spec, amask, side, set())
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS)
+def test_a_search_cut_off_fills_no_table(spec):
+    for amask in range(build_group(spec).full_mask + 1):
+        for side in ONE_SIDES:
+            for query, args in ((cover_size, ()), *((lmax, (v,)) for v in VARIANTS)):
+                counter = NodeCounter(10**9)
+                want = query(build_group(spec), side, *args, amask, counter)
+                for budget in {counter.spent - 1, counter.spent // 2} if counter.spent else ():
+                    G = build_group(spec)
+                    with pytest.raises(BudgetExceeded):
+                        query(G, side, *args, amask, NodeCounter(budget))
+                    assert table_entries(G) == {}, (query.__name__, side, args, amask, budget)
+                    assert query(G, side, *args, amask) == want
 
 
 def test_kernel_edge_cases():
