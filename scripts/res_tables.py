@@ -33,6 +33,8 @@ def main() -> int:
     ap.add_argument("--groups", nargs="*", default=DEFAULT_SPECS, help="group specs")
     ap.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     args = ap.parse_args()
+    if args.node_budget < 0:
+        ap.error(f"node budget must be >= 0, got {args.node_budget}")
 
     print(f"{'group':28s} {'kappa':>5s} {'left':>5s} {'both':>5s}  witness (left mode)")
     for spec in args.groups:

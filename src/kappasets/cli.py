@@ -161,6 +161,8 @@ def cmd_classify(args) -> RunReport:
     kappa = args.kappa
     budget = args.node_budget
     sides = [s.strip() for s in args.sides.split(",")] if args.sides else list(cl.SIDES)
+    for side in sides:  # before any claim runs a search
+        cl.check_side(side)
     if len(set(sides)) < len(sides):
         raise UsageError(f"a side is repeated in --sides {args.sides}")
     variants = list(cl.VARIANTS) if args.variant == "both" else [args.variant]

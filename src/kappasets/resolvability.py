@@ -8,15 +8,19 @@ pinned to cell 0), so outcomes are reproducible.
 
 Partial partitions are pruned only where no valid leaf lies below, so the
 first partition found and the exhaustive flag are those of the plain
-enumeration. The all-non-large probe drops a cell once it is large
-(largeness is closed under supersets). The all-thick probe drops a partial
-partition once some final cell can no longer be thick: a final cell misses
-everything placed in the other cells, and A is left witness-in-G thick iff
-G minus A is not left large, so a left-large set of elements placed outside
-a cell (or, for a cell not yet opened, all placed elements) rules it out;
-witness-in-A thickness implies witness-in-G thickness, so the same prune
-holds for that variant. A thick cell also holds a translate F*x with
-|F| = kappa-1, which sets the cell-size floor.
+enumeration. Every search checks a cell as soon as it is closed, not at the
+leaf: a cell needs min_cell elements to pass, and once the unplaced
+elements are exactly those still owed to cells below min_cell, a cell at
+min_cell or above can take no further element. The all-non-large probe
+drops a cell once it is large (largeness is closed under supersets). The
+all-thick probe drops a partial partition once some final cell can no
+longer be thick: a final cell misses everything placed in the other cells,
+and A is left witness-in-G thick iff G minus A is not left large, so a
+left-large set of elements placed outside a cell (or, for a cell not yet
+opened, all placed elements) rules it out; witness-in-A thickness implies
+witness-in-G thickness, so the same prune holds for that variant. A thick
+cell also holds a translate F*x with |F| = kappa-1, which sets the
+cell-size floor.
 """
 
 from __future__ import annotations
@@ -90,28 +94,45 @@ def _search_exact_cells(
     """First (in canonical order) partition into exactly t cells passing
     leaf_ok on every cell; cells are bitmasks. partial_ok(cells, j, placed)
     may prune as soon as cell j grows; placed is the mask of elements
-    assigned so far."""
+    assigned so far. leaf_ok must fail on every cell of fewer than min_cell
+    (>= 1) elements.
+
+    Each cell is checked once, as soon as it is closed. The slack, the
+    unplaced elements minus those still owed to cells below min_cell, never
+    grows along a branch and is 0 at every leaf. Once it is 0, a cell of
+    min_cell or more elements can take no further element, so leaf_ok runs
+    on every such cell at the step the slack reaches 0, and on each later
+    cell at the step it reaches min_cell; the leaf itself needs no test.
+    """
     n = G.order
+    if t * min_cell > n:
+        return None  # no slack even before the first element
     cells: list[int] = []
     sizes: list[int] = []
 
     def rec(i: int, deficit: int) -> list[int] | None:
         # deficit: elements still owed to reach t cells of min_cell each
         if i == n:
-            if len(cells) == t and all(leaf_ok(m) for m in cells):
-                return list(cells)
-            return None
-        if deficit > n - i:
-            return None
+            return list(cells)  # zero slack: t cells, each checked as it closed
         counter.spend()
+        slack = n - i - deficit
         bit = 1 << i
         placed = (bit << 1) - 1
         opened = len(cells)
         for j in range(opened):
+            short = sizes[j] < min_cell
+            if not (short or slack):
+                continue  # closed: an element here would leave a cell short
             cells[j] |= bit
             sizes[j] += 1
-            if partial_ok is None or partial_ok(cells, j, placed):
-                got = rec(i + 1, deficit - (sizes[j] <= min_cell))
+            ok = partial_ok is None or partial_ok(cells, j, placed)
+            if ok and not slack and sizes[j] == min_cell:
+                ok = leaf_ok(cells[j])  # the cell just closed
+            elif ok and slack == 1 and not short:
+                # the slack runs out here and closes every cell at min_cell or more
+                ok = all(leaf_ok(m) for m, s in zip(cells, sizes) if s >= min_cell)
+            if ok:
+                got = rec(i + 1, deficit - short)
                 if got is not None:
                     return got
             cells[j] ^= bit
@@ -119,7 +140,10 @@ def _search_exact_cells(
         if opened < t:
             cells.append(bit)
             sizes.append(1)
-            if partial_ok is None or partial_ok(cells, opened, placed):
+            ok = partial_ok is None or partial_ok(cells, opened, placed)
+            if ok and not slack and min_cell == 1:
+                ok = leaf_ok(bit)  # the new cell is closed at once
+            if ok:
                 got = rec(i + 1, deficit - 1)
                 if got is not None:
                     return got

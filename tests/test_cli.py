@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import kappasets
-from kappasets import report
+from kappasets import cli, report
 from kappasets.cli import _CONSTRUCTIONS, main
 from kappasets.groups import build_group
 
@@ -254,7 +254,7 @@ def test_verify_all_suites(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert main(["classify", "--group", "cyclic:6"]) == 2  # missing flags
     assert run_cli(
         ["classify", "--group", "nope:4", "--subset", "0", "--kappa", "2"], tmp_path
@@ -313,6 +313,16 @@ def test_usage_errors(tmp_path, capsys):
     ):
         assert run_cli(argv, tmp_path) == 2
         assert f"error: {message}" in capsys.readouterr().err
+    # an unknown side is refused before any claim runs its search
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran before the sides were checked")
+
+    for name in ("is_large", "is_thick", "is_small"):
+        monkeypatch.setattr(cli, name, no_search)
+    argv = ["classify", "--group", "cyclic:14", "--subset", ",".join(map(str, range(13))),
+            "--kappa", "8", "--sides", "left,bogus"]
+    assert run_cli(argv, tmp_path) == 2
+    assert "error: side must be one of" in capsys.readouterr().err
 
 
 def test_construct_params_help_lists_every_key(capsys):

@@ -4,10 +4,17 @@ import weakref
 
 import pytest
 
+from kappasets import resolvability
 from kappasets.classify import is_large, is_thick
 from kappasets.groups import Subset, build_group
-from kappasets.resolvability import SearchOutcome, partition_search, res_search
-from kappasets.suites import ORACLE_SPECS, _all_set_partitions
+from kappasets.resolvability import (
+    PROBE_TARGETS,
+    RES_MODES,
+    SearchOutcome,
+    partition_search,
+    res_search,
+)
+from kappasets.suites import GRID_SPECS, ORACLE_SPECS, _all_set_partitions
 
 Z4 = build_group("cyclic:4")
 Z6 = build_group("cyclic:6")
@@ -86,6 +93,32 @@ class TestResSearch:
                     res_search(G, kappa, "left").cells
                     == res_search(G, kappa, "left+right").cells
                 )
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_witness_is_the_first_valid_partition(self, spec):
+        # the oracle scans every set partition in canonical order and keeps
+        # the first one with out.cells cells, all large on the mode's sides
+        G = build_group(spec)
+        n = G.order
+        partitions = list(_all_set_partitions(n))
+        for kappa in range(2, n + 1):
+            for mode, sides in (("left", ("left",)), ("left+right", ("left", "right"))):
+                large = functools.cache(
+                    lambda m: all(is_large(G, Subset(n, m), kappa, s).verdict for s in sides)
+                )
+                out = res_search(G, kappa, mode)
+                oracle = next(p for p in partitions if len(p) == out.cells and all(map(large, p)))
+                assert [c.mask for c in out.best.cells] == oracle, (spec, kappa, mode)
+
+    @pytest.mark.parametrize(
+        "spec,kappa,budget,cells",
+        [("dihedral:9", 10, 10**4, 9), ("symmetric:4", 7, 10**5, 6), ("symmetric:4", 8, 10**5, 6)],
+    )
+    def test_closed_cells_decide_within_budget(self, spec, kappa, budget, cells):
+        # a leaf-only cell test runs each of these out of its budget; checked
+        # as they close, the cells decide them in 970, 38,586 and 28,777 nodes
+        out = res_search(build_group(spec), kappa, "left", node_budget=budget)
+        assert out.optimal and out.cells == cells
 
     def test_budget_makes_outcome_non_optimal(self):
         out = res_search(build_group("dihedral:4"), 5, "left", node_budget=3)
@@ -194,14 +227,84 @@ def test_partition_search_matches_first_valid_partition(spec):
 
 class TestThickProbePruning:
     def test_order_12_three_cells_refuted_within_budget(self):
-        # the complement-largeness prune refutes this probe in 5,657 nodes;
-        # without it the search runs past 10,000
+        # the complement-largeness prune refutes this probe in 2,922 nodes;
+        # without it the search takes 39,647
         got = partition_search(
             build_group("product:symmetric:3+cyclic:2"), 3, 3, "all-thick", node_budget=10**4
         )
         assert got.exhaustive and got.found is None
 
     def test_cyclic_10_probe_within_budget(self):
-        # 2,222 nodes with the prune; 6,751 without it
-        got = partition_search(build_group("cyclic:10"), 4, 2, "all-thick", node_budget=5000)
+        # 847 nodes with the prune; 1,341 without it
+        got = partition_search(build_group("cyclic:10"), 4, 2, "all-thick", node_budget=1000)
         assert got.exhaustive
+
+
+def _plain_exact_cells(G, t, min_cell, counter, leaf_ok, partial_ok=None):
+    """The enumeration with every cell tested at the leaf: the reference the
+    closed-cell checks of resolvability._search_exact_cells must agree with."""
+    n = G.order
+    cells: list[int] = []
+    sizes: list[int] = []
+
+    def rec(i: int, deficit: int):
+        if i == n:
+            if len(cells) == t and all(leaf_ok(m) for m in cells):
+                return list(cells)
+            return None
+        if deficit > n - i:
+            return None
+        counter.spend()
+        bit = 1 << i
+        placed = (bit << 1) - 1
+        opened = len(cells)
+        for j in range(opened):
+            cells[j] |= bit
+            sizes[j] += 1
+            if partial_ok is None or partial_ok(cells, j, placed):
+                got = rec(i + 1, deficit - (sizes[j] <= min_cell))
+                if got is not None:
+                    return got
+            cells[j] ^= bit
+            sizes[j] -= 1
+        if opened < t:
+            cells.append(bit)
+            sizes.append(1)
+            if partial_ok is None or partial_ok(cells, opened, placed):
+                got = rec(i + 1, deficit - 1)
+                if got is not None:
+                    return got
+            cells.pop()
+            sizes.pop()
+        return None
+
+    return rec(0, t * min_cell)
+
+
+def _masks(part):
+    return None if part is None else [c.mask for c in part.cells]
+
+
+@pytest.mark.parametrize("spec", sorted(set(GRID_SPECS) | set(ORACLE_SPECS)))
+def test_closed_cells_match_the_plain_enumeration(spec, monkeypatch):
+    # every search, each on a fresh group, gives the partition and the flags
+    # of the enumeration that tests cells only at the leaf
+    def both(search):
+        with monkeypatch.context() as m:
+            m.setattr(resolvability, "_search_exact_cells", _plain_exact_cells)
+            plain = search(build_group(spec))
+        return plain, search(build_group(spec))
+
+    n = build_group(spec).order
+    for kappa in range(2, n + 1):
+        for mode in RES_MODES:
+            plain, got = both(lambda G: res_search(G, kappa, mode))
+            assert (got.cells, got.optimal, _masks(got.best)) == (
+                plain.cells, plain.optimal, _masks(plain.best)
+            ), (spec, kappa, mode)
+        for target in PROBE_TARGETS:
+            for n_cells in range(2, min(3, n) + 1):
+                plain, got = both(lambda G: partition_search(G, kappa, n_cells, target))
+                assert (got.exhaustive, _masks(got.found)) == (
+                    plain.exhaustive, _masks(plain.found)
+                ), (spec, kappa, target, n_cells)

@@ -22,7 +22,7 @@ nodes spent: 186
 """
 
 
-def run_script(script, args):
+def run_script(script, args, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     got = subprocess.run(
@@ -31,8 +31,8 @@ def run_script(script, args):
         text=True,
         env=env,
     )
-    assert got.returncode == 0, got.stderr
-    return got.stdout
+    assert got.returncode == returncode, got.stderr
+    return got.stdout if returncode == 0 else got.stderr
 
 
 @pytest.mark.parametrize(
@@ -45,3 +45,9 @@ def test_script_exits_zero(script, args):
 
 def test_size_census_table_is_pinned():
     assert run_script("size_census.py", ["--group", "cyclic:6"]) == CENSUS_CYCLIC6
+
+
+def test_res_tables_refuses_a_negative_budget():
+    err = run_script("res_tables.py", ["--groups", "cyclic:4", "--node-budget", "-1"], returncode=2)
+    assert "error: node budget must be >= 0, got -1" in err
+    assert "Traceback" not in err
