@@ -42,7 +42,7 @@ def main() -> int:
         for kappa in range(2, G.order + 1):
             left = res_search(G, kappa, "left", node_budget=args.node_budget)
             both = res_search(G, kappa, "left+right", node_budget=args.node_budget)
-            cells = " | ".join(str(c) for c in left.best.cells) if left.best else "?"
+            cells = " | ".join(str(c) for c in left.best.cells)
             star = "" if left.optimal and both.optimal else " (non-optimal: budget)"
             print(f"{spec:28s} {kappa:5d} {left.cells:5d} {both.cells:5d}  {cells}{star}")
     return 0

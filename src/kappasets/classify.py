@@ -146,7 +146,7 @@ def _cache(G: GroupTable) -> dict:
     c = _caches.get(G)
     if c is None:
         c = {
-            "cover": {}, "profile": {}, "paircover": {}, "pairthick": {},
+            "cover": {}, "profile": {}, "pairthick": {},
             "cover_size": {}, "lmax": {},
         }
         _caches[G] = c
@@ -263,22 +263,19 @@ def _lex_first(
 
 
 def _pair_cover_table(G: GroupTable, amask: int) -> list[int]:
-    """P[g] has bit f1*n+f2 set when f1*a*f2 = g for some a in A."""
-    cache = _cache(G)["paircover"]
-    got = cache.get(amask)
-    if got is None:
-        n = G.order
-        mul = G.mul
-        got = [0] * n
-        a_list = list(bits(amask))
-        for f1 in range(n):
-            row = mul[f1]
-            base = f1 * n
-            for a in a_list:
-                t = mul[row[a]]
-                for f2 in range(n):
-                    got[t[f2]] |= 1 << (base + f2)
-        cache[amask] = got
+    """P[g] has bit f1*n+f2 set when f1*a*f2 = g for some a in A; not
+    cached, since _min_cover caches each two-sided result."""
+    n = G.order
+    mul = G.mul
+    got = [0] * n
+    a_list = list(bits(amask))
+    for f1 in range(n):
+        row = mul[f1]
+        base = f1 * n
+        for a in a_list:
+            t = mul[row[a]]
+            for f2 in range(n):
+                got[t[f2]] |= 1 << (base + f2)
     return got
 
 

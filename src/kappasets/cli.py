@@ -241,6 +241,8 @@ def _build_rank1(p: dict[str, str], radius: int | None) -> tuple:
 
 
 def _build_c2_ds(p: dict[str, str], radius: int | None) -> tuple:
+    if radius is not None:
+        raise UsageError("c2-ds builds no ball and takes no --radius")
     sizes = tuple(int(x) for x in p["alphabets"].split(","))
     marks = tuple(
         _one_letter(v, m) for v, m in zip(p["marks"].split(","), sizes, strict=True)
@@ -308,6 +310,8 @@ def cmd_construct(args) -> RunReport:
 
 
 def cmd_search(args) -> RunReport:
+    if args.variant is not None and args.mode != "two-thick":
+        raise UsageError(f"{args.mode} takes no --variant; only two-thick reads it")
     G = build_group(args.group, max_order=args.max_order)
     rep = RunReport(command=_echo(args))
     kappa, budget = args.kappa, args.node_budget
@@ -319,11 +323,8 @@ def cmd_search(args) -> RunReport:
 
         def run():
             out = res_search(G, kappa, mode, node_budget=budget)
-            if out.best is None:
-                detail = "search inconclusive: node budget exhausted"
-            else:
-                cells = " | ".join(str(c) for c in out.best.cells)
-                detail = f"cells={out.cells} optimal={out.optimal} partition: {cells}"
+            cells = " | ".join(str(c) for c in out.best.cells)
+            detail = f"cells={out.cells} optimal={out.optimal} partition: {cells}"
             return "pass" if out.optimal else "inconclusive", detail, out.nodes
 
     else:
@@ -334,7 +335,8 @@ def cmd_search(args) -> RunReport:
         )
 
         def run():
-            out = partition_search(G, kappa, n_cells, target, args.variant, node_budget=budget)
+            variant = args.variant or "witness-in-G"
+            out = partition_search(G, kappa, n_cells, target, variant, node_budget=budget)
             status = "pass"
             if out.found is not None:
                 detail = "found: " + " | ".join(str(c) for c in out.found.cells)
@@ -408,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cells", type=int, default=None,
         help="cell count for the two-thick and non-large probes (default 2)",
     )
-    sp.add_argument("--variant", default="witness-in-G", choices=cl.VARIANTS)
+    sp.add_argument("--variant", choices=cl.VARIANTS, help="two-thick only (default witness-in-G)")
     common(sp, "node-budget", "max-order")
     sp.set_defaults(fn=cmd_search)
 

@@ -103,11 +103,12 @@ def write_report(report: RunReport, out_root: str | Path) -> Path:
     """Write report.txt and report.json under <out_root>/<timestamp>-<hash>/."""
     meta = report.run_meta()
     stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-    out_dir = Path(out_root) / f"{stamp}-{report.content_hash()}"
+    name = f"{stamp}-{report.content_hash()}"
+    out_dir = Path(out_root) / name
     suffix = 0
     while out_dir.exists():  # same second, same content: disambiguate
         suffix += 1
-        out_dir = Path(out_root) / f"{stamp}-{report.content_hash()}-{suffix}"
+        out_dir = Path(out_root) / f"{name}-{suffix}"
     out_dir.mkdir(parents=True)
     (out_dir / "report.json").write_text(
         json.dumps({"report": report.body_dict(), "run_meta": meta}, indent=2, sort_keys=True)

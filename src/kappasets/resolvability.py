@@ -2,9 +2,12 @@
 
 res_search maximizes the number of cells in a partition whose every cell
 is left (or left-and-right) kappa-large; partition_search probes for
-partitions into all-thick or all-non-large cells. Both enumerate set
-partitions canonically (elements assigned in index order, first element
-pinned to cell 0), so outcomes are reproducible.
+partitions into all-thick or all-non-large cells. Both ask one probe for a
+partition into t cells meeting a target; it enumerates set partitions
+canonically (elements assigned in index order, first element pinned to
+cell 0), so outcomes are reproducible. The one-cell partition {G} is never
+searched: G is large via F = {identity}, so res_search always reports at
+least one cell.
 
 Partial partitions are pruned only where no valid leaf lies below, so the
 first partition found and the exhaustive flag are those of the plain
@@ -20,7 +23,7 @@ left-large set of elements placed outside a cell (or, for a cell not yet
 opened, all placed elements) rules it out; witness-in-A thickness implies
 witness-in-G thickness, so the same prune holds for that variant. A thick
 cell also holds a translate F*x with |F| = kappa-1, which sets the
-cell-size floor.
+cell-size floor; a large cell holds at least |G|/(kappa-1) elements.
 """
 
 from __future__ import annotations
@@ -54,14 +57,17 @@ THICK_PROBE_NOTE = (
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of a resolvability search; optimal means cells+1 was refuted
-    exhaustively (or analytically via the cell-size bound)."""
+    """Result of a resolvability search: best is a verified partition into
+    cells >= 1 cells. optimal means every larger count was refuted,
+    exhaustively or by the cell-size bound; when the node budget ran out
+    first, best is the one-cell partition {G}, a proved lower bound, and
+    optimal is False."""
 
     constraint: str
     cells: int
     optimal: bool
     nodes: int
-    best: Partition | None
+    best: Partition
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,73 @@ def _search_exact_cells(
         del rec
 
 
+def _probe(
+    G: GroupTable, kappa: int, t: int, target: str, counter: NodeCounter,
+    variant: str = "witness-in-G",
+) -> Partition | None:
+    """First partition of G, in canonical order, into t cells that all meet
+    target (a res constraint or one of PROBE_TARGETS), re-verified through
+    the public classifiers; None when no such partition exists. Raises
+    BudgetExceeded when counter runs out. Only all-thick reads variant.
+
+    t = 1 is answered, not searched: G is large via F = {identity} and holds
+    every translate, so {G} meets every target but all-non-large.
+    """
+    n = G.order
+    limit = kappa - 1
+    partial_ok = None
+    if target == "all-thick":
+
+        def cell_ok(mask: int) -> bool:
+            return limit <= thick_lmax(G, mask, "left", variant, counter)
+
+        def partial_ok(cells: list[int], j: int, placed: int) -> bool:
+            outside = [placed & ~m for k, m in enumerate(cells) if k != j]
+            if len(cells) < t:
+                outside.append(placed)  # a cell not yet opened
+            return not any(_cell_large(G, m, limit, "left", counter) for m in outside)
+
+        def verify(cell: Subset) -> bool:
+            return is_thick(G, cell, kappa, "left", variant).verdict
+
+        min_cell = limit
+    elif target == "all-non-large":
+
+        def cell_ok(mask: int) -> bool:
+            return not _cell_large(G, mask, limit, "left", counter)
+
+        def partial_ok(cells: list[int], j: int, placed: int) -> bool:
+            return cell_ok(cells[j])
+
+        def verify(cell: Subset) -> bool:
+            return not is_large(G, cell, kappa, "left").verdict
+
+        min_cell = 1
+    else:
+        mode = "left" if target == "all-left-large" else "left+right"
+
+        def cell_ok(mask: int) -> bool:
+            return _cell_large(G, mask, limit, mode, counter)
+
+        def verify(cell: Subset) -> bool:
+            return all(is_large(G, cell, kappa, side).verdict for side in mode.split("+"))
+
+        min_cell = -(-n // limit)  # ceil(n / (kappa-1))
+
+    if t == 1:
+        got = None if target == "all-non-large" else [G.full_mask]
+    else:
+        got = _search_exact_cells(G, t, min_cell, counter, cell_ok, partial_ok)
+    if got is None:
+        return None
+    cells = tuple(Subset(n, m) for m in got)
+    part = Partition(cells, f"{t}-cell {target} partition at kappa={kappa}", group=G)
+    part.verify_on_group()
+    if not all(map(verify, cells)):
+        raise RuntimeError("probe cell failed re-verification")  # pragma: no cover
+    return part
+
+
 def res_search(
     G: GroupTable, kappa: int, mode: str = "left", *,
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -168,45 +241,28 @@ def res_search(
 
     A cell can only be large when |cell| * (kappa-1) >= |G|, which bounds
     the cell count; counts are then tried downward, so the first hit is the
-    maximum and everything above it was refuted exhaustively. G itself is
-    always large (F = {identity}), so the answer is at least 1.
+    maximum and everything above it was refuted exhaustively. When the
+    budget runs out first, the one-cell partition {G} is reported as a
+    proved lower bound, not optimal.
     """
     check_kappa(G, kappa)
     if mode not in RES_MODES:
         raise ValueError(f"mode must be one of {RES_MODES}, got {mode!r}")
     n = G.order
-    limit = kappa - 1
-    min_cell = -(-n // limit)  # ceil(n / (kappa-1))
-    t_max = n // min_cell
+    t_max = n // -(-n // (kappa - 1))
     counter = NodeCounter(node_budget)
     constraint = "all-left-large" if mode == "left" else "all-left-and-right-large"
-
-    def leaf_ok(mask: int) -> bool:
-        return _cell_large(G, mask, limit, mode, counter)
-
     optimal = True
-    for t in range(t_max, 0, -1):
+    for t in range(t_max, 1, -1):
         try:
-            got = _search_exact_cells(G, t, min_cell, counter, leaf_ok)
+            best = _probe(G, kappa, t, constraint, counter)
         except BudgetExceeded:
             optimal = False
-            got = None
-        if got is not None:
-            cells = tuple(Subset(n, m) for m in got)
-            best = Partition(
-                cells, f"res-search kappa={kappa} mode={mode}", group=G
-            )
-            best.verify_on_group()
-            sides = ("left", "right") if mode == "left+right" else ("left",)
-            for cell in cells:  # re-verify through the public classifier
-                if not all(is_large(G, cell, kappa, side).verdict for side in sides):
-                    raise RuntimeError("resolvability cell failed re-verification")  # pragma: no cover
-            return SearchOutcome(constraint, t, optimal, counter.spent, best)
-    if not optimal:
-        # the budget died before even the trivial partition could be checked
-        return SearchOutcome(constraint, 0, False, counter.spent, None)
-    # unreachable: t = 1 always succeeds (G is large via the identity)
-    raise RuntimeError("resolvability search failed to find the trivial partition")
+            break
+        if best is not None:
+            return SearchOutcome(constraint, t, True, counter.spent, best)
+    best = _probe(G, kappa, 1, constraint, counter)
+    return SearchOutcome(constraint, 1, optimal, counter.spent, best)
 
 
 def partition_search(
@@ -223,14 +279,7 @@ def partition_search(
 
     Thickness here is the left notion: the probe tracks partitions whose
     cells all survive left-translate tests, the regime where small carriers
-    behave like regular cardinalities.
-
-    The all-thick search cuts a partial partition as soon as the elements
-    placed outside some cell (all placed elements, for a cell not yet
-    opened) form a left kappa-large set, and it needs every cell to hold at
-    least kappa-1 elements. Both cuts are sound for either variant: a cell
-    whose complement is left large is not witness-in-G thick (duality), and
-    so not witness-in-A thick either (the variant chain).
+    behave like regular cardinalities. The module docstring gives the prunes.
     """
     check_kappa(G, kappa)
     if target not in PROBE_TARGETS:
@@ -238,52 +287,9 @@ def partition_search(
     check_variant(variant)
     if not 2 <= n_cells <= G.order:
         raise ValueError("cell count must lie in [2, |G|]")
-    n = G.order
-    limit = kappa - 1
     counter = NodeCounter(node_budget)
-
-    if target == "all-thick":
-
-        def leaf_ok(mask: int) -> bool:
-            return limit <= thick_lmax(G, mask, "left", variant, counter)
-
-        def partial_ok(cells: list[int], j: int, placed: int) -> bool:
-            # a final cell misses everything placed in the other cells, so
-            # its complement contains that mask; once it is left-large the
-            # cell cannot be thick (cell j's own mask is unchanged)
-            outside = [placed & ~m for k, m in enumerate(cells) if k != j]
-            if len(cells) < n_cells:
-                outside.append(placed)  # a cell not yet opened
-            return not any(_cell_large(G, m, limit, "left", counter) for m in outside)
-
-        min_cell = limit  # a thick cell holds a translate F*x with |F| = kappa-1
-    else:
-
-        def leaf_ok(mask: int) -> bool:
-            return not _cell_large(G, mask, limit, "left", counter)
-
-        def partial_ok(cells: list[int], j: int, placed: int) -> bool:
-            # largeness is monotone under growth: a large partial cell is dead
-            return leaf_ok(cells[j])
-
-        min_cell = 1
-
     try:
-        got = _search_exact_cells(G, n_cells, min_cell, counter, leaf_ok, partial_ok)
-        exhaustive = True
+        found = _probe(G, kappa, n_cells, target, counter, variant)
     except BudgetExceeded:
-        got = None
-        exhaustive = False
-    if got is None:
-        return ProbeOutcome(target, None, exhaustive, counter.spent)
-    cells = tuple(Subset(n, m) for m in got)
-    part = Partition(cells, f"partition-search kappa={kappa} target={target}", group=G)
-    part.verify_on_group()
-    for cell in cells:  # re-verify through the public classifiers
-        if target == "all-thick":
-            ok = is_thick(G, cell, kappa, "left", variant).verdict
-        else:
-            ok = not is_large(G, cell, kappa, "left").verdict
-        if not ok:
-            raise RuntimeError("probe cell failed re-verification")  # pragma: no cover
-    return ProbeOutcome(target, part, exhaustive, counter.spent)
+        return ProbeOutcome(target, None, False, counter.spent)
+    return ProbeOutcome(target, found, True, counter.spent)

@@ -86,7 +86,23 @@ def test_search_budget_exit_code(tmp_path, capsys):
         tmp_path,
     )
     assert code == 3
+    # the budget ran out: the whole group is reported as a proved lower bound
+    body, _ = latest_report(tmp_path)
+    (claim,) = body["report"]["claims"]
+    assert (claim["status"], claim["detail"], claim["nodes"]) == (
+        "inconclusive", "cells=1 optimal=False partition: {0,1,2,3,4,5,6,7}", 3
+    )
     capsys.readouterr()
+
+
+def test_identical_reports_in_one_second_get_suffixes(tmp_path, monkeypatch):
+    second = report.time.strptime("20260101T010101", "%Y%m%dT%H%M%S")
+    monkeypatch.setattr(report.time, "gmtime", lambda: second)
+    rep = report.RunReport(command="kappasets verify --suite s-set")
+    digest = rep.content_hash()
+    dirs = [report.write_report(rep, tmp_path).name for _ in range(3)]
+    stem = f"20260101T010101Z-{digest}"
+    assert dirs == [stem, f"{stem}-1", f"{stem}-2"]
 
 
 def test_construct_with_adversary(tmp_path, capsys):
@@ -310,6 +326,15 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
          "radius must be >= 0"),
         (["classify", "--group", "cyclic:6", "--subset", "0,1", "--kappa", "3",
           "--sides", "left,left"], "a side is repeated in --sides left,left"),
+        # a variant the mode never reads, and a radius c2-ds builds no ball for
+        (["search", "--group", "cyclic:6", "--kappa", "3", "--mode", "res-left",
+          "--variant", "witness-in-A"], "res-left takes no --variant"),
+        (["search", "--group", "cyclic:6", "--kappa", "3", "--mode", "res-both",
+          "--variant", "witness-in-G"], "res-both takes no --variant"),
+        (["search", "--group", "cyclic:6", "--kappa", "3", "--mode", "non-large",
+          "--variant", "witness-in-A"], "non-large takes no --variant"),
+        (["construct", "--construction", "c2-ds", "--radius", "5"],
+         "c2-ds builds no ball and takes no --radius"),
     ):
         assert run_cli(argv, tmp_path) == 2
         assert f"error: {message}" in capsys.readouterr().err

@@ -125,9 +125,41 @@ class TestResSearch:
         assert isinstance(out, SearchOutcome)
         assert not out.optimal
 
+    def test_exhausted_budget_reports_the_whole_group(self):
+        # the budget dies at the top count; the lower counts are not tried
+        G = build_group("product:cyclic:4+cyclic:4")
+        out = res_search(G, 7, "left", node_budget=10**4)
+        assert (out.cells, out.optimal, out.nodes) == (1, False, 10**4 + 1)
+        assert out.best.cells == (Subset.full(16),)
+
+    def test_one_cell_is_answered_without_nodes(self):
+        # kappa = 2 bounds the count at 1, so nothing is searched
+        out = res_search(Z4, 2, "left", node_budget=0)
+        assert (out.cells, out.optimal, out.nodes) == (1, True, 0)
+        assert out.best.cells == (Subset.full(4),)
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             res_search(Z4, 3, "right")
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_budgeted_outcomes_are_verified_lower_bounds(spec):
+    # at any budget, best is a verified partition into large cells; an
+    # optimal outcome is the unbudgeted one
+    G = build_group(spec)
+    for kappa in range(2, G.order + 1):
+        for mode, sides in (("left", ("left",)), ("left+right", ("left", "right"))):
+            full = res_search(G, kappa, mode)
+            for budget in (0, 1, 10, 100, 1000):
+                out = res_search(G, kappa, mode, node_budget=budget)
+                out.best.verify_on_group()
+                assert out.cells == out.best.num_cells >= 1
+                assert out.nodes <= budget + 1
+                for cell in out.best.cells:
+                    assert all(is_large(G, cell, kappa, s).verdict for s in sides)
+                if out.optimal:
+                    assert (out.cells, _masks(out.best)) == (full.cells, _masks(full.best))
 
 
 def test_searches_free_the_group_without_a_collection():
