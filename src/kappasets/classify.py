@@ -50,13 +50,14 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .groups import (
     GroupTable,
     Subset,
     bits,
     check_kappa,
+    check_partition,
     check_subset,
     left_translate_mask,
     mask_of,
@@ -614,28 +615,28 @@ def is_small(
     G: GroupTable, A: Subset, kappa: int, side: str = "left", *,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SizeVerdict:
-    """A is kappa-small when removing it keeps every kappa-large set large.
+    """A is kappa-small when removing it keeps every kappa-large set large;
+    two-sided means left and right small.
 
-    Decided by enumerating all large L on the given side; two-sided means
-    left and right small. The failing L, if any, is (size, lex)-minimal.
-    Only L that meet A are tested (otherwise L minus A is L), and only sizes
-    with |L| * (kappa-1) >= |G|, below which no L is large. The two sides
-    share one budget: the right side gets what the left side left over.
+    Lemma: in a finite group a nonempty A is never left (or right) small.
+    Let m be the least size of a large set L. Every translate gL is large,
+    since F(gL) = (Fg)L (mirrored on the right), and some gL meets A. Then
+    |gL minus A| < m, so gL minus A is not large.
+
+    So the empty set is small without search (L minus it is L), and for
+    nonempty A the scan over L in (size, lex) order, from the least size
+    with |L| * (kappa-1) >= |G|, stops at the first large L that meets A:
+    it has size m and is the (size, lex)-minimal failing L. A two-sided
+    claim is decided by its left scan, which fails for every nonempty A.
     """
     check_subset(G, A)
     check_kappa(G, kappa)
     check_side(side)
+    counter = NodeCounter(node_budget)  # rejects a negative budget, even with no scan
+    if not A.mask:
+        return SizeVerdict("small", side, kappa, True)
     if side == "two-sided":
-        spent = 0
-        for part in ("left", "right"):
-            got = is_small(G, A, kappa, part, node_budget=node_budget - spent)
-            spent += got.nodes
-            if got.verdict is not True:
-                return SizeVerdict(
-                    "small", side, kappa, got.verdict, witness=got.witness, nodes=spent
-                )
-        return SizeVerdict("small", side, kappa, True, nodes=spent)
-    counter = NodeCounter(node_budget)
+        return replace(is_small(G, A, kappa, "left", node_budget=node_budget), side=side)
     n = G.order
     limit = kappa - 1
     try:
@@ -643,15 +644,13 @@ def is_small(
             for combo in itertools.combinations(range(n), size):
                 counter.spend()
                 lmask = mask_of(combo)
-                if not lmask & A.mask:
-                    continue
-                if min_cover_size(G, lmask, side, counter) > limit:
-                    continue
-                if min_cover_size(G, lmask & ~A.mask, side, counter) > limit:
+                if lmask & A.mask and min_cover_size(G, lmask, side, counter) <= limit:
+                    rest = lmask & ~A.mask
+                    if min_cover_size(G, rest, side, counter) <= limit:  # pragma: no cover
+                        raise RuntimeError("small counterexample is still large without A")
                     L = Subset(n, lmask)
+                    F = Subset.from_indices(n, _min_cover(G, lmask, side, counter)[1])
                     shape = "FA" if side == "left" else "AF"
-                    cover = _min_cover(G, lmask, side, counter)
-                    F = Subset.from_indices(n, cover[1])
                     if product_set(G, F, L, shape).mask != G.full_mask:  # pragma: no cover
                         raise RuntimeError("small counterexample failed re-verification")
                     return SizeVerdict(
@@ -659,7 +658,7 @@ def is_small(
                     )
     except BudgetExceeded:
         return SizeVerdict("small", side, kappa, None, nodes=counter.spent)
-    return SizeVerdict("small", side, kappa, True, nodes=counter.spent)
+    raise RuntimeError("no large set meets A, yet G itself is large")  # pragma: no cover
 
 
 # -- the thick-to-large witness construction ------------------------------------
@@ -685,16 +684,10 @@ class CoverDecomposition:
         return cls(tuple(cells))
 
     def validate(self, G: GroupTable, kappa: int) -> None:
-        total = 0
-        union = 0
+        check_partition(G, self.cells, "cover")
         for cell in self.cells:
-            check_subset(G, cell)
             if cell.size > kappa - 1:
                 raise ValueError(f"cover cell {cell} larger than kappa-1 = {kappa - 1}")
-            total += cell.size
-            union |= cell.mask
-        if union != G.full_mask or total != G.order:
-            raise ValueError("cover cells must disjointly cover the group")
 
 
 class CoverCellError(ValueError):
@@ -741,14 +734,7 @@ def find_large_cell(G: GroupTable, cells, kappa: int):
     """
     check_kappa(G, kappa)
     cells = getattr(cells, "cells", cells)
-    union = 0
-    total = 0
-    for cell in cells:
-        check_subset(G, cell)
-        union |= cell.mask
-        total += cell.size
-    if union != G.full_mask or total != G.order:
-        raise ValueError("cells do not partition the group")
+    check_partition(G, cells, "find_large_cell")
     for i, cell in enumerate(cells):
         got = is_large(G, cell, kappa, "two-sided")
         if got.verdict:

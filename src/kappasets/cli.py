@@ -434,8 +434,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, GroupSpecError, WordSyntaxError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    out_dir = write_report(rep, args.out_dir)
-    sys.stdout.write(rep.text_body())
+    out_dir, text = write_report(rep, args.out_dir)
+    sys.stdout.write(text)
     print(f"report written to {out_dir}")
     return rep.exit_status()
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import GroupTable, Subset, inverse_mask
+from .groups import GroupTable, PartitionError, Subset, check_partition, inverse_mask
 from .words import (
     Ball,
     DSWord,
@@ -23,10 +23,6 @@ from .words import (
     enumerate_ball,
     format_word,
 )
-
-
-class PartitionError(ValueError):
-    """Cells failed the disjoint-cover check."""
 
 
 @dataclass(frozen=True)
@@ -50,13 +46,7 @@ class Partition:
     def verify_on_group(self) -> None:
         if self.group is None:
             raise TypeError("not a finite-group partition")
-        union = 0
-        total = 0
-        for cell in self.cells:
-            union |= cell.mask
-            total += cell.size
-        if union != self.group.full_mask or total != self.group.order:
-            raise PartitionError(f"{self.provenance}: cells do not partition the group")
+        check_partition(self.group, self.cells, self.provenance)
 
     def verify_on_ball(self, ball: Ball) -> None:
         """Check every ball word lands in exactly one cell."""

@@ -23,6 +23,10 @@ class GroupAxiomError(ValueError):
     """A table failed the group axioms."""
 
 
+class PartitionError(ValueError):
+    """Cells failed the disjoint-cover check."""
+
+
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits, ascending."""
     while mask:
@@ -132,6 +136,20 @@ class Subset:
 def check_subset(G: GroupTable, A: Subset) -> None:
     if A.n != G.order:
         raise ValueError("subset carrier does not match the group order")
+
+
+def check_partition(G: GroupTable, cells, name: str) -> None:
+    """Raise PartitionError, prefixed by name, unless the cells are subsets
+    of G that cover it disjointly."""
+    union = 0
+    total = 0
+    for cell in cells:
+        if cell.n != G.order:
+            raise PartitionError(f"{name}: cell {cell} lies over order {cell.n}, not {G.order}")
+        union |= cell.mask
+        total += cell.size
+    if union != G.full_mask or total != G.order:
+        raise PartitionError(f"{name}: cells do not partition the group")
 
 
 def check_kappa(G: GroupTable, kappa: int) -> None:

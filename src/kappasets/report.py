@@ -73,24 +73,6 @@ class RunReport:
             return 3
         return 0
 
-    def text_body(self) -> str:
-        lines = [
-            f"{TOOL_NAME} report",
-            f"version: {TOOL_VERSION}",
-            f"command: {self.command}",
-            f"content-hash: {self.content_hash()}",
-            "",
-        ]
-        for c in self.claims:
-            lines.append(f"[claim {c.claim_id}]")
-            lines.append(f"anchor: {c.anchor}")
-            lines.append(f"status: {c.status}")
-            if c.detail:
-                lines.append(f"detail: {c.detail}")
-            lines.append(f"nodes: {c.nodes}")
-            lines.append("")
-        return "\n".join(lines)
-
     def run_meta(self) -> dict:
         return {
             "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -99,11 +81,37 @@ class RunReport:
         }
 
 
-def write_report(report: RunReport, out_root: str | Path) -> Path:
-    """Write report.txt and report.json under <out_root>/<timestamp>-<hash>/."""
+def _text_body(report: RunReport, digest: str) -> str:
+    """The text report without its timing block; digest is the content hash."""
+    lines = [
+        f"{TOOL_NAME} report",
+        f"version: {TOOL_VERSION}",
+        f"command: {report.command}",
+        f"content-hash: {digest}",
+        "",
+    ]
+    for c in report.claims:
+        lines.append(f"[claim {c.claim_id}]")
+        lines.append(f"anchor: {c.anchor}")
+        lines.append(f"status: {c.status}")
+        if c.detail:
+            lines.append(f"detail: {c.detail}")
+        lines.append(f"nodes: {c.nodes}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def write_report(report: RunReport, out_root: str | Path) -> tuple[Path, str]:
+    """Write report.txt and report.json under <out_root>/<timestamp>-<hash>/.
+
+    Returns the directory and the text body (report.txt without its timing
+    block); the body is hashed and rendered once.
+    """
     meta = report.run_meta()
+    digest = report.content_hash()
+    text = _text_body(report, digest)
     stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-    name = f"{stamp}-{report.content_hash()}"
+    name = f"{stamp}-{digest}"
     out_dir = Path(out_root) / name
     suffix = 0
     while out_dir.exists():  # same second, same content: disambiguate
@@ -119,5 +127,5 @@ def write_report(report: RunReport, out_root: str | Path) -> Path:
         timing_lines.append(f"  {cid}: {secs}s")
     timing_lines.append(f"  total: {meta['total_wall_time_s']}s")
     timing_lines.append(f"generated-at: {meta['generated_at']}")
-    (out_dir / "report.txt").write_text(report.text_body() + "\n".join(timing_lines) + "\n")
-    return out_dir
+    (out_dir / "report.txt").write_text(text + "\n".join(timing_lines) + "\n")
+    return out_dir, text

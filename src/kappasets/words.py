@@ -18,7 +18,7 @@ DSWord = tuple[Word, ...]
 
 IDENTITY: Word = ()
 
-#: Refuse to materialize balls bigger than this (override per call).
+#: Refuse to materialize balls (and direct-sum balls) bigger than this.
 MAX_BALL_WORDS = 2_000_000
 
 
@@ -160,16 +160,16 @@ class Ball:
         return f"Ball(m={self.alphabet_size}, L={self.radius}, size={self.size})"
 
 
-def enumerate_ball(alphabet_size: int, radius: int, max_words: int = MAX_BALL_WORDS) -> Ball:
+def enumerate_ball(alphabet_size: int, radius: int) -> Ball:
     """Enumerate the radius-L ball of the rank-m free group.
 
-    Raises ValueError when the closed-form size exceeds max_words.
+    Raises ValueError when the closed-form size exceeds MAX_BALL_WORDS.
     """
     expected = ball_size(alphabet_size, radius)
-    if expected > max_words:
+    if expected > MAX_BALL_WORDS:
         raise ValueError(
             f"ball of rank {alphabet_size}, radius {radius} has {expected} words"
-            f" (limit {max_words})"
+            f" (limit {MAX_BALL_WORDS})"
         )
     codes = signed_letters(range(alphabet_size))
     words = _grow_words([IDENTITY], codes, radius)
@@ -283,14 +283,13 @@ def ds_rho(g: DSWord) -> int:
     raise ValueError("ds_rho undefined for the identity tuple")
 
 
-def enumerate_ds_ball(
-    alphabet_sizes: Sequence[int], radius: int, max_words: int = MAX_BALL_WORDS
-) -> list[DSWord]:
-    """All tuples of component words of length <= radius, component 0 major."""
+def enumerate_ds_ball(alphabet_sizes: Sequence[int], radius: int) -> list[DSWord]:
+    """All tuples of component words of length <= radius, component 0 major;
+    raises ValueError when there are more than MAX_BALL_WORDS."""
     balls = [enumerate_ball(m, radius).words for m in alphabet_sizes]
     total = 1
     for b in balls:
         total *= len(b)
-    if total > max_words:
-        raise ValueError(f"direct-sum ball has {total} words (limit {max_words})")
+    if total > MAX_BALL_WORDS:
+        raise ValueError(f"direct-sum ball has {total} words (limit {MAX_BALL_WORDS})")
     return list(itertools.product(*balls))

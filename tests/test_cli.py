@@ -100,9 +100,35 @@ def test_identical_reports_in_one_second_get_suffixes(tmp_path, monkeypatch):
     monkeypatch.setattr(report.time, "gmtime", lambda: second)
     rep = report.RunReport(command="kappasets verify --suite s-set")
     digest = rep.content_hash()
-    dirs = [report.write_report(rep, tmp_path).name for _ in range(3)]
+    dirs = [report.write_report(rep, tmp_path)[0].name for _ in range(3)]
     stem = f"20260101T010101Z-{digest}"
     assert dirs == [stem, f"{stem}-1", f"{stem}-2"]
+
+
+def test_each_report_is_hashed_and_rendered_once(tmp_path, capsys, monkeypatch):
+    calls = {"hash": 0, "text": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        report.RunReport, "content_hash", counted("hash", report.RunReport.content_hash)
+    )
+    monkeypatch.setattr(report, "_text_body", counted("text", report._text_body))
+    argv = ["classify", "--group", "cyclic:6", "--subset", "0,1,2", "--kappa", "3"]
+    assert run_cli(argv, tmp_path) == 0
+    assert calls == {"hash": 1, "text": 1}
+    # stdout is report.txt without its timing block, then the directory line
+    out = capsys.readouterr().out
+    (run,) = (tmp_path / "runs").iterdir()
+    shown, _, where = out.rpartition("report written to ")
+    assert where == f"{run}\n"
+    text = (run / "report.txt").read_text()
+    assert text.startswith(shown) and text[len(shown):].startswith("timings (excluded")
 
 
 def test_construct_with_adversary(tmp_path, capsys):
@@ -229,16 +255,29 @@ def claim_outcomes(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "budget,code,small", [(42, 3, ("inconclusive", 43)), (84, 0, ("pass", 84))]
+    "budget,code,small", [(8, 3, ("inconclusive", 9)), (9, 0, ("pass", 9))]
 )
-def test_two_sided_small_sides_share_the_budget(budget, code, small, tmp_path, capsys):
-    # each side of the two-sided small claim spends 42 nodes here, so at 42
-    # the right side runs out one node past the budget
-    argv = ["classify", "--group", "cyclic:6", "--subset", "", "--kappa", "3",
+def test_two_sided_small_claim_honours_the_budget(budget, code, small, tmp_path, capsys):
+    # the two-sided small claim is its left scan, which spends 9 nodes here,
+    # so one node less leaves it inconclusive one node past the budget
+    argv = ["classify", "--group", "cyclic:6", "--subset", "0,1", "--kappa", "3",
             "--sides", "two-sided", "--node-budget", str(budget)]
     got_code, claims = claim_outcomes(tmp_path, argv)
     assert got_code == code
     assert claims[-1] == ("classify.small.two-sided", *small)
+    capsys.readouterr()
+
+
+def test_empty_set_is_small_without_search(tmp_path, capsys):
+    # L minus the empty set is L: no scan, so no budget can run out
+    argv = ["classify", "--group", "cyclic:14", "--subset", "", "--kappa", "3",
+            "--sides", "left", "--node-budget", "5000"]
+    assert run_cli(argv, tmp_path) == 0
+    body, _ = latest_report(tmp_path)
+    small = body["report"]["claims"][-1]
+    assert (small["claim_id"], small["status"], small["detail"], small["nodes"]) == (
+        "classify.small.left", "pass", "verdict=True", 0
+    )
     capsys.readouterr()
 
 

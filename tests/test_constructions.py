@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kappasets.classify import CoverDecomposition, find_large_cell
 from kappasets.constructions import (
     Partition,
     PartitionError,
@@ -136,6 +137,17 @@ class TestPartitionVerification:
         bad = Partition((Subset.from_indices(4, [0, 1]),), "missing", group=G)
         with pytest.raises(PartitionError):
             bad.verify_on_group()
+
+    def test_cells_over_another_carrier_rejected(self):
+        # the masks alone cover cyclic:6 disjointly, but one cell lives in order 4
+        G = build_group("cyclic:6")
+        cells = (Subset(4, 0b1111), Subset(6, 0b110000))
+        with pytest.raises(PartitionError, match="lies over order 4"):
+            Partition(cells, "mixed", group=G).verify_on_group()
+        with pytest.raises(PartitionError, match="lies over order 4"):
+            find_large_cell(G, cells, 3)
+        with pytest.raises(PartitionError, match="lies over order 4"):
+            CoverDecomposition(cells).validate(G, 5)
 
 
 class TestMeetPartition:

@@ -352,19 +352,48 @@ def test_symmetric4_resolvability_within_a_small_budget():
 
 
 def test_is_small_skips_sets_that_cannot_witness():
+    # no L meets the empty set, so it is small with no scan, at any budget
     G = build_group("cyclic:14")
-    got = is_small(G, Subset.empty(14), 3, node_budget=10**5)
-    assert got.verdict is True
-    assert 0 < got.nodes <= 10**5
+    for side in SIDES:
+        for budget in (0, 10**5):
+            got = is_small(G, Subset.empty(14), 3, side, node_budget=budget)
+            assert (got.verdict, got.witness, got.nodes) == (True, None, 0)
 
 
-def test_two_sided_small_reports_both_parts():
-    # fresh tables, so that no part is answered from another's cache
-    A = Subset.empty(6)
+def test_two_sided_small_is_its_left_scan():
+    # fresh tables, so that neither call is answered from the other's cache
+    A = Subset.from_indices(6, [0, 1])
     both = is_small(build_group("cyclic:6"), A, 3, "two-sided")
-    parts = [is_small(build_group("cyclic:6"), A, 3, side) for side in ONE_SIDES]
-    assert both.verdict is True and all(p.verdict for p in parts)
-    assert both.nodes == sum(p.nodes for p in parts) > 0
+    left = is_small(build_group("cyclic:6"), A, 3, "left")
+    assert both.side == "two-sided" and both.verdict is False
+    assert (both.verdict, both.witness, both.nodes) == (left.verdict, left.witness, left.nodes)
+    assert both.nodes > 0
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS)
+def test_is_small_matches_the_lemma(spec):
+    # only the empty set is small; otherwise the failing L is the
+    # (size, lex)-first large mask that meets A, and two-sided equals left
+    G = build_group(spec)
+    n = G.order
+    order = sorted(range(1 << n), key=lambda m: (m.bit_count(), tuple(bits(m))))
+    sizes = {
+        side: {m: (oracle_cover(G, m, side) or (n + 1,))[0] for m in range(1 << n)}
+        for side in ONE_SIDES
+    }
+    for amask in range(1 << n):
+        A = Subset(n, amask)
+        for kappa in range(2, n + 1):
+            got = {side: is_small(G, A, kappa, side) for side in SIDES}
+            if not amask:
+                assert all(v.verdict is True and v.nodes == 0 for v in got.values())
+                continue
+            for side in ONE_SIDES:
+                first = next(m for m in order if m & amask and sizes[side][m] <= kappa - 1)
+                assert (got[side].verdict, got[side].witness) == (False, Subset(n, first))
+            assert (got["two-sided"].verdict, got["two-sided"].witness) == (
+                False, got["left"].witness
+            )
 
 
 ROOT = Path(__file__).resolve().parents[1]

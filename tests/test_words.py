@@ -118,8 +118,12 @@ def test_ball_index_order_and_lookup():
 
 
 def test_ball_size_limit():
-    with pytest.raises(ValueError):
-        enumerate_ball(4, 8, max_words=100_000)
+    # 7,686,401 words and 1,457**2 = 2,122,849 tuples, both over MAX_BALL_WORDS;
+    # each is refused from its count, before the big ball or product is built
+    with pytest.raises(ValueError, match="limit 2000000"):
+        enumerate_ball(4, 8)
+    with pytest.raises(ValueError, match="limit 2000000"):
+        enumerate_ds_ball((2, 2), 6)
 
 
 def test_words_over_restricted_alphabet():
