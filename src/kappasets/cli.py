@@ -22,7 +22,7 @@ from .constructions import (
     split3_partition,
     thm3_partition,
 )
-from .groups import GroupSpecError, GroupTable, Subset, build_group
+from .groups import DEFAULT_MAX_ORDER, GroupSpecError, GroupTable, Subset, build_group
 from .report import ClaimRecord, RunReport, write_report
 from .resolvability import THICK_PROBE_NOTE, partition_search, res_search
 from .suites import SUITES, run_suite
@@ -62,12 +62,17 @@ def _parse_subset(G: GroupTable, text: str) -> Subset:
     return Subset.from_indices(G.order, indices)
 
 
-def _parse_params(tokens: list[str]) -> dict[str, str]:
-    out = {}
-    for tok in tokens:
-        key, sep, val = tok.partition("=")
+def _read_pairs(pairs: list[str], defaults: dict, name: str) -> dict:
+    """The defaults, overridden by key=value pairs; a pair without "=" or
+    with a key outside the defaults is a usage error worded with name."""
+    out = dict(defaults)
+    for pair in pairs:
+        key, sep, val = (t.strip() for t in pair.partition("="))
         if not sep or not key:
-            raise UsageError(f"parameters use key=value form, got {tok!r}")
+            raise UsageError(f"bad {name} {pair!r}: {name}s use key=value form")
+        if key not in defaults:
+            takes = ", ".join(defaults) or "none"
+            raise UsageError(f"unknown {name} {key}; it takes: {takes}")
         out[key] = val
     return out
 
@@ -101,25 +106,16 @@ def _one_letter(value: str, alphabet_size: int) -> int:
 
 
 def _parse_adversary(text: str, alphabet_size: int) -> list:
-    """Adversary grammar: "letters=a,b;radius=2" or "words=ab',b"."""
-    fields = {}
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, val = part.partition("=")
-        if not sep:
-            raise UsageError(f"bad adversary field {part!r}")
-        fields[key.strip()] = val.strip()
-    if "words" in fields:
-        return [parse_word(w, alphabet_size) for w in fields["words"].split(",")]
-    radius = int(fields.get("radius", "2"))
-    if radius < 0:
-        raise UsageError("radius must be >= 0")
-    letters = _letters_arg(fields.get("letters", ""), alphabet_size) or list(
-        range(alphabet_size)
-    )
-    return words_over(letters, radius)
+    """Adversary grammar: "letters=a,b;radius=2" (every letter and radius 2
+    by default) or "words=ab',b"."""
+    pairs = [part for part in text.split(";") if part.strip()]
+    f = _read_pairs(pairs, dict.fromkeys(("letters", "radius", "words")), "adversary field")
+    if f["words"] is not None:
+        if f["letters"] is not None or f["radius"] is not None:
+            raise UsageError("an adversary takes words=..., or letters and radius, not both")
+        return [parse_word(w, alphabet_size) for w in f["words"].split(",")]
+    letters = _letters_arg(f["letters"] or "", alphabet_size) or range(alphabet_size)
+    return words_over(letters, 2 if f["radius"] is None else int(f["radius"]))
 
 
 def _timed(rep: RunReport, claim_id: str, anchor: str, run) -> None:
@@ -160,7 +156,7 @@ def cmd_classify(args) -> RunReport:
     A = _parse_subset(G, args.subset)
     kappa = args.kappa
     budget = args.node_budget
-    sides = [s.strip() for s in args.sides.split(",")] if args.sides else list(cl.SIDES)
+    sides = [s.strip() for s in args.sides.split(",")] if args.sides is not None else list(cl.SIDES)
     for side in sides:  # before any claim runs a search
         cl.check_side(side)
     if len(set(sides)) < len(sides):
@@ -195,11 +191,11 @@ def cmd_classify(args) -> RunReport:
 # -- constructions: name -> (parameter defaults, builder) --------------------------
 # A builder takes the merged parameters and the --radius value (None when not
 # given) and returns (anchor, detail, cells, alphabet size); the alphabet size
-# is None when no adversary can be scanned against the cells.
+# is None when no adversary can be scanned against the cells. A partition is
+# verified once, by its constructor, on the ball of the radius it is given.
 
 
 def _verified(part: Partition, radius: int) -> tuple:
-    part.verify_on_ball(enumerate_ball(part.alphabet_size, radius))
     detail = f"{part.num_cells}-cell partition verified on the radius-{radius} ball"
     return part.provenance, detail, part.cells, part.alphabet_size
 
@@ -217,8 +213,7 @@ def _build_s_set(p: dict[str, str], radius: int | None) -> tuple:
 def _build_thm3(p: dict[str, str], radius: int | None) -> tuple:
     m = int(p["m"])
     radius = 5 if radius is None else radius
-    part = thm3_partition(m, _letters_arg(p["a1"], m), check_radius=min(radius, 3))
-    part.verify_on_ball(enumerate_ball(m, radius))
+    part = thm3_partition(m, _letters_arg(p["a1"], m), check_radius=radius)
     detail = f"partition verified on the radius-{radius} ball ({ball_size(m, radius)} words)"
     return "two-cell last-letter split", detail, part.cells, m
 
@@ -227,17 +222,17 @@ def _build_split3(p: dict[str, str], radius: int | None) -> tuple:
     m = int(p["m"])
     radius = 5 if radius is None else radius
     a1, a2, a3 = (_letters_arg(p[k], m) for k in ("a1", "a2", "a3"))
-    return _verified(split3_partition(m, a1, a2, a3, check_radius=min(radius, 3)), radius)
+    return _verified(split3_partition(m, a1, a2, a3, check_radius=radius), radius)
 
 
 def _build_rank2(p: dict[str, str], radius: int | None) -> tuple:
     radius = 8 if radius is None else radius
-    return _verified(rank2_partition(check_radius=min(radius, 8)), radius)
+    return _verified(rank2_partition(check_radius=radius), radius)
 
 
 def _build_rank1(p: dict[str, str], radius: int | None) -> tuple:
     radius = 32 if radius is None else radius
-    return _verified(rank1_partition(check_radius=min(radius, 8)), radius)
+    return _verified(rank1_partition(check_radius=radius), radius)
 
 
 def _build_c2_ds(p: dict[str, str], radius: int | None) -> tuple:
@@ -282,15 +277,11 @@ def _scan_adversary(ball, H: list, cell) -> tuple[str, str, int]:
 def cmd_construct(args) -> RunReport:
     name = args.construction
     defaults, build = _CONSTRUCTIONS[name]
-    given = _parse_params(args.params or [])
-    unknown = sorted(given.keys() - defaults.keys())
-    if unknown:
-        takes = ", ".join(defaults) or "none"
-        raise UsageError(f"unknown {name} parameter {', '.join(unknown)}; it takes: {takes}")
+    params = _read_pairs(args.params or [], defaults, f"{name} parameter")
     rep = RunReport(command=_echo(args))
     # the anchor comes out of the builder, so this claim is timed here
     t0 = time.perf_counter()
-    anchor, detail, cells, m = build({**defaults, **given}, args.radius)
+    anchor, detail, cells, m = build(params, args.radius)
     rep.claims.append(
         ClaimRecord(f"construct.{name}", anchor, "pass", detail, 0, time.perf_counter() - t0)
     )
@@ -379,7 +370,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="nodes per claim, nested searches included (default: %(default)s)",
             )
         if "max-order" in options:
-            sp.add_argument("--max-order", type=int, default=64, help="largest allowed group order")
+            sp.add_argument(
+                "--max-order", type=int, default=DEFAULT_MAX_ORDER,
+                help="largest allowed group order",
+            )
 
     sp = sub.add_parser("classify", help="full size-verdict battery for one subset")
     sp.add_argument("--group", required=True, help="group spec, e.g. cyclic:6")

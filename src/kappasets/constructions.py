@@ -2,9 +2,10 @@
 
 Free-group cells are intensional predicates (membership decidable for a
 word of any length); finite-group cells are explicit subsets. Every
-partition built here is verified disjoint-and-covering before it is
-returned: exhaustively for group partitions, over a configurable ball for
-predicate partitions.
+partition built here is verified disjoint-and-covering once, before it is
+returned: exhaustively for group partitions, and for predicate partitions
+on the ball of radius check_radius, which the caller names; callers do not
+verify it again.
 """
 
 from __future__ import annotations
@@ -225,9 +226,8 @@ def rank1_partition(check_radius: int = 16) -> Partition:
 def meet_partition(G: GroupTable, P: Partition) -> Partition:
     """The common refinement with the inverted partition: all nonempty
     cells A meet B^-1, in canonical (sorted-indices) order."""
-    if P.group is not G:
-        if P.group is None or P.group.order != G.order:
-            raise ValueError("partition does not live over the given group")
+    if P.group is None or P.group.mul != G.mul:
+        raise ValueError("partition does not live over the given group")
     P.verify_on_group()
     raw = []
     for A in P.cells:

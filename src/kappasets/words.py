@@ -105,22 +105,6 @@ def ball_size(alphabet_size: int, radius: int) -> int:
     return 1 + 2 * m * (q**length - 1) // (q - 1)
 
 
-def _grow_words(words: list[Word], codes: Sequence[int], rounds: int) -> list[Word]:
-    """Extend each word by one letter per round, keeping (length, lex) order."""
-    all_words = list(words)
-    frontier = list(words)
-    for _ in range(rounds):
-        nxt: list[Word] = []
-        for w in frontier:
-            last = w[-1] if w else 0
-            for x in codes:
-                if x != -last:
-                    nxt.append(w + (x,))
-        all_words.extend(nxt)
-        frontier = nxt
-    return all_words
-
-
 class Ball:
     """All reduced words of length <= radius, indexed in (length, lex) order.
 
@@ -165,22 +149,37 @@ def enumerate_ball(alphabet_size: int, radius: int) -> Ball:
 
     Raises ValueError when the closed-form size exceeds MAX_BALL_WORDS.
     """
-    expected = ball_size(alphabet_size, radius)
+    return Ball(alphabet_size, radius, words_over(range(alphabet_size), radius))
+
+
+def words_over(letters: Iterable[int], radius: int) -> list[Word]:
+    """Reduced words of length <= radius over the given 0-based letters, in
+    (length, lex) order; a repeated letter counts once.
+
+    Raises ValueError when the closed-form count exceeds MAX_BALL_WORDS.
+    """
+    letters = set(letters)
+    expected = ball_size(len(letters), radius)
     if expected > MAX_BALL_WORDS:
         raise ValueError(
-            f"ball of rank {alphabet_size}, radius {radius} has {expected} words"
+            f"ball of rank {len(letters)}, radius {radius} has {expected} words"
             f" (limit {MAX_BALL_WORDS})"
         )
-    codes = signed_letters(range(alphabet_size))
-    words = _grow_words([IDENTITY], codes, radius)
+    codes = signed_letters(letters)
+    words = [IDENTITY]
+    frontier = words
+    for _ in range(radius):
+        nxt: list[Word] = []
+        for w in frontier:
+            back = -w[-1] if w else 0
+            for x in codes:
+                if x != back:
+                    nxt.append(w + (x,))
+        words.extend(nxt)
+        frontier = nxt
     if len(words) != expected:
         raise RuntimeError("ball enumeration disagrees with the closed-form count")
-    return Ball(alphabet_size, radius, words)
-
-
-def words_over(letters: Sequence[int], radius: int) -> list[Word]:
-    """Reduced words of length <= radius using only the given 0-based letters."""
-    return _grow_words([IDENTITY], signed_letters(letters), radius)
+    return words
 
 
 _XN_TOKEN = re.compile(r"x(\d+)(')?")

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import kappasets
-from kappasets import cli, report
+from kappasets import cli, report, words
 from kappasets.cli import _CONSTRUCTIONS, main
+from kappasets.constructions import Partition
 from kappasets.groups import build_group
 
 
@@ -387,6 +388,53 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
             "--kappa", "8", "--sides", "left,bogus"]
     assert run_cli(argv, tmp_path) == 2
     assert "error: side must be one of" in capsys.readouterr().err
+    # an empty --sides names no side; it used to run all three
+    argv = ["classify", "--group", "cyclic:6", "--subset", "0,1", "--kappa", "3", "--sides", ""]
+    assert run_cli(argv, tmp_path) == 2
+    assert "error: side must be one of" in capsys.readouterr().err
+    # adversary input that used to be dropped without a word, or built past
+    # the word limit of a ball: an unknown key, words beside letters or a
+    # radius, and a word list over the (lowered) limit
+    monkeypatch.setattr(words, "MAX_BALL_WORDS", 100)
+    for adversary, message in (
+        ("radius=1;letter=b", "unknown adversary field letter; it takes: letters, radius, words"),
+        ("words=b,ab;radius=5", "an adversary takes words=..., or letters and radius, not both"),
+        ("words=b;letters=a", "an adversary takes words=..., or letters and radius, not both"),
+        ("letters=a,b;radius=4", "ball of rank 2, radius 4 has 161 words (limit 100)"),
+    ):
+        argv = ["construct", "--construction", "s-set", "--radius", "2", "--adversary", adversary]
+        assert run_cli(argv, tmp_path) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+#: radius of each verify_on_ball call a command makes: each partition once,
+#: on the ball of the radius the caller names
+VERIFIED_ONCE = [
+    (["construct", "--construction", "c1-rank2", "--radius", "8"], [8]),
+    (["construct", "--construction", "thm3", "--radius", "5",
+      "--adversary", "letters=a,b;radius=1"], [5]),
+    (["construct", "--construction", "c1-split3"], [5]),
+    (["construct", "--construction", "c1-rank1", "--radius", "12"], [12]),
+    (["verify", "--suite", "thm3"], [5, 3, 3]),
+    (["verify", "--suite", "comment1"], [6, 4, 8, 64, 4, 4, 3]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,radii", VERIFIED_ONCE, ids=[" ".join(argv) for argv, _ in VERIFIED_ONCE]
+)
+def test_each_partition_is_verified_once(argv, radii, tmp_path, capsys, monkeypatch):
+    seen = []
+    verify = Partition.verify_on_ball
+
+    def counted(part, ball):
+        seen.append(ball.radius)
+        verify(part, ball)
+
+    monkeypatch.setattr(Partition, "verify_on_ball", counted)
+    assert run_cli(argv, tmp_path) == 0
+    assert seen == radii
+    capsys.readouterr()
 
 
 def test_construct_params_help_lists_every_key(capsys):

@@ -170,6 +170,17 @@ class TestMeetPartition:
         assert 2 <= M.num_cells <= 4
         M.verify_on_group()
 
+    def test_partition_over_another_group_of_the_same_order_rejected(self):
+        # the halves of cyclic:6 are no partition of S3, whose inverses would
+        # return them unchanged; over cyclic:6 the meet splits them
+        C6 = build_group("cyclic:6")
+        low = Subset.from_indices(6, [0, 1, 2])
+        P = Partition((low, low.complement()), "halves", group=C6)
+        with pytest.raises(ValueError, match="does not live over the given group"):
+            meet_partition(build_group("symmetric:3"), P)
+        got = [c.indices() for c in meet_partition(C6, P).cells]
+        assert got == [(0,), (1, 2), (3,), (4, 5)]
+
 
 class TestComment2BSet:
     def test_membership(self):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kappasets import words as words_module
 from kappasets.words import (
     WordSyntaxError,
     ball_size,
@@ -131,6 +132,16 @@ def test_words_over_restricted_alphabet():
     assert set(map(abs, (x for w in ws for x in w))) <= {1, 3}
     # 1 + 4 + 4*3 words over two letters
     assert len(ws) == 17
+
+
+def test_words_over_counts_a_repeated_letter_once(monkeypatch):
+    assert words_over([0, 0], 1) == words_over([0], 1) == [(), (1,), (-1,)]
+    assert words_over([2, 0, 2], 2) == words_over([0, 2], 2)
+    # the word limit counts the distinct letters
+    monkeypatch.setattr(words_module, "MAX_BALL_WORDS", 16)
+    with pytest.raises(ValueError, match=r"ball of rank 2, radius 2 has 17 words \(limit 16\)"):
+        words_over([0, 2, 2], 2)
+    assert len(words_over([0, 0], 7)) == 15
 
 
 def test_parse_and_format():
