@@ -1,15 +1,22 @@
 """Exact, witness-producing classifiers for the subset size notions.
 
-One-sided largeness and one-sided thickness both reduce to one exact
-hitting-set kernel, _min_hitting. A minimal cover F of G by translates of
-A is a set of indices whose translate masks cover G. A test set F fails
-thickness exactly when it meets every G minus dom(x), so the least failing
-F is a minimal cover of the candidates by the masks {x : f not in dom(x)}.
-The kernel takes a greedy upper bound and a counting lower bound, decides
-each size in between by branch and bound on the uncovered element with the
-fewest options (the column rule of Knuth's Algorithm X), and then finds the
+Every table the searches read is one family of translates of A, built
+once per side and subset. On one side it is the list t[g] = g*A (left)
+or A*g (right) that _translates builds. A minimal cover F of G is a set of indices whose
+translates t[f] cover G. The thickness tables are the same translates at
+inverse indices: f*x lies in A iff x lies in f^-1*A = t[f^-1] (x*f in A
+iff x in A*f^-1 on the right), so a test set F fails exactly when every
+candidate x lies outside t[f^-1] for some f in F, and the least failing F
+is a minimal cover of the candidates by the masks candidates minus
+t[f^-1]. Both reduce to one exact hitting-set kernel, _min_hitting. It
+takes a greedy upper bound and a counting lower bound, decides each size
+in between by branch and bound on the uncovered element with the fewest
+options (the column rule of Knuth's Algorithm X), and then finds the
 lex-least cover of the optimal size by one index-order search. The
-two-sided notions scan pair tables for the first F by size, then lex. For
+two-sided notions have one cached pair table, P[g] with bit f1*n+f2 set
+when g lies in f1*A*f2. Both two-sided scans read it for the first F by size, then
+lex: the cover at the pairs of F, the thickness at the pairs of F's
+inverses, since f1*x*f2 lies in A iff x lies in f1^-1*A*f2^-1. For
 the any-translate thickness variant the two routes are cross-checked
 against each other on every call: A is left thick exactly when its
 complement is not left large, and likewise per side. The witness-in-G
@@ -28,11 +35,13 @@ Both one-sided numbers are translation invariant: F*(g*A) = (F*g)*A and
 (A*g)*F = A*(g*F) keep the cover number, and since F*x lands in A*h iff
 F*(x*h^-1) lands in A, and x lies in A*h iff x*h^-1 lies in A (mirrored
 on the right), thick_lmax keeps in both variants. A one-sided search
-already builds translates of A: the cover masks f*A (A*f) and the
-thickness masks A*x^-1 (x^-1*A). When it finishes it enters its number
-for each of them in one of two per-group size tables, "cover_size" keyed
-(side, mask) and "lmax" keyed (side, variant, mask); min_cover_size and
-thick_lmax read them before any search, at no node cost. A search cut
+already holds translates of A: the cover masks f*A (A*f), and the sets
+dom(x) = A*x^-1 (x^-1*A) of the f that take a candidate x into A, which
+are the mirror-side translates at x^-1. When it finishes it enters its
+number for each of them in one of two per-group size tables,
+"cover_size" keyed (side, mask) and "lmax" keyed (side, variant, mask);
+min_cover_size and thick_lmax read them before any search, at no node
+cost. A search cut
 off by its budget enters nothing. Witnesses are not translated: the
 lex-least cover of g*A is not g times that of A, so _min_cover and
 _thick_profile, with their exact-key "cover" and "profile" caches, still
@@ -42,8 +51,8 @@ search A itself. The two-sided numbers are not invariant in general
 All searches are deterministic; witnesses are minimal in (size, lex) order
 and re-verified against the raw definitions before they are returned. A
 thick=True verdict is re-checked on every maximal test set by one sweep
-over rows read straight off the multiplication table, apart from the
-masks the searches use.
+over the thickness rows (two-sided, the pair table transposed), and the
+entries it shows are re-checked against the multiplication table itself.
 """
 
 from __future__ import annotations
@@ -59,10 +68,8 @@ from .groups import (
     check_kappa,
     check_partition,
     check_subset,
-    left_translate_mask,
     mask_of,
     product_set,
-    right_translate_mask,
 )
 from .words import Ball, Word, WordSetPredicate, concat, inverse
 
@@ -147,7 +154,7 @@ def _cache(G: GroupTable) -> dict:
     c = _caches.get(G)
     if c is None:
         c = {
-            "cover": {}, "profile": {}, "pairthick": {},
+            "cover": {}, "profile": {}, "pair": {},
             "cover_size": {}, "lmax": {},
         }
         _caches[G] = c
@@ -157,10 +164,15 @@ def _cache(G: GroupTable) -> dict:
 # -- largeness: minimal covers -------------------------------------------------
 
 
-def _cover_masks(G: GroupTable, amask: int, side: str) -> list[int]:
+def _translates(G: GroupTable, amask: int, side: str, at=None) -> list[int]:
+    """g*A (left) or A*g (right) for each g in at, every g by default."""
+    mul = G.mul
+    elems = list(bits(amask))
+    at = range(G.order) if at is None else at
     if side == "left":
-        return [left_translate_mask(G, f, amask) for f in range(G.order)]
-    return [right_translate_mask(G, amask, f) for f in range(G.order)]
+        return [mask_of(map(mul[g].__getitem__, elems)) for g in at]
+    rows = [mul[a] for a in elems]
+    return [mask_of(row[g] for row in rows) for g in at]
 
 
 def _min_hitting(
@@ -263,38 +275,45 @@ def _lex_first(
     return False
 
 
-def _pair_cover_table(G: GroupTable, amask: int) -> list[int]:
-    """P[g] has bit f1*n+f2 set when f1*a*f2 = g for some a in A; not
-    cached, since _min_cover caches each two-sided result."""
-    n = G.order
-    mul = G.mul
-    got = [0] * n
-    a_list = list(bits(amask))
-    for f1 in range(n):
-        row = mul[f1]
-        base = f1 * n
-        for a in a_list:
-            t = mul[row[a]]
-            for f2 in range(n):
-                got[t[f2]] |= 1 << (base + f2)
+def _pair_table(G: GroupTable, amask: int) -> list[int]:
+    """P[g] has bit f1*n+f2 set when g lies in f1*A*f2."""
+    cache = _cache(G)["pair"]
+    got = cache.get(amask)
+    if got is None:
+        n = G.order
+        mul = G.mul
+        got = [0] * n
+        a_list = list(bits(amask))
+        for f1 in range(n):
+            row = mul[f1]
+            base = f1 * n
+            for a in a_list:
+                t = mul[row[a]]
+                for f2 in range(n):
+                    got[t[f2]] |= 1 << (base + f2)
+        cache[amask] = got
     return got
 
 
 def _first_pair_hitting(
-    n: int, sizes: range, targets: list[int], counter: NodeCounter
+    label, sizes: range, targets: list[int], counter: NodeCounter
 ) -> tuple[int, ...] | None:
-    """First F with |F| in sizes, by size then lex, whose pair mask (bit
-    f1*n+f2 set for f1, f2 in F) meets every mask in targets; None when no
-    such F exists. One node is spent per F tried."""
+    """First F with |F| in sizes, by size then lex, whose pair mask meets
+    every mask in targets; None when no such F exists. The pair mask of F
+    has bit label[f1]*n+label[f2] set for f1, f2 in F: the cover reads the
+    pair table at F itself (label = range(n)), the thickness scan at F's
+    inverses (label = G.inv, an involution, so the label of a label is the
+    element). One node is spent per F tried."""
+    n = len(label)
     for s in sizes:
-        for combo in itertools.combinations(range(n), s):
+        for combo in itertools.combinations(label, s):
             counter.spend()
             fmask = mask_of(combo)
             pm = 0
             for f in combo:
                 pm |= fmask << (n * f)
             if all(pm & t for t in targets):
-                return combo
+                return tuple(map(label.__getitem__, combo))
     return None
 
 
@@ -306,7 +325,7 @@ def _min_cover(
 
     One-sided covers are hitting sets of the translate masks f*A (A*f),
     found by _min_hitting; a two-sided cover is the first F whose pair mask
-    meets every row of the pair table. A finished one-sided search enters
+    meets every entry of the pair table. A finished one-sided search enters
     its number for every translate f*A (A*f) in the cover_size table.
     """
     tables = _cache(G)
@@ -322,10 +341,10 @@ def _min_cover(
         smin = 1
         while smin * smin * amask.bit_count() < n:
             smin += 1
-        combo = _first_pair_hitting(n, range(smin, n + 1), _pair_cover_table(G, amask), counter)
+        combo = _first_pair_hitting(range(n), range(smin, n + 1), _pair_table(G, amask), counter)
         translates = []
     else:
-        translates = _cover_masks(G, amask, side)
+        translates = _translates(G, amask, side)
         combo = _min_hitting(n, translates, G.full_mask, counter)
     if combo is None:  # pragma: no cover - a cover always exists for A != {}
         raise RuntimeError("cover search failed to terminate")
@@ -350,36 +369,6 @@ def min_cover_size(G: GroupTable, amask: int, side: str, counter: NodeCounter) -
 # -- thickness: least failing test sets ---------------------------------------
 
 
-def _dom_masks(G: GroupTable, amask: int, side: str, candidates: list[int]) -> list[int]:
-    """Per candidate x, the set of f with f*x in A (left) / x*f in A (right)."""
-    inv = G.inv
-    if side == "left":
-        # F*x <= A iff F <= A*x^-1
-        return [right_translate_mask(G, amask, inv[x]) for x in candidates]
-    return [left_translate_mask(G, inv[x], amask) for x in candidates]
-
-
-def _pair_thick_table(G: GroupTable, amask: int) -> list[int]:
-    """Q[x] has bit f1*n+f2 set when f1*x*f2 lands in A."""
-    cache = _cache(G)["pairthick"]
-    got = cache.get(amask)
-    if got is None:
-        n = G.order
-        mul = G.mul
-        got = [0] * n
-        for x in range(n):
-            q = 0
-            for f1 in range(n):
-                t = mul[mul[f1][x]]
-                base = f1 * n
-                for f2 in range(n):
-                    if amask >> t[f2] & 1:
-                        q |= 1 << (base + f2)
-            got[x] = q
-        cache[amask] = got
-    return got
-
-
 def _thick_profile(
     G: GroupTable, amask: int, side: str, variant: str, counter: NodeCounter
 ) -> tuple[int, tuple[int, ...] | None]:
@@ -387,13 +376,14 @@ def _thick_profile(
 
     fail_F is the (size, lex)-minimal F admitting no translating element;
     it has size lmax+1, or is None when every F up to size n-1 passes.
-    One-sided: F fails exactly when, for every candidate x, some f in F
-    lies outside dom(x), so fail_F is the minimal hitting set of the
-    candidates by the masks {x : f not in dom(x)}, found by _min_hitting.
-    Two-sided: F fails when its pair mask meets, for every candidate x, the
-    complement of the pair-table row of x, so the first such F is scanned
-    for by size upward. A finished one-sided search enters its lmax for
-    every dom(x), which is the translate A*x^-1 (x^-1*A), in the lmax table.
+    One-sided: F fails exactly when every candidate x lies outside the
+    translate f^-1*A (A*f^-1) of some f in F, so fail_F is the minimal
+    hitting set of the candidates by the masks candidates minus that
+    translate, found by _min_hitting. Two-sided: F fails when the pair mask
+    of F's inverses meets, for every candidate x, the complement of the
+    pair-table entry of x, so the first such F is scanned for by size
+    upward. A finished one-sided search enters its lmax for every dom(x) =
+    A*x^-1 (x^-1*A) in the lmax table.
     """
     tables = _cache(G)
     cache = tables["profile"]
@@ -405,26 +395,24 @@ def _thick_profile(
         # even the empty test set has no translating element to pick
         cache[key] = (-1, ())
         return cache[key]
-    candidates = list(bits(amask)) if variant == "witness-in-A" else list(range(n))
+    cand = amask if variant == "witness-in-A" else G.full_mask
     if side == "two-sided":
-        table = _pair_thick_table(G, amask)
-        fail = _first_pair_hitting(n, range(1, n), [~table[x] for x in candidates], counter)
-        translates = []
+        table = _pair_table(G, amask)
+        fail = _first_pair_hitting(G.inv, range(1, n), [~table[x] for x in bits(cand)], counter)
+        doms = []
     else:
-        # F fails iff every candidate x has some f in F outside dom(x)
-        translates = _dom_masks(G, amask, side, candidates)
-        hits = [0] * n
-        for i, d in enumerate(translates):
-            for f in bits(d ^ G.full_mask):
-                hits[f] |= 1 << i
-        fail = _min_hitting(n, hits, (1 << len(candidates)) - 1, counter)
+        rows = _translates(G, amask, side, G.inv)
+        fail = _min_hitting(n, [cand & ~row for row in rows], cand, counter)
+        # dom(x), the f with f*x (x*f) in A, is the mirror translate at x^-1
+        mirror = "right" if side == "left" else "left"
+        doms = _translates(G, amask, mirror, [G.inv[x] for x in bits(cand)])
     if fail is None or len(fail) >= n:
         result = (n - 1, None)
     else:
         result = (len(fail) - 1, fail)
     cache[key] = result
     lmaxes = tables["lmax"]
-    for m in translates:
+    for m in doms:
         lmaxes[side, variant, m] = result[0]
     return result
 
@@ -527,27 +515,6 @@ def is_thick(
     )
 
 
-def _translate_rows(G: GroupTable, amask: int, side: str) -> list:
-    """Straight off the multiplication table: per f, the mask of x with
-    f*x in A (left) or x*f in A (right); two-sided, rows[f1][f2] is the mask
-    of x with f1*x*f2 in A."""
-    mul = G.mul
-    n = G.order
-    if side == "left":
-        return [mask_of(x for x, y in enumerate(mul[f]) if amask >> y & 1) for f in range(n)]
-    if side == "right":
-        return [mask_of(x for x in range(n) if amask >> mul[x][f] & 1) for f in range(n)]
-    rows = [[0] * n for _ in range(n)]
-    for f1, row in enumerate(rows):
-        for x in range(n):
-            t = mul[mul[f1][x]]
-            bit = 1 << x
-            for f2 in range(n):
-                if amask >> t[f2] & 1:
-                    row[f2] |= bit
-    return rows
-
-
 def _sweep_translates(
     start: int, depth: int, inter: int, cols: list[int], pairs: list[list[int]] | None,
     xs: list[int], counter: NodeCounter,
@@ -592,12 +559,17 @@ def _thick_witness_map(
     included."""
     n = G.order
     cand = amask if variant == "witness-in-A" else G.full_mask
-    rows = _translate_rows(G, amask, side)
     if side == "two-sided":
-        cols = [rows[f][f] for f in range(n)]
-        pairs = [[rows[f][l] & rows[l][f] for l in range(n)] for f in range(n)]
+        # rows[f1*n+f2]: the x in f1*A*f2, the pair table transposed, so
+        # the x with f1*x*f2 in A are at the inverse labels
+        rows = [0] * (n * n)
+        for x, p in enumerate(_pair_table(G, amask)):
+            for k in bits(p):
+                rows[k] |= 1 << x
+        cols = [rows[i * (n + 1)] for i in G.inv]
+        pairs = [[rows[i * n + j] & rows[j * n + i] for j in G.inv] for i in G.inv]
     else:
-        cols, pairs = rows, None
+        cols, pairs = _translates(G, amask, side, G.inv), None
     xs: list[int] = []
     total = _sweep_translates(0, fsize, cand, cols, pairs, xs, counter)
     shown = []

@@ -63,9 +63,10 @@ def _parse_subset(G: GroupTable, text: str) -> Subset:
 
 
 def _read_pairs(pairs: list[str], defaults: dict, name: str) -> dict:
-    """The defaults, overridden by key=value pairs; a pair without "=" or
-    with a key outside the defaults is a usage error worded with name."""
-    out = dict(defaults)
+    """The defaults, overridden by key=value pairs; a pair without "=", a
+    key outside the defaults or a key given twice is a usage error worded
+    with name."""
+    given = {}
     for pair in pairs:
         key, sep, val = (t.strip() for t in pair.partition("="))
         if not sep or not key:
@@ -73,8 +74,10 @@ def _read_pairs(pairs: list[str], defaults: dict, name: str) -> dict:
         if key not in defaults:
             takes = ", ".join(defaults) or "none"
             raise UsageError(f"unknown {name} {key}; it takes: {takes}")
-        out[key] = val
-    return out
+        if key in given:
+            raise UsageError(f"{name} {key} is given twice")
+        given[key] = val
+    return {**defaults, **given}
 
 
 def _letters_arg(value: str, alphabet_size: int) -> list[int]:
@@ -109,6 +112,8 @@ def _parse_adversary(text: str, alphabet_size: int) -> list:
     """Adversary grammar: "letters=a,b;radius=2" (every letter and radius 2
     by default) or "words=ab',b"."""
     pairs = [part for part in text.split(";") if part.strip()]
+    if not pairs:
+        raise UsageError(f"empty adversary {text!r}: it takes letters, radius or words")
     f = _read_pairs(pairs, dict.fromkeys(("letters", "radius", "words")), "adversary field")
     if f["words"] is not None:
         if f["letters"] is not None or f["radius"] is not None:
@@ -188,16 +193,17 @@ def cmd_classify(args) -> RunReport:
     return rep
 
 
-# -- constructions: name -> (parameter defaults, builder) --------------------------
+# -- constructions: name -> (parameter defaults, rank, builder) -------------------
 # A builder takes the merged parameters and the --radius value (None when not
-# given) and returns (anchor, detail, cells, alphabet size); the alphabet size
-# is None when no adversary can be scanned against the cells. A partition is
-# verified once, by its constructor, on the ball of the radius it is given.
+# given) and returns (anchor, detail, cells). The alphabet size, which an
+# adversary is read against before the build, is the m parameter, or else the
+# fixed rank; a rank of None takes no adversary. A partition is verified once,
+# by its constructor, on the ball of the radius it is given.
 
 
 def _verified(part: Partition, radius: int) -> tuple:
     detail = f"{part.num_cells}-cell partition verified on the radius-{radius} ball"
-    return part.provenance, detail, part.cells, part.alphabet_size
+    return part.provenance, detail, part.cells
 
 
 def _build_s_set(p: dict[str, str], radius: int | None) -> tuple:
@@ -207,7 +213,7 @@ def _build_s_set(p: dict[str, str], radius: int | None) -> tuple:
     ball = enumerate_ball(m, radius)
     members = sum(1 for w in ball.words if pred(w))
     detail = f"{members} of {ball.size} radius-{radius} words are members"
-    return f"endpoint-marked set on {m} letters", detail, (pred,), m
+    return f"endpoint-marked set on {m} letters", detail, (pred,)
 
 
 def _build_thm3(p: dict[str, str], radius: int | None) -> tuple:
@@ -215,7 +221,7 @@ def _build_thm3(p: dict[str, str], radius: int | None) -> tuple:
     radius = 5 if radius is None else radius
     part = thm3_partition(m, _letters_arg(p["a1"], m), check_radius=radius)
     detail = f"partition verified on the radius-{radius} ball ({ball_size(m, radius)} words)"
-    return "two-cell last-letter split", detail, part.cells, m
+    return "two-cell last-letter split", detail, part.cells
 
 
 def _build_split3(p: dict[str, str], radius: int | None) -> tuple:
@@ -244,23 +250,23 @@ def _build_c2_ds(p: dict[str, str], radius: int | None) -> tuple:
     )
     pred = comment2_bset(sizes, marks)
     detail = f"direct sum of {len(sizes)} free groups, alphabet sizes {sizes}"
-    return pred.description, detail, (pred,), None
+    return pred.description, detail, (pred,)
 
 
 _CONSTRUCTIONS = {
-    "s-set": ({"m": "2", "letter": "a"}, _build_s_set),
-    "thm3": ({"m": "4", "a1": "a,b"}, _build_thm3),
-    "c1-split3": ({"m": "3", "a1": "a", "a2": "b", "a3": "c"}, _build_split3),
-    "c1-rank2": ({}, _build_rank2),
-    "c1-rank1": ({}, _build_rank1),
-    "c2-ds": ({"alphabets": "2,2,2", "marks": "a,a,a"}, _build_c2_ds),
+    "s-set": ({"m": "2", "letter": "a"}, None, _build_s_set),
+    "thm3": ({"m": "4", "a1": "a,b"}, None, _build_thm3),
+    "c1-split3": ({"m": "3", "a1": "a", "a2": "b", "a3": "c"}, None, _build_split3),
+    "c1-rank2": ({}, 2, _build_rank2),
+    "c1-rank1": ({}, 1, _build_rank1),
+    "c2-ds": ({"alphabets": "2,2,2", "marks": "a,a,a"}, None, _build_c2_ds),
 }
 
 
 def _params_help() -> str:
     keys = "; ".join(
         f"{name}: {' '.join(f'{k}={v}' for k, v in defaults.items()) or 'none'}"
-        for name, (defaults, _) in _CONSTRUCTIONS.items()
+        for name, (defaults, _, _) in _CONSTRUCTIONS.items()
     )
     return f"key=value parameters, with these keys and defaults: {keys}"
 
@@ -276,19 +282,21 @@ def _scan_adversary(ball, H: list, cell) -> tuple[str, str, int]:
 
 def cmd_construct(args) -> RunReport:
     name = args.construction
-    defaults, build = _CONSTRUCTIONS[name]
+    defaults, rank, build = _CONSTRUCTIONS[name]
     params = _read_pairs(args.params or [], defaults, f"{name} parameter")
-    rep = RunReport(command=_echo(args))
-    # the anchor comes out of the builder, so this claim is timed here
-    t0 = time.perf_counter()
-    anchor, detail, cells, m = build(params, args.radius)
-    rep.claims.append(
-        ClaimRecord(f"construct.{name}", anchor, "pass", detail, 0, time.perf_counter() - t0)
-    )
-    if args.adversary:
+    if args.adversary is not None:  # read before the build, which may be long
+        m = int(params["m"]) if "m" in params else rank
         if m is None:
             raise UsageError(f"{name} takes no --adversary")
         H = _parse_adversary(args.adversary, m)
+    rep = RunReport(command=_echo(args))
+    # the anchor comes out of the builder, so this claim is timed here
+    t0 = time.perf_counter()
+    anchor, detail, cells = build(params, args.radius)
+    rep.claims.append(
+        ClaimRecord(f"construct.{name}", anchor, "pass", detail, 0, time.perf_counter() - t0)
+    )
+    if args.adversary is not None:
         scan_ball = enumerate_ball(m, 6 if args.radius is None else args.radius)
         for i, cell in enumerate(cells):
             _timed(

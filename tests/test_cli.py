@@ -333,6 +333,7 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         (["s-set", "--params", "letters=b"], "unknown s-set parameter letters"),
         (["c1-rank2", "--params", "m=3"], "unknown c1-rank2 parameter m"),
         (["c2-ds", "--adversary", "letters=a"], "c2-ds takes no --adversary"),
+        (["thm3", "--params", "m=3", "m=4"], "thm3 parameter m is given twice"),
     ):
         assert run_cli(["construct", "--construction", *argv], tmp_path) == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -401,9 +402,29 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         ("words=b,ab;radius=5", "an adversary takes words=..., or letters and radius, not both"),
         ("words=b;letters=a", "an adversary takes words=..., or letters and radius, not both"),
         ("letters=a,b;radius=4", "ball of rank 2, radius 4 has 161 words (limit 100)"),
+        # a key given twice kept its last value; an empty adversary was none
+        ("radius=1;radius=2", "adversary field radius is given twice"),
+        ("", "empty adversary '': it takes letters, radius or words"),
+        (" ; ", "empty adversary ' ; ': it takes letters, radius or words"),
     ):
         argv = ["construct", "--construction", "s-set", "--radius", "2", "--adversary", adversary]
         assert run_cli(argv, tmp_path) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+    # a refused adversary is refused before the construction is built and
+    # verified; its alphabet is the m parameter or the fixed rank
+    def no_build(*args, **kwargs):
+        raise AssertionError("the construction was built before its adversary was read")
+
+    monkeypatch.setattr(Partition, "verify_on_ball", no_build)
+    for argv, message in (
+        (["thm3", "--adversary", "radius=9"], "ball of rank 4, radius 9 has 53804809 words"),
+        (["thm3", "--adversary", ""], "empty adversary"),
+        (["thm3", "--params", "m=2", "--adversary", "letters=c"],
+         "letter 'c' out of range for alphabet size 2"),
+        (["c1-rank2", "--adversary", "letters=c"], "letter 'c' out of range for alphabet size 2"),
+        (["c1-rank1", "--adversary", "words=b"], "letter 'b' out of range for alphabet of size 1"),
+    ):
+        assert run_cli(["construct", "--construction", *argv], tmp_path) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
 
@@ -440,7 +461,7 @@ def test_each_partition_is_verified_once(argv, radii, tmp_path, capsys, monkeypa
 def test_construct_params_help_lists_every_key(capsys):
     assert main(["construct", "--help"]) == 0
     out = capsys.readouterr().out
-    for name, (defaults, _) in _CONSTRUCTIONS.items():
+    for name, (defaults, _, _) in _CONSTRUCTIONS.items():
         assert name in out
         for key, value in defaults.items():
             assert f"{key}={value}" in out
