@@ -12,11 +12,16 @@ t[f^-1]. Both reduce to one exact hitting-set kernel, _min_hitting. It
 takes a greedy upper bound and a counting lower bound, decides each size
 in between by branch and bound on the uncovered element with the fewest
 options (the column rule of Knuth's Algorithm X), and then finds the
-lex-least cover of the optimal size by one index-order search. The
-two-sided notions have one cached pair table, P[g] with bit f1*n+f2 set
-when g lies in f1*A*f2. Both two-sided scans read it for the first F by size, then
-lex: the cover at the pairs of F, the thickness at the pairs of F's
-inverses, since f1*x*f2 lies in A iff x lies in f1^-1*A*f2^-1. For
+lex-least cover of the optimal size by one index-order search.
+
+The two-sided notions read the per-pair rows f1*A*f2, from which
+_pair_walks builds two walk tables once per subset and caches them. One
+lex-order walk, _sweep_translates, visits the F of one size and keeps a
+mask per F: the cover walk starts from G and removes f1*A*f2 for every
+pair of F, so the first F that leaves nothing covers G; the thickness
+walk starts from the candidates and keeps f1^-1*A*f2^-1, since f1*x*f2
+lies in A iff x lies there, so the first F that leaves nothing fails.
+Each scan walks the sizes upward and spends one node per F. For
 the any-translate thickness variant the two routes are cross-checked
 against each other on every call: A is left thick exactly when its
 complement is not left large, and likewise per side. The witness-in-G
@@ -50,14 +55,16 @@ search A itself. The two-sided numbers are not invariant in general
 
 All searches are deterministic; witnesses are minimal in (size, lex) order
 and re-verified against the raw definitions before they are returned. A
-thick=True verdict is re-checked on every maximal test set by one sweep
-over the thickness rows (two-sided, the pair table transposed), and the
-entries it shows are re-checked against the multiplication table itself.
+thick=True verdict is re-checked on every maximal test set by the same
+walk at size kappa-1, over the rows t[f^-1] on one side and the two-sided
+thickness walk table otherwise, which must find no failing F; the entries
+it shows are re-checked against the multiplication table itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, replace
 
@@ -275,45 +282,83 @@ def _lex_first(
     return False
 
 
-def _pair_table(G: GroupTable, amask: int) -> list[int]:
-    """P[g] has bit f1*n+f2 set when g lies in f1*A*f2."""
+def _meet(rows: list[list[int]]) -> list[list[int]]:
+    """rows[i][j] & rows[j][i] at every (i, j)."""
+    return [list(map(int.__and__, r, c)) for r, c in zip(rows, zip(*rows))]
+
+
+def _pair_walks(G: GroupTable, amask: int) -> tuple[tuple, tuple]:
+    """The two-sided walk tables of A, (cols, pairs) for the cover and for
+    the thickness, built once per subset from the per-pair rows
+    rows[f1][f2] = f1*A*f2. The walk reads a pair (i, i) of F's labels at
+    cols[i] and a pair (i, j) with i < j at pairs[i][j], which covers (j, i)
+    too. The cover labels F by itself and reads the complements of the
+    rows; the thickness labels F by its inverses and reads the rows, since
+    f1*x*f2 lies in A iff x lies in f1^-1*A*f2^-1."""
     cache = _cache(G)["pair"]
     got = cache.get(amask)
     if got is None:
-        n = G.order
-        mul = G.mul
-        got = [0] * n
-        a_list = list(bits(amask))
-        for f1 in range(n):
-            row = mul[f1]
-            base = f1 * n
-            for a in a_list:
-                t = mul[row[a]]
-                for f2 in range(n):
-                    got[t[f2]] |= 1 << (base + f2)
-        cache[amask] = got
+        n, full, inv = G.order, G.full_mask, G.inv
+        bit = [1 << g for g in range(n)]
+        # f1*A*f2 is the sum of shifted[g][f2] = 1 << g*f2 over g in f1*A
+        shifted = [list(map(bit.__getitem__, row)) for row in G.mul]
+        elems = list(bits(amask))
+        rows = [list(map(sum, zip([0] * n, *(shifted[row[a]] for a in elems)))) for row in G.mul]
+        out = [list(map(full.__sub__, row)) for row in rows]
+        cover = ([out[i][i] for i in range(n)], _meet(out))
+        both = _meet(rows)
+        thick = ([rows[i][i] for i in inv], [list(map(both[i].__getitem__, inv)) for i in inv])
+        cache[amask] = got = (cover, thick)
     return got
 
 
-def _first_pair_hitting(
-    label, sizes: range, targets: list[int], counter: NodeCounter
+def _sweep_translates(
+    prefix: tuple[int, ...], depth: int, inter: int, cols: list[int],
+    pairs: list[list[int]] | None, shown: list, counter: NodeCounter,
 ) -> tuple[int, ...] | None:
-    """First F with |F| in sizes, by size then lex, whose pair mask meets
-    every mask in targets; None when no such F exists. The pair mask of F
-    has bit label[f1]*n+label[f2] set for f1, f2 in F: the cover reads the
-    pair table at F itself (label = range(n)), the thickness scan at F's
-    inverses (label = G.inv, an involution, so the label of a label is the
-    element). One node is spent per F tried."""
-    n = len(label)
+    """The first F, in lex order, that extends prefix by depth more indices
+    and has an empty mask; None when every such F has elements left. inter
+    is the mask the prefix leaves, cols[l] what l keeps once it joins;
+    pairs[f][l] narrows cols[l] when f joins (two-sided). One node is spent
+    per F, and the first SHOWN_TRANSLATES F are appended to shown with
+    their masks."""
+    n = len(cols)
+    start = prefix[-1] + 1 if prefix else 0
+    if depth > 1:
+        for f in range(start, n - depth + 1):
+            nxt = cols if pairs is None else list(map(int.__and__, cols, pairs[f]))
+            got = _sweep_translates(
+                (*prefix, f), depth - 1, inter & cols[f], nxt, pairs, shown, counter
+            )
+            if got is not None:
+                return got
+        return None
+    run = n - start
+    if len(shown) >= SHOWN_TRANSLATES and counter.spent + run <= counter.budget and all(
+        map(inter.__and__, cols[start:])
+    ):
+        counter.spend(run)
+        return None
+    # one F at a time, so the budget runs out (or the walk stops) at the same F
+    for f in range(start, n):
+        counter.spend()
+        m = inter & cols[f]
+        if not m:
+            return (*prefix, f)
+        if len(shown) < SHOWN_TRANSLATES:
+            shown.append(((*prefix, f), m))
+    return None
+
+
+def _first_empty(
+    sizes: range, inter: int, walk: tuple, counter: NodeCounter
+) -> tuple[int, ...] | None:
+    """The first F by size, then lex, whose walk mask is empty."""
+    shown: list = []
     for s in sizes:
-        for combo in itertools.combinations(label, s):
-            counter.spend()
-            fmask = mask_of(combo)
-            pm = 0
-            for f in combo:
-                pm |= fmask << (n * f)
-            if all(pm & t for t in targets):
-                return tuple(map(label.__getitem__, combo))
+        got = _sweep_translates((), s, inter, *walk, shown, counter)
+        if got is not None:
+            return got
     return None
 
 
@@ -324,9 +369,10 @@ def _min_cover(
     F*A*F = G (two-sided); None when A is empty.
 
     One-sided covers are hitting sets of the translate masks f*A (A*f),
-    found by _min_hitting; a two-sided cover is the first F whose pair mask
-    meets every entry of the pair table. A finished one-sided search enters
-    its number for every translate f*A (A*f) in the cover_size table.
+    found by _min_hitting; a two-sided cover is the first F, walked by size
+    from the least s with s*s*|A| >= |G|, whose pairs leave no element of G
+    outside every f1*A*f2. A finished one-sided search enters its number
+    for every translate f*A (A*f) in the cover_size table.
     """
     tables = _cache(G)
     cache = tables["cover"]
@@ -341,7 +387,7 @@ def _min_cover(
         smin = 1
         while smin * smin * amask.bit_count() < n:
             smin += 1
-        combo = _first_pair_hitting(range(n), range(smin, n + 1), _pair_table(G, amask), counter)
+        combo = _first_empty(range(smin, n + 1), G.full_mask, _pair_walks(G, amask)[0], counter)
         translates = []
     else:
         translates = _translates(G, amask, side)
@@ -379,11 +425,11 @@ def _thick_profile(
     One-sided: F fails exactly when every candidate x lies outside the
     translate f^-1*A (A*f^-1) of some f in F, so fail_F is the minimal
     hitting set of the candidates by the masks candidates minus that
-    translate, found by _min_hitting. Two-sided: F fails when the pair mask
-    of F's inverses meets, for every candidate x, the complement of the
-    pair-table entry of x, so the first such F is scanned for by size
-    upward. A finished one-sided search enters its lmax for every dom(x) =
-    A*x^-1 (x^-1*A) in the lmax table.
+    translate, found by _min_hitting. Two-sided: F fails when no candidate
+    lies in f1^-1*A*f2^-1 for every pair of F, so fail_F is the first F,
+    walked by size from 1, that leaves no candidate. A finished one-sided
+    search enters its lmax for every dom(x) = A*x^-1 (x^-1*A) in the lmax
+    table.
     """
     tables = _cache(G)
     cache = tables["profile"]
@@ -397,8 +443,7 @@ def _thick_profile(
         return cache[key]
     cand = amask if variant == "witness-in-A" else G.full_mask
     if side == "two-sided":
-        table = _pair_table(G, amask)
-        fail = _first_pair_hitting(G.inv, range(1, n), [~table[x] for x in bits(cand)], counter)
+        fail = _first_empty(range(1, n), cand, _pair_walks(G, amask)[1], counter)
         doms = []
     else:
         rows = _translates(G, amask, side, G.inv)
@@ -515,72 +560,33 @@ def is_thick(
     )
 
 
-def _sweep_translates(
-    start: int, depth: int, inter: int, cols: list[int], pairs: list[list[int]] | None,
-    xs: list[int], counter: NodeCounter,
-) -> int:
-    """Check, in lex order, every completion of a prefix by depth more
-    indices >= start, and return how many there are. inter is the mask of
-    candidates translating the prefix, cols[l] that of those that still do
-    once l joins it; pairs[f][l] narrows cols[l] when f joins (two-sided).
-    One node is spent per completion, and the least candidate of each of
-    the first SHOWN_TRANSLATES completions is appended to xs."""
-    n = len(cols)
-    if depth > 1:
-        total = 0
-        for f in range(start, n - depth + 1):
-            nxt = cols if pairs is None else list(map(int.__and__, cols, pairs[f]))
-            total += _sweep_translates(f + 1, depth - 1, inter & cols[f], nxt, pairs, xs, counter)
-        return total
-    last = cols[start:]
-    run = len(last)
-    if len(xs) >= SHOWN_TRANSLATES and counter.spent + run <= counter.budget and all(
-        map(inter.__and__, last)
-    ):
-        counter.spend(run)
-        return run
-    # one F at a time, so the budget runs out (or a check fails) at the same F
-    for c in last:
-        counter.spend()
-        m = inter & c
-        if not m:  # pragma: no cover - contradicts the profile
-            raise RuntimeError("thick witness map failed re-verification")
-        if len(xs) < SHOWN_TRANSLATES:
-            xs.append((m & -m).bit_length() - 1)
-    return run
-
-
 def _thick_witness_map(
     G: GroupTable, amask: int, fsize: int, side: str, variant: str, counter: NodeCounter
 ) -> ThickWitness:
-    """Check every maximal F (|F| = fsize) for a translating element, by one
-    lex-order sweep that intersects the rows of F's elements; the shown
-    entries' least elements are then re-verified raw, smaller candidates
-    included."""
+    """Check every maximal F (|F| = fsize) for a translating element by the
+    thickness walk at that one size, which must find no F that fails: over
+    the rows t[f^-1] one-sided, over the two-sided thickness walk table
+    otherwise. The shown entries' least elements are then re-verified raw,
+    smaller candidates included."""
     n = G.order
     cand = amask if variant == "witness-in-A" else G.full_mask
     if side == "two-sided":
-        # rows[f1*n+f2]: the x in f1*A*f2, the pair table transposed, so
-        # the x with f1*x*f2 in A are at the inverse labels
-        rows = [0] * (n * n)
-        for x, p in enumerate(_pair_table(G, amask)):
-            for k in bits(p):
-                rows[k] |= 1 << x
-        cols = [rows[i * (n + 1)] for i in G.inv]
-        pairs = [[rows[i * n + j] & rows[j * n + i] for j in G.inv] for i in G.inv]
+        walk = _pair_walks(G, amask)[1]
     else:
-        cols, pairs = _translates(G, amask, side, G.inv), None
-    xs: list[int] = []
-    total = _sweep_translates(0, fsize, cand, cols, pairs, xs, counter)
-    shown = []
-    for combo, x in zip(itertools.combinations(range(n), fsize), xs):
+        walk = (_translates(G, amask, side, G.inv), None)
+    shown: list = []
+    if _sweep_translates((), fsize, cand, *walk, shown, counter) is not None:  # pragma: no cover
+        raise RuntimeError("thick witness map failed re-verification")
+    entries = []
+    for combo, m in shown:
+        x = (m & -m).bit_length() - 1
         fmask = mask_of(combo)
         if not _translate_into(G, fmask, x, amask, side) or any(
             _translate_into(G, fmask, y, amask, side) for y in bits(cand & ((1 << x) - 1))
         ):  # pragma: no cover
             raise RuntimeError("thick witness map failed re-verification")
-        shown.append((Subset(n, fmask), x))
-    return ThickWitness(tuple(shown), total)
+        entries.append((Subset(n, fmask), x))
+    return ThickWitness(tuple(entries), math.comb(n, fsize))
 
 
 def is_small(

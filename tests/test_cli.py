@@ -329,7 +329,16 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     # input that construct used to drop without a word
     for argv, message in (
         (["s-set", "--params", "letter=a,b"], "only one letter is allowed"),
-        (["c2-ds", "--params", "alphabets=2,2", "marks=a,b,a"], "zip()"),
+        (["c2-ds", "--params", "alphabets=2,2", "marks=a,b,a"],
+         "c2-ds takes one mark per alphabet: alphabets gives 2, marks gives 3"),
+        (["c2-ds", "--params", "alphabets=2,2", "marks=a,a,a"],
+         "c2-ds takes one mark per alphabet: alphabets gives 2, marks gives 3"),
+        # integer fields used to fail with Python's own int() message
+        (["s-set", "--params", "m=x"], "s-set parameter m must be an integer, got 'x'"),
+        (["thm3", "--params", "m="], "thm3 parameter m must be an integer, got ''"),
+        (["c2-ds", "--params", "alphabets=2,,2"],
+         "an entry of c2-ds parameter alphabets must be an integer, got ''"),
+        (["thm3", "--adversary", "radius=x"], "adversary field radius must be an integer, got 'x'"),
         (["s-set", "--params", "letters=b"], "unknown s-set parameter letters"),
         (["c1-rank2", "--params", "m=3"], "unknown c1-rank2 parameter m"),
         (["c2-ds", "--adversary", "letters=a"], "c2-ds takes no --adversary"),
@@ -406,6 +415,9 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         ("radius=1;radius=2", "adversary field radius is given twice"),
         ("", "empty adversary '': it takes letters, radius or words"),
         (" ; ", "empty adversary ' ; ': it takes letters, radius or words"),
+        # a letters field naming no letter used to widen to every letter
+        ("letters=;radius=1", "adversary field letters names no letter, got ''"),
+        ("letters= , ;radius=1", "adversary field letters names no letter, got ','"),
     ):
         argv = ["construct", "--construction", "s-set", "--radius", "2", "--adversary", adversary]
         assert run_cli(argv, tmp_path) == 2

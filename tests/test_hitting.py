@@ -194,16 +194,39 @@ def test_every_grid_subset_matches_enumeration(spec):
         assert_matches_oracle(G, amask)
 
 
+def two_sided_searches(amask):
+    """(name, search, oracle) for the two-sided cover and thickness scans of
+    A, each called as f(G, counter)."""
+    yield (
+        "cover",
+        lambda G, c: _min_cover(G, amask, "two-sided", c),
+        lambda G, c: oracle_pair_cover(G, amask, c),
+    )
+    for variant in VARIANTS:
+        yield (
+            variant,
+            lambda G, c, v=variant: _thick_profile(G, amask, "two-sided", v, c),
+            lambda G, c, v=variant: oracle_pair_profile(G, amask, v, c),
+        )
+
+
 def test_two_sided_scans_spend_one_node_per_set_tried():
-    G = build_group("dihedral:4")  # fresh caches: every search runs
+    # a fresh group per search, so that none is answered from a cache
+    spec = "dihedral:4"
+    G = build_group(spec)
     for amask in range(G.full_mask + 1):
-        got, want = NodeCounter(10**9), NodeCounter(10**9)
-        _min_cover(G, amask, "two-sided", got)
-        oracle_pair_cover(G, amask, want)
-        for variant in VARIANTS:
-            _thick_profile(G, amask, "two-sided", variant, got)
-            oracle_pair_profile(G, amask, variant, want)
-        assert got.spent == want.spent, amask
+        for name, search, oracle in two_sided_searches(amask):
+            got, want = NodeCounter(10**9), NodeCounter(10**9)
+            search(build_group(spec), got)
+            oracle(G, want)
+            assert got.spent == want.spent, (amask, name)
+            # one node short, or half the nodes, runs out at the same F
+            for budget in {want.spent - 1, want.spent // 2} if want.spent else ():
+                assert spent_until_exhausted(
+                    lambda c: search(build_group(spec), c), budget
+                ) == spent_until_exhausted(lambda c: oracle(G, c), budget) == budget + 1, (
+                    amask, name, budget
+                )
 
 
 def test_sampled_larger_subsets_match_enumeration():

@@ -26,15 +26,17 @@ def test_every_traced_layer_resolves(layer):
 
 
 def test_tracer_counts_every_maximal_test_set(tmp_path, capsys):
-    tracer = Tracer()
-    with tracer.installed():
-        code = cli.main([
-            "classify", "--group", "cyclic:8", "--subset", "1,2,3,4,5,6,7", "--kappa", "4",
-            "--sides", "left", "--variant", "witness-in-G", "--out-dir", str(tmp_path),
-        ])
-    assert code == 0
-    assert "verdict=True translates per maximal F" in capsys.readouterr().out
-    got = tracer.totals["classify.thick_witness_map"]
-    assert got["calls"] == 1
-    assert got["entries"] == math.comb(8, 3)
-    assert tracer.totals["cli.main"]["calls"] == 1
+    # thick=True on both sides: the re-check walks all C(8, 3) maximal F
+    for side in ("left", "two-sided"):
+        tracer = Tracer()
+        with tracer.installed():
+            code = cli.main([
+                "classify", "--group", "cyclic:8", "--subset", "1,2,3,4,5,6,7", "--kappa", "4",
+                "--sides", side, "--variant", "witness-in-G", "--out-dir", str(tmp_path),
+            ])
+        assert code == 0, side
+        assert "verdict=True translates per maximal F" in capsys.readouterr().out, side
+        got = tracer.totals["classify.thick_witness_map"]
+        assert got["calls"] == 1, side
+        assert got["entries"] == math.comb(8, 3), side
+        assert tracer.totals["cli.main"]["calls"] == 1, side
