@@ -21,7 +21,8 @@ mask per F: the cover walk starts from G and removes f1*A*f2 for every
 pair of F, so the first F that leaves nothing covers G; the thickness
 walk starts from the candidates and keeps f1^-1*A*f2^-1, since f1*x*f2
 lies in A iff x lies there, so the first F that leaves nothing fails.
-Each scan walks the sizes upward and spends one node per F. For
+Each scan walks the sizes upward; the walk's last index is one loop that
+spends one node per F, so a budget stops it at the same F every time. For
 the any-translate thickness variant the two routes are cross-checked
 against each other on every call: A is left thick exactly when its
 complement is not left large, and likewise per side. The witness-in-G
@@ -56,9 +57,10 @@ search A itself. The two-sided numbers are not invariant in general
 All searches are deterministic; witnesses are minimal in (size, lex) order
 and re-verified against the raw definitions before they are returned. A
 thick=True verdict is re-checked on every maximal test set by the same
-walk at size kappa-1, over the rows t[f^-1] on one side and the two-sided
-thickness walk table otherwise, which must find no failing F; the entries
-it shows are re-checked against the multiplication table itself.
+walk at size kappa-1 over the one thickness table, _thick_walk (the rows
+t[f^-1] on one side, the two-sided thickness table otherwise), which must
+find no failing F; the entries it shows are re-checked against the
+multiplication table itself.
 """
 
 from __future__ import annotations
@@ -191,6 +193,12 @@ def _min_hitting(
     """
     if full == 0:
         return ()
+    # dead[i]: elements with no option at index >= i
+    dead = [full] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        dead[i] = dead[i + 1] & ~covers[i]
+    if dead[0]:
+        return None
     # opts[e]: bit f set when covers[f] holds element e
     opts = [0] * full.bit_length()
     for f, c in enumerate(covers):
@@ -200,15 +208,13 @@ def _min_hitting(
     got = 0
     upper = 0
     while got != full:
-        best_f = -1
+        best_f = 0
         best_new = 0
         for f in range(n):
             new = (covers[f] & ~got).bit_count()
             if new > best_new:
                 best_new = new
                 best_f = f
-        if best_f < 0:
-            return None
         got |= covers[best_f]
         upper += 1
     maxcover = max(c.bit_count() for c in covers)
@@ -217,12 +223,6 @@ def _min_hitting(
         if _hits_within(full, k, (1 << n) - 1, covers, opts, maxcover, counter):
             size = k
             break
-    # dead[i]: elements with no option at index >= i
-    dead = [0] * (n + 1)
-    for e in bits(full):
-        dead[opts[e].bit_length()] |= 1 << e
-    for i in range(1, n + 1):
-        dead[i] |= dead[i - 1]
     chosen: list[int] = []
     if not _lex_first(full, size, 0, covers, dead, maxcover, chosen, counter):
         raise RuntimeError("hitting-set lex phase found no witness")  # pragma: no cover
@@ -319,9 +319,10 @@ def _sweep_translates(
     """The first F, in lex order, that extends prefix by depth more indices
     and has an empty mask; None when every such F has elements left. inter
     is the mask the prefix leaves, cols[l] what l keeps once it joins;
-    pairs[f][l] narrows cols[l] when f joins (two-sided). One node is spent
-    per F, and the first SHOWN_TRANSLATES F are appended to shown with
-    their masks."""
+    pairs[f][l] narrows cols[l] when f joins (two-sided). The last index
+    is one loop that spends one node per F, so the budget runs out (or the
+    walk stops) at the same F on every call; the first SHOWN_TRANSLATES F
+    are appended to shown with their masks."""
     n = len(cols)
     start = prefix[-1] + 1 if prefix else 0
     if depth > 1:
@@ -333,13 +334,6 @@ def _sweep_translates(
             if got is not None:
                 return got
         return None
-    run = n - start
-    if len(shown) >= SHOWN_TRANSLATES and counter.spent + run <= counter.budget and all(
-        map(inter.__and__, cols[start:])
-    ):
-        counter.spend(run)
-        return None
-    # one F at a time, so the budget runs out (or the walk stops) at the same F
     for f in range(start, n):
         counter.spend()
         m = inter & cols[f]
@@ -415,6 +409,15 @@ def min_cover_size(G: GroupTable, amask: int, side: str, counter: NodeCounter) -
 # -- thickness: least failing test sets ---------------------------------------
 
 
+def _thick_walk(G: GroupTable, amask: int, side: str) -> tuple:
+    """The thickness walk table of A, (cols, pairs): the rows t[f^-1] and
+    no pairs one-sided, the two-sided thickness table of _pair_walks
+    otherwise. A candidate x passes f in F when it lies in cols[f]."""
+    if side == "two-sided":
+        return _pair_walks(G, amask)[1]
+    return _translates(G, amask, side, G.inv), None
+
+
 def _thick_profile(
     G: GroupTable, amask: int, side: str, variant: str, counter: NodeCounter
 ) -> tuple[int, tuple[int, ...] | None]:
@@ -442,12 +445,12 @@ def _thick_profile(
         cache[key] = (-1, ())
         return cache[key]
     cand = amask if variant == "witness-in-A" else G.full_mask
+    walk = _thick_walk(G, amask, side)
     if side == "two-sided":
-        fail = _first_empty(range(1, n), cand, _pair_walks(G, amask)[1], counter)
+        fail = _first_empty(range(1, n), cand, walk, counter)
         doms = []
     else:
-        rows = _translates(G, amask, side, G.inv)
-        fail = _min_hitting(n, [cand & ~row for row in rows], cand, counter)
+        fail = _min_hitting(n, [cand & ~row for row in walk[0]], cand, counter)
         # dom(x), the f with f*x (x*f) in A, is the mirror translate at x^-1
         mirror = "right" if side == "left" else "left"
         doms = _translates(G, amask, mirror, [G.inv[x] for x in bits(cand)])
@@ -563,18 +566,14 @@ def is_thick(
 def _thick_witness_map(
     G: GroupTable, amask: int, fsize: int, side: str, variant: str, counter: NodeCounter
 ) -> ThickWitness:
-    """Check every maximal F (|F| = fsize) for a translating element by the
-    thickness walk at that one size, which must find no F that fails: over
-    the rows t[f^-1] one-sided, over the two-sided thickness walk table
-    otherwise. The shown entries' least elements are then re-verified raw,
-    smaller candidates included."""
+    """Check every maximal F (|F| = fsize) for a translating element by a
+    walk of the _thick_walk table at that one size, which must find no F
+    that fails. The shown entries' least elements are then re-verified
+    raw, smaller candidates included."""
     n = G.order
     cand = amask if variant == "witness-in-A" else G.full_mask
-    if side == "two-sided":
-        walk = _pair_walks(G, amask)[1]
-    else:
-        walk = (_translates(G, amask, side, G.inv), None)
     shown: list = []
+    walk = _thick_walk(G, amask, side)
     if _sweep_translates((), fsize, cand, *walk, shown, counter) is not None:  # pragma: no cover
         raise RuntimeError("thick witness map failed re-verification")
     entries = []

@@ -88,6 +88,16 @@ def _int_arg(value: str, name: str) -> int:
         raise UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _rank_arg(value: str, name: str) -> int:
+    """value as an alphabet size, at least 1; anything else is a usage error
+    naming name. The words module bounds it from above before any letter
+    set is built."""
+    m = _int_arg(value, name)
+    if m < 1:
+        raise UsageError(f"{name} must be >= 1, got {m}")
+    return m
+
+
 def _letters_arg(value: str, alphabet_size: int) -> list[int]:
     out = []
     for part in value.split(","):
@@ -127,12 +137,12 @@ def _parse_adversary(text: str, alphabet_size: int) -> list:
         if f["letters"] is not None or f["radius"] is not None:
             raise UsageError("an adversary takes words=..., or letters and radius, not both")
         return [parse_word(w, alphabet_size) for w in f["words"].split(",")]
-    letters = range(alphabet_size)
-    if f["letters"] is not None:
-        letters = _letters_arg(f["letters"], alphabet_size)
-        if not letters:
-            raise UsageError(f"adversary field letters names no letter, got {f['letters']!r}")
     radius = 2 if f["radius"] is None else _int_arg(f["radius"], "adversary field radius")
+    if f["letters"] is None:  # bounded before range(alphabet_size) becomes a letter set
+        return enumerate_ball(alphabet_size, radius).words
+    letters = _letters_arg(f["letters"], alphabet_size)
+    if not letters:
+        raise UsageError(f"adversary field letters names no letter, got {f['letters']!r}")
     return words_over(letters, radius)
 
 
@@ -220,7 +230,7 @@ def _verified(part: Partition, radius: int) -> tuple:
 
 
 def _build_s_set(p: dict[str, str], radius: int | None) -> tuple:
-    m = _int_arg(p["m"], "s-set parameter m")
+    m = _rank_arg(p["m"], "s-set parameter m")
     pred = s_set(m, _one_letter(p["letter"], m))
     radius = 6 if radius is None else radius
     ball = enumerate_ball(m, radius)
@@ -230,7 +240,7 @@ def _build_s_set(p: dict[str, str], radius: int | None) -> tuple:
 
 
 def _build_thm3(p: dict[str, str], radius: int | None) -> tuple:
-    m = _int_arg(p["m"], "thm3 parameter m")
+    m = _rank_arg(p["m"], "thm3 parameter m")
     radius = 5 if radius is None else radius
     part = thm3_partition(m, _letters_arg(p["a1"], m), check_radius=radius)
     detail = f"partition verified on the radius-{radius} ball ({ball_size(m, radius)} words)"
@@ -238,7 +248,7 @@ def _build_thm3(p: dict[str, str], radius: int | None) -> tuple:
 
 
 def _build_split3(p: dict[str, str], radius: int | None) -> tuple:
-    m = _int_arg(p["m"], "c1-split3 parameter m")
+    m = _rank_arg(p["m"], "c1-split3 parameter m")
     radius = 5 if radius is None else radius
     a1, a2, a3 = (_letters_arg(p[k], m) for k in ("a1", "a2", "a3"))
     return _verified(split3_partition(m, a1, a2, a3, check_radius=radius), radius)
@@ -258,7 +268,7 @@ def _build_c2_ds(p: dict[str, str], radius: int | None) -> tuple:
     if radius is not None:
         raise UsageError("c2-ds builds no ball and takes no --radius")
     entry = "an entry of c2-ds parameter alphabets"
-    sizes = tuple(_int_arg(x, entry) for x in p["alphabets"].split(","))
+    sizes = tuple(_rank_arg(x, entry) for x in p["alphabets"].split(","))
     given = p["marks"].split(",")
     if len(given) != len(sizes):
         raise UsageError(
@@ -303,7 +313,7 @@ def cmd_construct(args) -> RunReport:
     defaults, rank, build = _CONSTRUCTIONS[name]
     params = _read_pairs(args.params or [], defaults, f"{name} parameter")
     if args.adversary is not None:  # read before the build, which may be long
-        m = _int_arg(params["m"], f"{name} parameter m") if "m" in params else rank
+        m = _rank_arg(params["m"], f"{name} parameter m") if "m" in params else rank
         if m is None:
             raise UsageError(f"{name} takes no --adversary")
         H = _parse_adversary(args.adversary, m)

@@ -100,6 +100,7 @@ def thm3_partition(
     Cell 0 collects the words ending in A1; cell 1 is the complement and
     contains the identity.
     """
+    ball = enumerate_ball(alphabet_size, check_radius)  # before any letter set
     a1 = frozenset(a1_letters)
     if not a1 or not a1 < set(range(alphabet_size)):
         raise ValueError("A1 must be a nonempty proper subset of the alphabet")
@@ -113,7 +114,7 @@ def thm3_partition(
         WordSetPredicate(f"last letter not in {{{names}}}", lambda w: not in_b1(w)),
     )
     part = Partition(cells, f"last-letter split A1={{{names}}}", alphabet_size=alphabet_size)
-    part.verify_on_ball(enumerate_ball(alphabet_size, check_radius))
+    part.verify_on_ball(ball)
     return part
 
 
@@ -132,6 +133,7 @@ def split3_partition(
     Cell 0: both endpoints outside A1; cell 1: both endpoints outside A2
     and not already in cell 0; cell 2: the rest (including the identity).
     """
+    ball = enumerate_ball(alphabet_size, check_radius)  # before any letter set
     s1, s2, s3 = frozenset(a1), frozenset(a2), frozenset(a3)
     if not (s1 and s2 and s3):
         raise ValueError("all three letter classes must be nonempty")
@@ -157,7 +159,7 @@ def split3_partition(
         WordSetPredicate("remaining words", in_b3),
     )
     part = Partition(cells, "endpoint-class 3-split", alphabet_size=alphabet_size)
-    part.verify_on_ball(enumerate_ball(alphabet_size, check_radius))
+    part.verify_on_ball(ball)
     return part
 
 

@@ -7,7 +7,6 @@ element indices, so all set algebra is integer arithmetic.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -440,22 +439,11 @@ def product_set(G: GroupTable, F: Subset, A: Subset, shape: str) -> Subset:
 
 # -- conjugation and normality -------------------------------------------------
 
-_class_caches: "weakref.WeakKeyDictionary[GroupTable, list[int]]" = weakref.WeakKeyDictionary()
-
-
-def _class_masks(G: GroupTable) -> list[int]:
-    cached = _class_caches.get(G)
-    if cached is None:
-        cached = [mask_of(G.conj(g, x) for g in range(G.order)) for x in range(G.order)]
-        _class_caches[G] = cached
-    return cached
-
-
 def conjugacy_class(G: GroupTable, x: int) -> Subset:
     """The full conjugacy class {g^-1 x g : g in G}."""
     if not 0 <= x < G.order:
         raise ValueError(f"element {x} out of range")
-    return Subset(G.order, _class_masks(G)[x])
+    return Subset(G.order, mask_of(G.conj(g, x) for g in range(G.order)))
 
 
 def _subgroup_closure_mask(G: GroupTable, gens: int) -> int:
@@ -478,10 +466,9 @@ def _subgroup_closure_mask(G: GroupTable, gens: int) -> int:
 def normal_closure_mask(G: GroupTable, fmask: int) -> int:
     if fmask == 0:
         return 1 << G.identity
-    classes = _class_masks(G)
     gens = 0
     for x in bits(fmask):
-        gens |= classes[x]
+        gens |= conjugacy_class(G, x).mask
     gens |= inverse_mask(G, gens)
     return _subgroup_closure_mask(G, gens)
 

@@ -103,6 +103,11 @@ def _search_exact_cells(
     assigned so far. leaf_ok must fail on every cell of fewer than min_cell
     (>= 1) elements.
 
+    Element i takes one step per cell it may join: each open cell in order,
+    then, while fewer than t are open, a new cell that starts empty. The
+    step grows the cell, asks partial_ok, checks any cell it closes,
+    recurses and undoes.
+
     Each cell is checked once, as soon as it is closed. The slack, the
     unplaced elements minus those still owed to cells below min_cell, never
     grows along a branch and is 0 at every leaf. Once it is 0, a cell of
@@ -125,7 +130,10 @@ def _search_exact_cells(
         bit = 1 << i
         placed = (bit << 1) - 1
         opened = len(cells)
-        for j in range(opened):
+        for j in range(opened + (opened < t)):
+            if j == opened:  # open a new cell: an empty one, grown like the rest
+                cells.append(0)
+                sizes.append(0)
             short = sizes[j] < min_cell
             if not (short or slack):
                 continue  # closed: an element here would leave a cell short
@@ -143,18 +151,7 @@ def _search_exact_cells(
                     return got
             cells[j] ^= bit
             sizes[j] -= 1
-        if opened < t:
-            cells.append(bit)
-            sizes.append(1)
-            ok = partial_ok is None or partial_ok(cells, opened, placed)
-            if ok and not slack and min_cell == 1:
-                ok = leaf_ok(bit)  # the new cell is closed at once
-            if ok:
-                got = rec(i + 1, deficit - 1)
-                if got is not None:
-                    return got
-            cells.pop()
-            sizes.pop()
+        del cells[opened:], sizes[opened:]  # the cell this step opened, if any
         return None
 
     try:

@@ -105,6 +105,29 @@ def ball_size(alphabet_size: int, radius: int) -> int:
     return 1 + 2 * m * (q**length - 1) // (q - 1)
 
 
+def _bounded_size(m: int, radius: int) -> int:
+    """ball_size(m, radius), counted one length at a time and refused with
+    ValueError at the first length whose running count passes
+    MAX_BALL_WORDS, so no power past the limit is formed. The 2m signed
+    letters, which the builder forms at every radius, must fit it too."""
+    if m < 1:
+        raise ValueError("alphabet size must be >= 1")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    count, level, limit = 1, 2 * m, MAX_BALL_WORDS
+    if level > limit:
+        raise ValueError(f"alphabet of rank {m} has {level} signed letters (limit {limit})")
+    for length in range(1, radius + 1):
+        count += level
+        if count > limit:
+            some = "" if length == radius else "at least "
+            raise ValueError(
+                f"ball of rank {m}, radius {radius} has {some}{count} words (limit {limit})"
+            )
+        level *= 2 * m - 1
+    return count
+
+
 class Ball:
     """All reduced words of length <= radius, indexed in (length, lex) order.
 
@@ -147,8 +170,10 @@ class Ball:
 def enumerate_ball(alphabet_size: int, radius: int) -> Ball:
     """Enumerate the radius-L ball of the rank-m free group.
 
-    Raises ValueError when the closed-form size exceeds MAX_BALL_WORDS.
+    Raises ValueError when the alphabet or the ball passes MAX_BALL_WORDS,
+    before any letter set is built.
     """
+    _bounded_size(alphabet_size, radius)
     return Ball(alphabet_size, radius, words_over(range(alphabet_size), radius))
 
 
@@ -156,15 +181,10 @@ def words_over(letters: Iterable[int], radius: int) -> list[Word]:
     """Reduced words of length <= radius over the given 0-based letters, in
     (length, lex) order; a repeated letter counts once.
 
-    Raises ValueError when the closed-form count exceeds MAX_BALL_WORDS.
+    Raises ValueError when the count passes MAX_BALL_WORDS.
     """
     letters = set(letters)
-    expected = ball_size(len(letters), radius)
-    if expected > MAX_BALL_WORDS:
-        raise ValueError(
-            f"ball of rank {len(letters)}, radius {radius} has {expected} words"
-            f" (limit {MAX_BALL_WORDS})"
-        )
+    expected = _bounded_size(len(letters), radius)
     codes = signed_letters(letters)
     words = [IDENTITY]
     frontier = words
@@ -178,7 +198,7 @@ def words_over(letters: Iterable[int], radius: int) -> list[Word]:
         words.extend(nxt)
         frontier = nxt
     if len(words) != expected:
-        raise RuntimeError("ball enumeration disagrees with the closed-form count")
+        raise RuntimeError("ball enumeration disagrees with the count")
     return words
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -429,7 +430,9 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(Partition, "verify_on_ball", no_build)
     for argv, message in (
-        (["thm3", "--adversary", "radius=9"], "ball of rank 4, radius 9 has 53804809 words"),
+        # the count stops at radius 3, the first length past the lowered limit
+        (["thm3", "--adversary", "radius=9"],
+         "ball of rank 4, radius 9 has at least 457 words (limit 100)"),
         (["thm3", "--adversary", ""], "empty adversary"),
         (["thm3", "--params", "m=2", "--adversary", "letters=c"],
          "letter 'c' out of range for alphabet size 2"),
@@ -502,6 +505,48 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert got.returncode == 0
     assert "kappasets report" in got.stdout
+
+
+def cap_memory():
+    # a regression forms a huge power or letter set: cap the child's address
+    # space so that it fails at 1 GiB instead of filling the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["thm3", "--adversary", f"radius={HUGE}"],
+         f"ball of rank 4, radius {HUGE} has at least 7686401 words (limit 2000000)"),
+        (["thm3", "--radius", HUGE],
+         f"ball of rank 4, radius {HUGE} has at least 7686401 words (limit 2000000)"),
+        (["s-set", "--params", f"m={HUGE}"],
+         f"alphabet of rank {HUGE} has {2 * int(HUGE)} signed letters (limit 2000000)"),
+        (["thm3", "--params", f"m={HUGE}"],
+         f"alphabet of rank {HUGE} has {2 * int(HUGE)} signed letters (limit 2000000)"),
+        (["c1-split3", "--params", f"m={HUGE}"],
+         f"alphabet of rank {HUGE} has {2 * int(HUGE)} signed letters (limit 2000000)"),
+        (["s-set", "--params", "m=-1"], "s-set parameter m must be >= 1, got -1"),
+    ],
+    ids=["adversary-radius", "radius", "s-set-m", "thm3-m", "c1-split3-m", "s-set-negative-m"],
+)
+def test_huge_rank_or_radius_is_refused_before_the_build(argv, message, tmp_path):
+    # each of these once ran until killed; the rank and the word count are
+    # now checked before any letter set or ball is built, and a child with a
+    # timeout turns a regression into a failure rather than a hang
+    got = subprocess.run(
+        [sys.executable, "-m", "kappasets", "construct", "--construction", *argv,
+         "--out-dir", str(tmp_path / "runs")],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=cap_memory,
+    )
+    assert got.returncode == 2
+    assert f"error: {message}" in got.stderr
 
 
 #: Runs the command in its argv in a child and prints the child's peak RSS

@@ -1,3 +1,7 @@
+import resource
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,6 +129,45 @@ def test_ball_size_limit():
         enumerate_ball(4, 8)
     with pytest.raises(ValueError, match="limit 2000000"):
         enumerate_ds_ball((2, 2), 6)
+
+
+def cap_memory():
+    # a regression forms a huge power or letter set: cap the child's address
+    # space so that it fails at 1 GiB instead of filling the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+#: Prints the error of each builder call at a radius or rank of 10**20.
+HUGE_CALLS = """
+from kappasets.words import enumerate_ball, words_over
+for call in (
+    lambda: words_over([0, 1], 10**20),
+    lambda: enumerate_ball(1, 10**20),
+    lambda: enumerate_ball(10**20, 0),
+):
+    try:
+        call()
+    except ValueError as e:
+        print(e)
+"""
+
+
+def test_huge_radius_or_rank_is_refused_from_a_bounded_count():
+    # the count stops at the first length past the limit, before any power
+    # of 2m-1 to the radius is formed, and the 2m signed letters are bounded
+    # before range(m) becomes a letter set; a child with a timeout turns a
+    # regression into a failure rather than a hang
+    got = subprocess.run(
+        [sys.executable, "-c", HUGE_CALLS], capture_output=True, text=True, timeout=30,
+        preexec_fn=cap_memory,
+    )
+    assert got.returncode == 0, got.stderr
+    huge = 10**20
+    assert got.stdout.splitlines() == [
+        f"ball of rank 2, radius {huge} has at least 3188645 words (limit 2000000)",
+        f"ball of rank 1, radius {huge} has at least 2000001 words (limit 2000000)",
+        f"alphabet of rank {huge} has {2 * huge} signed letters (limit 2000000)",
+    ]
 
 
 def test_words_over_restricted_alphabet():
