@@ -3,6 +3,10 @@
 Every run prints a structured text report and writes text + JSON twins to
 an output directory. Exit codes: 0 all pass, 1 claim failure, 2 usage
 error, 3 inconclusive (node budget).
+
+A valid command builds only its own subparser. A help request or a usage
+error falls back to the full parser, which prints every usage line and
+help text; the one-subparser parser prints nothing of its own.
 """
 
 from __future__ import annotations
@@ -389,37 +393,33 @@ def _echo(args) -> str:
     return " ".join(args._argv)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="kappasets",
-        description="size combinatorics of group subsets: exact classifiers, "
-        "constructions, partition searches, verification suites",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+def _add_common(sp, *options) -> None:
+    """Add --out-dir and the named options, which the command reads."""
+    sp.add_argument("--out-dir", default="runs", help="report output root (default: runs)")
+    if "node-budget" in options:
+        sp.add_argument(
+            "--node-budget", type=int, default=cl.DEFAULT_NODE_BUDGET,
+            help="nodes per claim, nested searches included (default: %(default)s)",
+        )
+    if "max-order" in options:
+        sp.add_argument(
+            "--max-order", type=int, default=DEFAULT_MAX_ORDER,
+            help="largest allowed group order",
+        )
 
-    def common(sp, *options):
-        """Add --out-dir and the named options, which the command reads."""
-        sp.add_argument("--out-dir", default="runs", help="report output root (default: runs)")
-        if "node-budget" in options:
-            sp.add_argument(
-                "--node-budget", type=int, default=cl.DEFAULT_NODE_BUDGET,
-                help="nodes per claim, nested searches included (default: %(default)s)",
-            )
-        if "max-order" in options:
-            sp.add_argument(
-                "--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                help="largest allowed group order",
-            )
 
+def _add_classify(sub) -> None:
     sp = sub.add_parser("classify", help="full size-verdict battery for one subset")
     sp.add_argument("--group", required=True, help="group spec, e.g. cyclic:6")
     sp.add_argument("--subset", required=True, help="comma-separated element indices or labels")
     sp.add_argument("--kappa", type=int, required=True)
     sp.add_argument("--sides", default=None, help="comma list from left,right,two-sided")
     sp.add_argument("--variant", default="both", choices=(*cl.VARIANTS, "both"))
-    common(sp, "node-budget", "max-order")
+    _add_common(sp, "node-budget", "max-order")
     sp.set_defaults(fn=cmd_classify)
 
+
+def _add_construct(sub) -> None:
     sp = sub.add_parser("construct", help="emit a construction plus witness checks")
     sp.add_argument("--construction", required=True, choices=_CONSTRUCTIONS)
     sp.add_argument("--params", nargs="*", default=[], help=_params_help())
@@ -427,9 +427,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--adversary", default=None, help='e.g. "letters=a,b;radius=2" or "words=ab\',b"'
     )
-    common(sp)
+    _add_common(sp)
     sp.set_defaults(fn=cmd_construct)
 
+
+def _add_search(sub) -> None:
     sp = sub.add_parser("search", help="resolvability and partition probes")
     sp.add_argument("--group", required=True)
     sp.add_argument("--kappa", type=int, required=True)
@@ -441,21 +443,70 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cell count for the two-thick and non-large probes (default 2)",
     )
     sp.add_argument("--variant", choices=cl.VARIANTS, help="two-thick only (default witness-in-G)")
-    common(sp, "node-budget", "max-order")
+    _add_common(sp, "node-budget", "max-order")
     sp.set_defaults(fn=cmd_search)
 
+
+def _add_verify(sub) -> None:
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", required=True, choices=("all", *SUITES))
-    common(sp, "node-budget")
+    _add_common(sp, "node-budget")
     sp.set_defaults(fn=cmd_verify)
+
+
+#: Command name -> the function that adds its subparser, in help order.
+_COMMANDS = {
+    "classify": _add_classify,
+    "construct": _add_construct,
+    "search": _add_search,
+    "verify": _add_verify,
+}
+
+
+class _Fallback(Exception):
+    """A lean parse met a help request or an error, which it never prints."""
+
+
+class _LeanParser(argparse.ArgumentParser):
+    """A parser that prints nothing: help and errors raise _Fallback."""
+
+    def print_help(self, file=None):
+        raise _Fallback
+
+    def error(self, message):
+        raise _Fallback
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser or, for a command, a _LeanParser with its subparser alone."""
+    p = (argparse.ArgumentParser if command is None else _LeanParser)(
+        prog="kappasets",
+        description="size combinatorics of group subsets: exact classifiers, "
+        "constructions, partition searches, verification suites",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, add in _COMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return p
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the one subparser that argv[0] names. Help, errors and
+    an unknown or missing command go to the full parser, so its usage lines,
+    help text and exit codes are the only ones printed."""
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _build_parser(argv[0]).parse_args(argv)
+        except _Fallback:
+            pass
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
     args._argv = ["kappasets"] + argv

@@ -10,6 +10,7 @@ body content hash.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -60,8 +61,11 @@ class RunReport:
             ],
         }
 
-    def content_hash(self) -> str:
-        blob = json.dumps(self.body_dict(), sort_keys=True, separators=(",", ":"))
+    def content_hash(self, body: dict | None = None) -> str:
+        """Hash of body, the body_dict() a caller already built, or of a new one."""
+        blob = json.dumps(
+            self.body_dict() if body is None else body, sort_keys=True, separators=(",", ":")
+        )
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def exit_status(self) -> int:
@@ -105,22 +109,25 @@ def write_report(report: RunReport, out_root: str | Path) -> tuple[Path, str]:
     """Write report.txt and report.json under <out_root>/<timestamp>-<hash>/.
 
     Returns the directory and the text body (report.txt without its timing
-    block); the body is hashed and rendered once.
+    block); the body is built, hashed and rendered once. A directory that
+    already exists (the same content in the same second) gets the first
+    free suffix -1, -2, ...
     """
     meta = report.run_meta()
-    digest = report.content_hash()
+    body = report.body_dict()
+    digest = report.content_hash(body)
     text = _text_body(report, digest)
     stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
     name = f"{stamp}-{digest}"
-    out_dir = Path(out_root) / name
-    suffix = 0
-    while out_dir.exists():  # same second, same content: disambiguate
-        suffix += 1
-        out_dir = Path(out_root) / f"{name}-{suffix}"
-    out_dir.mkdir(parents=True)
+    for suffix in itertools.count():
+        out_dir = Path(out_root) / (f"{name}-{suffix}" if suffix else name)
+        try:
+            out_dir.mkdir(parents=True)
+            break
+        except FileExistsError:  # same second, same content: disambiguate
+            continue
     (out_dir / "report.json").write_text(
-        json.dumps({"report": report.body_dict(), "run_meta": meta}, indent=2, sort_keys=True)
-        + "\n"
+        json.dumps({"report": body, "run_meta": meta}, indent=2, sort_keys=True) + "\n"
     )
     timing_lines = ["timings (excluded from content hash):"]
     for cid, secs in meta["wall_time_s"].items():

@@ -93,12 +93,13 @@ def signed_letters(letters: Sequence[int]) -> list[int]:
 
 
 def ball_size(alphabet_size: int, radius: int) -> int:
-    """Closed-form count of reduced words of length <= radius."""
+    """Closed-form count of reduced words of length <= radius.
+
+    A ball past MAX_BALL_WORDS is refused with the ValueError of
+    enumerate_ball, from a bounded count, before any power is formed.
+    """
     m, length = alphabet_size, radius
-    if m < 1:
-        raise ValueError("alphabet size must be >= 1")
-    if length < 0:
-        raise ValueError("radius must be >= 0")
+    _bounded_size(m, length)
     if m == 1:
         return 2 * length + 1
     q = 2 * m - 1
@@ -181,11 +182,19 @@ def words_over(letters: Iterable[int], radius: int) -> list[Word]:
     """Reduced words of length <= radius over the given 0-based letters, in
     (length, lex) order; a repeated letter counts once.
 
-    Raises ValueError when the count passes MAX_BALL_WORDS.
+    Raises ValueError when the count passes MAX_BALL_WORDS; an alphabet
+    past it is refused once its distinct letters are counted that far.
     """
-    letters = set(letters)
-    expected = _bounded_size(len(letters), radius)
-    codes = signed_letters(letters)
+    distinct: set[int] = set()
+    for x in letters:
+        distinct.add(x)
+        if 2 * len(distinct) > MAX_BALL_WORDS:
+            raise ValueError(
+                f"alphabet of rank at least {len(distinct)} has at least "
+                f"{2 * len(distinct)} signed letters (limit {MAX_BALL_WORDS})"
+            )
+    expected = _bounded_size(len(distinct), radius)
+    codes = signed_letters(distinct)
     words = [IDENTITY]
     frontier = words
     for _ in range(radius):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import resource
@@ -480,6 +481,96 @@ def test_construct_params_help_lists_every_key(capsys):
         assert name in out
         for key, value in defaults.items():
             assert f"{key}={value}" in out
+
+
+#: Per command: a valid argv, then usage errors: a missing required option,
+#: a bad choices value, a bad int, an unknown option and, with a required
+#: option missing, an abbreviated valid option.
+PARSE_CASES = {
+    "classify": (
+        ["--group", "cyclic:6", "--subset", "0", "--kap", "3"],
+        [
+            ["--group", "cyclic:6", "--subset", "0"],
+            ["--group", "cyclic:6", "--subset", "0", "--kappa", "3", "--variant", "nope"],
+            ["--group", "cyclic:6", "--subset", "0", "--kappa", "x"],
+            ["--group", "cyclic:6", "--subset", "0", "--kappa", "3", "--bogus", "1"],
+            ["--kap", "3"],
+        ],
+    ),
+    "construct": (
+        ["--cons", "thm3", "--params", "m=2", "--rad", "3"],
+        [
+            ["--radius", "3"],
+            ["--construction", "nope"],
+            ["--construction", "thm3", "--radius", "x"],
+            ["--construction", "thm3", "--bogus"],
+            ["--rad", "3"],
+        ],
+    ),
+    "search": (
+        ["--group", "cyclic:6", "--kappa", "3", "--mode", "res-left", "--node", "9"],
+        [
+            ["--group", "cyclic:6", "--kappa", "3"],
+            ["--group", "cyclic:6", "--kappa", "3", "--mode", "nope"],
+            ["--group", "cyclic:6", "--kappa", "3", "--mode", "two-thick", "--cells", "x"],
+            ["--group", "cyclic:6", "--kappa", "3", "--mode", "res-left", "--bogus"],
+            ["--kap", "3", "--mode", "res-left"],
+        ],
+    ),
+    "verify": (
+        ["--su", "s-set", "--node", "9"],
+        [
+            ["--node-budget", "9"],
+            ["--suite", "nope"],
+            ["--suite", "s-set", "--node-budget", "x"],
+            ["--suite", "s-set", "--bogus"],
+            ["--node", "9"],
+        ],
+    ),
+}
+HELP = [["--help"], ["-h"], ["--h"]]
+FULL_PARSER_CASES = [[], ["nope"], *HELP] + [
+    [name, *tail] for name, (_, errors) in PARSE_CASES.items() for tail in HELP + errors
+]
+
+
+@pytest.mark.parametrize("argv", FULL_PARSER_CASES, ids=" ".join)
+def test_help_and_usage_errors_are_the_full_parsers(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a parse that wrongly succeeds writes its report here
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as full:
+        cli._build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (got.out, got.err, code) == (want.out, want.err, full.value.code)
+    assert want.out or want.err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("name", PARSE_CASES)
+def test_lean_parse_of_a_valid_command_matches_the_full_parse(name):
+    argv = [name, *PARSE_CASES[name][0]]
+    assert vars(cli._parse_args(argv)) == vars(cli._build_parser().parse_args(argv))
+
+
+def test_main_builds_only_the_named_subparser_per_call(tmp_path, capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    argv = ["classify", "--group", "cyclic:6", "--subset", "0,1,2", "--kappa", "3"]
+    assert run_cli(argv, tmp_path) == 0
+    assert built == ["classify"]
+    assert run_cli(argv, tmp_path) == 0  # built again: no parser outlives a call
+    assert built == ["classify"] * 2
+    # help is printed by the full parser, built after the lean one
+    assert main(["classify", "--h"]) == 0
+    assert built == ["classify"] * 3 + list(cli._COMMANDS)
+    capsys.readouterr()
 
 
 def test_file_group_spec(tmp_path, capsys):

@@ -106,10 +106,12 @@ def test_ball_small_examples():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("radius", range(9))
 def test_ball_matches_closed_form(m, radius):
-    # grid capped at 200k words to keep the sweep CI-sized
-    if ball_size(m, radius) > 200_000:
+    # grid capped at 200k words to keep the sweep CI-sized; the cap reads a
+    # per-length sum, since ball_size refuses a ball past MAX_BALL_WORDS
+    size = 1 + sum(2 * m * (2 * m - 1) ** (k - 1) for k in range(1, radius + 1))
+    if size > 200_000:
         pytest.skip("ball too large for the unit grid")
-    assert enumerate_ball(m, radius).size == ball_size(m, radius)
+    assert enumerate_ball(m, radius).size == ball_size(m, radius) == size
 
 
 def test_ball_index_order_and_lookup():
@@ -124,9 +126,12 @@ def test_ball_index_order_and_lookup():
 
 def test_ball_size_limit():
     # 7,686,401 words and 1,457**2 = 2,122,849 tuples, both over MAX_BALL_WORDS;
-    # each is refused from its count, before the big ball or product is built
+    # each is refused from its count, before the big ball or product is built;
+    # ball_size refuses that ball too
     with pytest.raises(ValueError, match="limit 2000000"):
         enumerate_ball(4, 8)
+    with pytest.raises(ValueError, match=r"radius 8 has 7686401 words \(limit 2000000\)"):
+        ball_size(4, 8)
     with pytest.raises(ValueError, match="limit 2000000"):
         enumerate_ds_ball((2, 2), 6)
 
@@ -139,11 +144,13 @@ def cap_memory():
 
 #: Prints the error of each builder call at a radius or rank of 10**20.
 HUGE_CALLS = """
-from kappasets.words import enumerate_ball, words_over
+from kappasets.words import ball_size, enumerate_ball, words_over
 for call in (
     lambda: words_over([0, 1], 10**20),
     lambda: enumerate_ball(1, 10**20),
     lambda: enumerate_ball(10**20, 0),
+    lambda: words_over(range(10**20), 1),
+    lambda: ball_size(2, 10**20),
 ):
     try:
         call()
@@ -154,8 +161,9 @@ for call in (
 
 def test_huge_radius_or_rank_is_refused_from_a_bounded_count():
     # the count stops at the first length past the limit, before any power
-    # of 2m-1 to the radius is formed, and the 2m signed letters are bounded
-    # before range(m) becomes a letter set; a child with a timeout turns a
+    # of 2m-1 to the radius is formed, the 2m signed letters are bounded
+    # before range(m) becomes a letter set, and words_over counts distinct
+    # letters only up to the limit; a child with a timeout turns a
     # regression into a failure rather than a hang
     got = subprocess.run(
         [sys.executable, "-c", HUGE_CALLS], capture_output=True, text=True, timeout=30,
@@ -167,6 +175,8 @@ def test_huge_radius_or_rank_is_refused_from_a_bounded_count():
         f"ball of rank 2, radius {huge} has at least 3188645 words (limit 2000000)",
         f"ball of rank 1, radius {huge} has at least 2000001 words (limit 2000000)",
         f"alphabet of rank {huge} has {2 * huge} signed letters (limit 2000000)",
+        "alphabet of rank at least 1000001 has at least 2000002 signed letters (limit 2000000)",
+        f"ball of rank 2, radius {huge} has at least 3188645 words (limit 2000000)",
     ]
 
 
