@@ -4,9 +4,10 @@ Every run prints a structured text report and writes text + JSON twins to
 an output directory. Exit codes: 0 all pass, 1 claim failure, 2 usage
 error, 3 inconclusive (node budget).
 
-A valid command builds only its own subparser. A help request or a usage
-error falls back to the full parser, which prints every usage line and
-help text; the one-subparser parser prints nothing of its own.
+A valid command builds only its own subparser, and that parser also prints
+the help and usage errors: its command metavar names every command, so its
+usage lines are the full parser's. An unknown or missing command goes to the
+full parser.
 """
 
 from __future__ import annotations
@@ -49,17 +50,25 @@ class UsageError(ValueError):
 
 
 def _parse_subset(G: GroupTable, text: str) -> Subset:
-    """Comma-separated element indices or labels."""
-    items = [t.strip() for t in text.split(",") if t.strip()]
+    """Comma-separated element indices or labels. Only a comma outside
+    parentheses separates, so a product label such as (0,1) is one item. A
+    digit string in range is an index; any other item must be a label."""
+    items, depth, start = [], 0, 0
+    for j, ch in enumerate(text + ","):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            items.append(text[start:j].strip())
+            start = j + 1
     indices = []
     label_index = {lab: i for i, lab in enumerate(G.labels)}
-    for item in items:
-        if item.lstrip("-").isdigit():
+    for item in filter(None, items):
+        is_index = item.lstrip("-").isdigit()
+        if is_index and 0 <= int(item) < G.order:
             i = int(item)
-            if not 0 <= i < G.order:
-                raise UsageError(f"element index {i} out of range for order {G.order}")
         elif item in label_index:
             i = label_index[item]
+        elif is_index:
+            raise UsageError(f"element index {int(item)} out of range for order {G.order}")
         else:
             raise UsageError(f"unknown element {item!r}")
         indices.append(i)
@@ -183,7 +192,7 @@ def _render_small(v: cl.SizeVerdict) -> str:
     return "" if v.verdict else f"failing large L={v.witness}"
 
 
-def cmd_classify(args) -> RunReport:
+def cmd_classify(args, rep: RunReport) -> None:
     G = build_group(args.group, max_order=args.max_order)
     A = _parse_subset(G, args.subset)
     kappa = args.kappa
@@ -194,7 +203,6 @@ def cmd_classify(args) -> RunReport:
     if len(set(sides)) < len(sides):
         raise UsageError(f"a side is repeated in --sides {args.sides}")
     variants = list(cl.VARIANTS) if args.variant == "both" else [args.variant]
-    rep = RunReport(command=_echo(args))
     for side in sides:
         _timed(
             rep,
@@ -217,15 +225,15 @@ def cmd_classify(args) -> RunReport:
             f"{side} {kappa}-small: removing A keeps every {side} {kappa}-large set large",
             lambda: _verdict(is_small(G, A, kappa, side, node_budget=budget), _render_small),
         )
-    return rep
 
 
-# -- constructions: name -> (parameter defaults, rank, builder) -------------------
-# A builder takes the merged parameters and the --radius value (None when not
-# given) and returns (anchor, detail, cells). The alphabet size, which an
-# adversary is read against before the build, is the m parameter, or else the
-# fixed rank; a rank of None takes no adversary. A partition is verified once,
-# by its constructor, on the ball of the radius it is given.
+# -- constructions: name -> (parameter defaults, rank, radius, builder) -----------
+# A builder takes the merged parameters and the radius (--radius, or else the
+# row's default) and returns (anchor, detail, cells). A radius of None builds
+# no ball and takes no --radius. The alphabet size, which an adversary is read
+# against before the build, is the m parameter, or else the fixed rank; a rank
+# of None takes no adversary. A partition is verified once, by its
+# constructor, on the ball of the radius it is given.
 
 
 def _verified(part: Partition, radius: int) -> tuple:
@@ -233,44 +241,37 @@ def _verified(part: Partition, radius: int) -> tuple:
     return part.provenance, detail, part.cells
 
 
-def _build_s_set(p: dict[str, str], radius: int | None) -> tuple:
+def _build_s_set(p: dict[str, str], radius: int) -> tuple:
     m = _rank_arg(p["m"], "s-set parameter m")
     pred = s_set(m, _one_letter(p["letter"], m))
-    radius = 6 if radius is None else radius
     ball = enumerate_ball(m, radius)
     members = sum(1 for w in ball.words if pred(w))
     detail = f"{members} of {ball.size} radius-{radius} words are members"
     return f"endpoint-marked set on {m} letters", detail, (pred,)
 
 
-def _build_thm3(p: dict[str, str], radius: int | None) -> tuple:
+def _build_thm3(p: dict[str, str], radius: int) -> tuple:
     m = _rank_arg(p["m"], "thm3 parameter m")
-    radius = 5 if radius is None else radius
     part = thm3_partition(m, _letters_arg(p["a1"], m), check_radius=radius)
     detail = f"partition verified on the radius-{radius} ball ({ball_size(m, radius)} words)"
     return "two-cell last-letter split", detail, part.cells
 
 
-def _build_split3(p: dict[str, str], radius: int | None) -> tuple:
+def _build_split3(p: dict[str, str], radius: int) -> tuple:
     m = _rank_arg(p["m"], "c1-split3 parameter m")
-    radius = 5 if radius is None else radius
     a1, a2, a3 = (_letters_arg(p[k], m) for k in ("a1", "a2", "a3"))
     return _verified(split3_partition(m, a1, a2, a3, check_radius=radius), radius)
 
 
-def _build_rank2(p: dict[str, str], radius: int | None) -> tuple:
-    radius = 8 if radius is None else radius
+def _build_rank2(p: dict[str, str], radius: int) -> tuple:
     return _verified(rank2_partition(check_radius=radius), radius)
 
 
-def _build_rank1(p: dict[str, str], radius: int | None) -> tuple:
-    radius = 32 if radius is None else radius
+def _build_rank1(p: dict[str, str], radius: int) -> tuple:
     return _verified(rank1_partition(check_radius=radius), radius)
 
 
-def _build_c2_ds(p: dict[str, str], radius: int | None) -> tuple:
-    if radius is not None:
-        raise UsageError("c2-ds builds no ball and takes no --radius")
+def _build_c2_ds(p: dict[str, str], radius: None) -> tuple:
     entry = "an entry of c2-ds parameter alphabets"
     sizes = tuple(_rank_arg(x, entry) for x in p["alphabets"].split(","))
     given = p["marks"].split(",")
@@ -286,19 +287,19 @@ def _build_c2_ds(p: dict[str, str], radius: int | None) -> tuple:
 
 
 _CONSTRUCTIONS = {
-    "s-set": ({"m": "2", "letter": "a"}, None, _build_s_set),
-    "thm3": ({"m": "4", "a1": "a,b"}, None, _build_thm3),
-    "c1-split3": ({"m": "3", "a1": "a", "a2": "b", "a3": "c"}, None, _build_split3),
-    "c1-rank2": ({}, 2, _build_rank2),
-    "c1-rank1": ({}, 1, _build_rank1),
-    "c2-ds": ({"alphabets": "2,2,2", "marks": "a,a,a"}, None, _build_c2_ds),
+    "s-set": ({"m": "2", "letter": "a"}, None, 6, _build_s_set),
+    "thm3": ({"m": "4", "a1": "a,b"}, None, 5, _build_thm3),
+    "c1-split3": ({"m": "3", "a1": "a", "a2": "b", "a3": "c"}, None, 5, _build_split3),
+    "c1-rank2": ({}, 2, 8, _build_rank2),
+    "c1-rank1": ({}, 1, 32, _build_rank1),
+    "c2-ds": ({"alphabets": "2,2,2", "marks": "a,a,a"}, None, None, _build_c2_ds),
 }
 
 
 def _params_help() -> str:
     keys = "; ".join(
         f"{name}: {' '.join(f'{k}={v}' for k, v in defaults.items()) or 'none'}"
-        for name, (defaults, _, _) in _CONSTRUCTIONS.items()
+        for name, (defaults, *_) in _CONSTRUCTIONS.items()
     )
     return f"key=value parameters, with these keys and defaults: {keys}"
 
@@ -312,19 +313,22 @@ def _scan_adversary(ball, H: list, cell) -> tuple[str, str, int]:
     return "pass", f"uncovered witness {format_word(w)}", 0
 
 
-def cmd_construct(args) -> RunReport:
+def cmd_construct(args, rep: RunReport) -> None:
     name = args.construction
-    defaults, rank, build = _CONSTRUCTIONS[name]
+    defaults, rank, radius, build = _CONSTRUCTIONS[name]
     params = _read_pairs(args.params or [], defaults, f"{name} parameter")
     if args.adversary is not None:  # read before the build, which may be long
         m = _rank_arg(params["m"], f"{name} parameter m") if "m" in params else rank
         if m is None:
             raise UsageError(f"{name} takes no --adversary")
         H = _parse_adversary(args.adversary, m)
-    rep = RunReport(command=_echo(args))
+    if args.radius is not None:
+        if radius is None:
+            raise UsageError(f"{name} builds no ball and takes no --radius")
+        radius = args.radius
     # the anchor comes out of the builder, so this claim is timed here
     t0 = time.perf_counter()
-    anchor, detail, cells = build(params, args.radius)
+    anchor, detail, cells = build(params, radius)
     rep.claims.append(
         ClaimRecord(f"construct.{name}", anchor, "pass", detail, 0, time.perf_counter() - t0)
     )
@@ -337,14 +341,12 @@ def cmd_construct(args) -> RunReport:
                 f"cell {i} vs adversary ({len(H)} words)",
                 lambda: _scan_adversary(scan_ball, H, cell),
             )
-    return rep
 
 
-def cmd_search(args) -> RunReport:
+def cmd_search(args, rep: RunReport) -> None:
     if args.variant is not None and args.mode != "two-thick":
         raise UsageError(f"{args.mode} takes no --variant; only two-thick reads it")
     G = build_group(args.group, max_order=args.max_order)
-    rep = RunReport(command=_echo(args))
     kappa, budget = args.kappa, args.node_budget
     if args.mode in ("res-left", "res-both"):
         if args.cells is not None:
@@ -380,17 +382,10 @@ def cmd_search(args) -> RunReport:
             return status, detail, out.nodes
 
     _timed(rep, f"search.{args.mode}", anchor, run)
-    return rep
 
 
-def cmd_verify(args) -> RunReport:
-    rep = RunReport(command=_echo(args))
+def cmd_verify(args, rep: RunReport) -> None:
     rep.claims.extend(run_suite(args.suite, args.node_budget))
-    return rep
-
-
-def _echo(args) -> str:
-    return " ".join(args._argv)
 
 
 def _add_common(sp, *options) -> None:
@@ -463,28 +458,21 @@ _COMMANDS = {
 }
 
 
-class _Fallback(Exception):
-    """A lean parse met a help request or an error, which it never prints."""
-
-
-class _LeanParser(argparse.ArgumentParser):
-    """A parser that prints nothing: help and errors raise _Fallback."""
-
-    def print_help(self, file=None):
-        raise _Fallback
-
-    def error(self, message):
-        raise _Fallback
-
-
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser or, for a command, a _LeanParser with its subparser alone."""
-    p = (argparse.ArgumentParser if command is None else _LeanParser)(
+    """The full parser or, for a command, a parser with its subparser alone.
+
+    The one-subparser parser names every command in its metavar, so its
+    usage lines, help and errors are the full parser's. The full parser
+    keeps the default metavar: its missing-command error names the action
+    by it ("required: command").
+    """
+    p = argparse.ArgumentParser(
         prog="kappasets",
         description="size combinatorics of group subsets: exact classifiers, "
         "constructions, partition searches, verification suites",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, add in _COMMANDS.items():
         if command in (None, name):
             add(sub)
@@ -492,15 +480,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the one subparser that argv[0] names. Help, errors and
-    an unknown or missing command go to the full parser, so its usage lines,
-    help text and exit codes are the only ones printed."""
-    if argv and argv[0] in _COMMANDS:
-        try:
-            return _build_parser(argv[0]).parse_args(argv)
-        except _Fallback:
-            pass
-    return _build_parser().parse_args(argv)
+    """argv parsed by the one subparser that argv[0] names, or by the full
+    parser when argv[0] names no command."""
+    return _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -509,9 +491,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
-    args._argv = ["kappasets"] + argv
+    rep = RunReport(command=" ".join(["kappasets", *argv]))
     try:
-        rep = args.fn(args)
+        args.fn(args, rep)
     except (UsageError, GroupSpecError, WordSyntaxError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

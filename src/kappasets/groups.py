@@ -162,7 +162,8 @@ def check_kappa(G: GroupTable, kappa: int) -> None:
 # -- table construction --------------------------------------------------------
 
 
-def _check_table(mul: list[list[int]]) -> None:
+def _check_table(mul: list[list[int]]) -> list[int]:
+    """The inverse table of mul, which must satisfy the group axioms."""
     n = len(mul)
     rng = list(range(n))
     for g, row in enumerate(mul):
@@ -174,8 +175,9 @@ def _check_table(mul: list[list[int]]) -> None:
             raise GroupAxiomError(f"column {h} is not a permutation of 0..{n - 1}")
     if any(mul[0][x] != x or mul[x][0] != x for x in range(n)):
         raise GroupAxiomError("element 0 is not a two-sided identity")
-    for g in range(n):
-        if not any(mul[g][h] == 0 and mul[h][g] == 0 for h in range(n)):
+    inv = [row.index(0) for row in mul]  # each row is a permutation by now
+    for g, h in enumerate(inv):
+        if mul[h][g] != 0:
             raise GroupAxiomError(f"element {g} has no two-sided inverse")
     # Light's test: the elements a with (x*a)*y == x*(a*y) for all x, y are
     # closed under products, so checking a generating set is exact
@@ -187,6 +189,7 @@ def _check_table(mul: list[list[int]]) -> None:
             for y in range(n):
                 if row_xa[y] != row_x[row_a[y]]:
                     raise GroupAxiomError(f"associativity fails at ({x},{a},{y})")
+    return inv
 
 
 def _generators(mul: list[list[int]]) -> list[int]:
@@ -208,22 +211,13 @@ def _generators(mul: list[list[int]]) -> list[int]:
     return gens
 
 
-def _inverse_table(mul: list[list[int]]) -> list[int]:
-    n = len(mul)
-    inv = [0] * n
-    for g in range(n):
-        inv[g] = next(h for h in range(n) if mul[g][h] == 0)
-    return inv
-
-
 def _finish(spec: str, mul: list[list[int]], labels: list[str], max_order: int) -> GroupTable:
     n = len(mul)
     if n == 0:
         raise GroupSpecError("empty group table")
     if n > max_order:
         raise GroupSpecError(f"order {n} exceeds the configured maximum {max_order}")
-    _check_table(mul)
-    inv = _inverse_table(mul)
+    inv = _check_table(mul)
     return GroupTable(
         spec=spec,
         order=n,

@@ -93,24 +93,14 @@ def signed_letters(letters: Sequence[int]) -> list[int]:
 
 
 def ball_size(alphabet_size: int, radius: int) -> int:
-    """Closed-form count of reduced words of length <= radius.
+    """Count of reduced words of length <= radius, one length at a time.
 
-    A ball past MAX_BALL_WORDS is refused with the ValueError of
-    enumerate_ball, from a bounded count, before any power is formed.
+    Raises the ValueError of enumerate_ball at the first length whose
+    running count passes MAX_BALL_WORDS, so no power past the limit is
+    formed. The 2m signed letters, which the builder forms at every radius,
+    must fit the limit too.
     """
-    m, length = alphabet_size, radius
-    _bounded_size(m, length)
-    if m == 1:
-        return 2 * length + 1
-    q = 2 * m - 1
-    return 1 + 2 * m * (q**length - 1) // (q - 1)
-
-
-def _bounded_size(m: int, radius: int) -> int:
-    """ball_size(m, radius), counted one length at a time and refused with
-    ValueError at the first length whose running count passes
-    MAX_BALL_WORDS, so no power past the limit is formed. The 2m signed
-    letters, which the builder forms at every radius, must fit it too."""
+    m = alphabet_size
     if m < 1:
         raise ValueError("alphabet size must be >= 1")
     if radius < 0:
@@ -174,7 +164,7 @@ def enumerate_ball(alphabet_size: int, radius: int) -> Ball:
     Raises ValueError when the alphabet or the ball passes MAX_BALL_WORDS,
     before any letter set is built.
     """
-    _bounded_size(alphabet_size, radius)
+    ball_size(alphabet_size, radius)
     return Ball(alphabet_size, radius, words_over(range(alphabet_size), radius))
 
 
@@ -193,7 +183,7 @@ def words_over(letters: Iterable[int], radius: int) -> list[Word]:
                 f"alphabet of rank at least {len(distinct)} has at least "
                 f"{2 * len(distinct)} signed letters (limit {MAX_BALL_WORDS})"
             )
-    expected = _bounded_size(len(distinct), radius)
+    expected = ball_size(len(distinct), radius)
     codes = signed_letters(distinct)
     words = [IDENTITY]
     frontier = words

@@ -51,3 +51,28 @@ def test_res_tables_refuses_a_negative_budget():
     err = run_script("res_tables.py", ["--groups", "cyclic:4", "--node-budget", "-1"], returncode=2)
     assert "error: node budget must be >= 0, got -1" in err
     assert "Traceback" not in err
+
+
+CODE_LINES_FIXTURE = '''\
+"""Module docstring,
+on two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+def f():
+    """Function docstring."""
+    # another comment
+    return os.sep
+'''
+
+
+def test_code_lines_skips_comments_and_docstrings(tmp_path):
+    (tmp_path / "fixture.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "two.py").write_text("x = 1\n\n# y = 2\ny = [\n]\n")
+    lines = run_script("code_lines.py", [str(tmp_path)]).splitlines()
+    counts = {Path(path).name: int(n) for n, path in (line.split() for line in lines[:-1])}
+    assert counts == {"fixture.py": 3, "two.py": 3}
+    assert lines[-1].split() == [str(sum(counts.values())), "total"]
