@@ -107,6 +107,15 @@ class NodeCounter:
             raise BudgetExceeded
 
 
+def charged(counter: NodeCounter, search, *args):
+    """search(*args) run on what is left of counter's budget, its nodes then
+    charged to counter. A search that runs out reports more nodes than it was
+    given, so the charge raises BudgetExceeded."""
+    got = search(*args, node_budget=counter.budget - counter.spent)
+    counter.spend(got.nodes)
+    return got
+
+
 def check_side(side: str) -> None:
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")

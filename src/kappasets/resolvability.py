@@ -34,6 +34,7 @@ from .classify import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     NodeCounter,
+    charged,
     check_variant,
     is_large,
     is_thick,
@@ -168,14 +169,18 @@ def _probe(
 ) -> Partition | None:
     """First partition of G, in canonical order, into t cells that all meet
     target (a res constraint or one of PROBE_TARGETS), re-verified through
-    the public classifiers; None when no such partition exists. Raises
-    BudgetExceeded when counter runs out. Only all-thick reads variant.
+    the public classifiers on counter's budget; None when no such partition
+    exists. Raises BudgetExceeded when counter runs out. Only all-thick reads
+    variant.
 
     t = 1 is answered, not searched: G is large via F = {identity} and holds
-    every translate, so {G} meets every target but all-non-large.
+    every translate, so {G} meets every res target. Only res_search asks
+    for it, and reports it after the budget is spent, so its re-check runs on
+    a counter of its own that the claim does not count.
     """
     n = G.order
     limit = kappa - 1
+    recheck = counter if t > 1 else NodeCounter(DEFAULT_NODE_BUDGET)
     partial_ok = None
     if target == "all-thick":
 
@@ -189,7 +194,7 @@ def _probe(
             return not any(_cell_large(G, m, limit, "left", counter) for m in outside)
 
         def verify(cell: Subset) -> bool:
-            return is_thick(G, cell, kappa, "left", variant).verdict
+            return charged(recheck, is_thick, G, cell, kappa, "left", variant).verdict
 
         min_cell = limit
     elif target == "all-non-large":
@@ -201,7 +206,7 @@ def _probe(
             return cell_ok(cells[j])
 
         def verify(cell: Subset) -> bool:
-            return not is_large(G, cell, kappa, "left").verdict
+            return not charged(recheck, is_large, G, cell, kappa, "left").verdict
 
         min_cell = 1
     else:
@@ -211,12 +216,15 @@ def _probe(
             return _cell_large(G, mask, limit, mode, counter)
 
         def verify(cell: Subset) -> bool:
-            return all(is_large(G, cell, kappa, side).verdict for side in mode.split("+"))
+            return all(
+                charged(recheck, is_large, G, cell, kappa, side).verdict
+                for side in mode.split("+")
+            )
 
         min_cell = -(-n // limit)  # ceil(n / (kappa-1))
 
     if t == 1:
-        got = None if target == "all-non-large" else [G.full_mask]
+        got = [G.full_mask]
     else:
         got = _search_exact_cells(G, t, min_cell, counter, cell_ok, partial_ok)
     if got is None:

@@ -24,6 +24,7 @@ from .classify import (
     CoverDecomposition,
     NodeCounter,
     ball_uncovered_witness,
+    charged,
     is_thick,
     thick_to_large_witness,
 )
@@ -93,15 +94,6 @@ Check = Callable[[NodeCounter], tuple[bool, str]]
 Claim = tuple[str, str, Check]
 
 
-def _charged(counter: NodeCounter, search, *args):
-    """search(*args) run on what is left of counter's budget, its nodes then
-    charged to counter. A search that runs out reports more nodes than it was
-    given, so the charge raises BudgetExceeded."""
-    got = search(*args, node_budget=counter.budget - counter.spent)
-    counter.spend(got.nodes)
-    return got
-
-
 def _grid(
     prefix: str, anchor: str, check: Callable[[GroupTable, NodeCounter], tuple[bool, str]]
 ) -> tuple[Claim, ...]:
@@ -161,8 +153,8 @@ def _check_variant_chain(G: GroupTable, counter: NodeCounter) -> tuple[bool, str
 def _check_divergence(counter: NodeCounter) -> tuple[bool, str]:
     G = grid_group("cyclic:2")
     A = Subset.from_indices(2, [1])
-    va = _charged(counter, is_thick, G, A, 2, "left", "witness-in-A")
-    vg = _charged(counter, is_thick, G, A, 2, "left", "witness-in-G")
+    va = charged(counter, is_thick, G, A, 2, "left", "witness-in-A")
+    vg = charged(counter, is_thick, G, A, 2, "left", "witness-in-G")
     ok = va.verdict is False and vg.verdict is True and va.witness == Subset.from_indices(2, [1])
     return ok, (
         f"cyclic:2 A={{1}} kappa=2: in-A={va.verdict} (failing F={va.witness}), in-G={vg.verdict}"
@@ -571,7 +563,7 @@ def _check_res_oracle(counter: NodeCounter) -> tuple[bool, str]:
                 if both_ok:
                     best["left+right"] = max(best["left+right"], len(parts))
             for mode in ("left", "left+right"):
-                got = _charged(counter, res_search, G, kappa, mode)
+                got = charged(counter, res_search, G, kappa, mode)
                 if got.cells != best[mode] or not got.optimal:
                     return False, (
                         f"mismatch at {spec} kappa={kappa} mode={mode}: "
@@ -588,7 +580,7 @@ def _check_res_pinned(counter: NodeCounter) -> tuple[bool, str]:
         ("cyclic:6", 4, 3),
     )
     for spec, kappa, cells in expected:
-        got = _charged(counter, res_search, grid_group(spec), kappa, "left")
+        got = charged(counter, res_search, grid_group(spec), kappa, "left")
         if got.cells != cells or not got.optimal:
             return False, f"res({spec}, kappa={kappa}) = {got.cells}, expected {cells}"
     return True, "pinned values: res(cyclic:4,3)=2, res(cyclic:4,2)=1, res(cyclic:6,4)=3"
@@ -596,12 +588,12 @@ def _check_res_pinned(counter: NodeCounter) -> tuple[bool, str]:
 
 def _check_two_thick_probe(counter: NodeCounter) -> tuple[bool, str]:
     G = grid_group("cyclic:6")
-    got = _charged(counter, partition_search, G, 3, 2, "all-thick")
+    got = charged(counter, partition_search, G, 3, 2, "all-thick")
     if got.found is None or not got.exhaustive:
         return False, "no two-cell all-thick partition found"
     cells = tuple(cell.indices() for cell in got.found.cells)
     for cell in got.found.cells:
-        if not _charged(counter, is_thick, G, cell, 3, "left", "witness-in-G").verdict:
+        if not charged(counter, is_thick, G, cell, 3, "left", "witness-in-G").verdict:
             return False, f"cell {cell} failed thickness re-verification"
     if cells != ((0, 1, 3), (2, 4, 5)):
         return False, f"non-canonical probe outcome {cells}"
@@ -748,13 +740,18 @@ SUITES: dict[str, tuple[Claim, ...]] = {
 def run_suite(name: str, node_budget: int = DEFAULT_NODE_BUDGET) -> list[ClaimRecord]:
     """The records of the named suite's claims, or of every suite's for
     "all", in table order. Each claim spends from its own counter of
-    node_budget nodes and is inconclusive when that runs out."""
+    node_budget nodes and is inconclusive when that runs out.
+
+    The grid tables, and the classify caches on them, are built afresh for
+    each run and shared only within it, so the records do not depend on
+    what ran before in the process."""
     if name == "all":
         claims = [claim for suite in SUITES.values() for claim in suite]
     elif name in SUITES:
         claims = SUITES[name]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from all, {', '.join(SUITES)}")
+    grid_group.cache_clear()
     records = []
     for claim_id, anchor, check in claims:
         counter = NodeCounter(node_budget)

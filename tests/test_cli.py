@@ -310,6 +310,33 @@ def test_verify_honours_the_node_budget(budget, code, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("budget,code", [(285, 3), (286, 0)])
+def test_search_recheck_spends_from_the_budget(budget, code, tmp_path, capsys):
+    # the found partition's re-check through is_thick is charged to the
+    # claim: the search finds it within 154 nodes, the re-check spends the rest
+    argv = ["search", "--group", "cyclic:12", "--kappa", "3", "--mode", "two-thick",
+            "--node-budget", str(budget)]
+    got_code, claims = claim_outcomes(tmp_path, argv)
+    assert got_code == code
+    assert claims == [("search.two-thick", "pass" if code == 0 else "inconclusive", 286)]
+    capsys.readouterr()
+
+
+def report_text(argv, tmp_path, capsys):
+    """What one in-process command prints, but the line naming its run directory."""
+    run_cli(argv, tmp_path)
+    lines = capsys.readouterr().out.splitlines()
+    return [line for line in lines if not line.startswith("report written to")]
+
+
+def test_verify_body_does_not_depend_on_earlier_runs(tmp_path, capsys):
+    meets = ["verify", "--suite", "meets"]
+    alone = report_text(meets, tmp_path, capsys)
+    assert report_text(meets, tmp_path, capsys) == alone
+    report_text(["verify", "--suite", "duality"], tmp_path, capsys)
+    assert report_text(meets, tmp_path, capsys) == alone
+
+
 def test_verify_suite_exit_zero(tmp_path, capsys):
     code = run_cli(["verify", "--suite", "thm3"], tmp_path)
     assert code == 0

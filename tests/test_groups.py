@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 from pathlib import Path
 
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from kappasets.groups import (
     GroupAxiomError,
     GroupSpecError,
+    NormalityVerdict,
     Subset,
     build_group,
     check_kappa,
     conjugacy_class,
     is_kappa_normal,
+    mask_of,
     normal_closure,
     product_set,
     subset_inverse,
@@ -308,3 +311,45 @@ def test_kappa_normal_verdict_is_verified(spec, kappa):
     if not got.is_normal:
         assert got.counterexample.size <= kappa - 1
         assert normal_closure(G, got.counterexample).size >= kappa
+
+
+def normal_subgroups(G):
+    """Every nonempty subset closed under products and conjugation, by plain
+    enumeration (in a finite group such a set is a normal subgroup)."""
+    n = G.order
+    out = []
+    for m in range(1, 1 << n):
+        S = Subset(n, m)
+        if all(G.mul[a][b] in S for a in S for b in S) and all(
+            G.conj(g, x) in S for g in range(n) for x in S
+        ):
+            out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS)
+def test_normal_closure_and_kappa_normality_by_the_definitions(spec):
+    G = build_group(spec)
+    n = G.order
+    normals = normal_subgroups(G)
+    for m in range(1 << n):
+        over = [N for N in normals if m & ~N == 0]
+        least = normal_closure(G, Subset(n, m)).mask
+        assert least in over and all(least & ~N == 0 for N in over)
+    for kappa in range(2, n + 1):
+        small = [N for N in normals if N.bit_count() < kappa]
+        first = next(
+            (
+                F
+                for size in range(1, kappa)
+                for F in itertools.combinations(range(n), size)
+                if not any(mask_of(F) & ~N == 0 for N in small)
+            ),
+            None,
+        )
+        got = is_kappa_normal(G, kappa)
+        if first is None:
+            assert got == NormalityVerdict(True)
+        else:
+            F = Subset.from_indices(n, first)
+            assert got == NormalityVerdict(False, F, normal_closure(G, F))

@@ -517,3 +517,36 @@ def environment_reads(tree):
 def test_package_reads_no_environment(path):
     # the node budget has one source, --node-budget (node_budget= in the API)
     assert environment_reads(ast.parse(path.read_text())) == []
+
+
+#: Searches that take node_budget= and report the nodes they spent.
+NESTED_SEARCHES = ("is_large", "is_thick", "is_small", "res_search", "partition_search")
+
+
+def uncharged_searches(tree):
+    """(name, line) of each use of a NESTED_SEARCHES name that is not the
+    search argument of a charged(counter, search, ...) call."""
+    charged_args = {
+        id(node.args[1])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "charged"
+        and len(node.args) >= 2
+    }
+    used = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in NESTED_SEARCHES and id(node) not in charged_args:
+            used.append((name, node.lineno))
+    return used
+
+
+@pytest.mark.parametrize(
+    "path",
+    [ROOT / "src" / "kappasets" / name for name in ("resolvability.py", "suites.py")],
+    ids=lambda p: p.name,
+)
+def test_nested_searches_spend_from_the_claims_counter(path):
+    # a search run inside another one or inside a claim is charged to its
+    # counter, so a passing claim never spends more than its budget
+    assert uncharged_searches(ast.parse(path.read_text())) == []
