@@ -14,6 +14,15 @@ in between by branch and bound on the uncovered element with the fewest
 options (the column rule of Knuth's Algorithm X), and then finds the
 lex-least cover of the optimal size by one index-order search.
 
+A translate is the sum of A's entries in one of the per-group bit rows
+rows[g][a] = 1 << g*a (left) or 1 << a*g (right), built once per group and
+side. The kernel's option lists, for each element the indices whose set
+holds it, are read off the group too, never transposed from the sets: e
+lies in f*A iff f lies in e*A^-1 (A*f: A^-1*e), so a cover's options are
+the translates of A^-1; a candidate x lies outside t[f^-1] iff f lies
+outside dom(x) = A*x^-1 (x^-1*A), so a thickness search's options are the
+complements of the dom masks it enters in the lmax table.
+
 The two-sided notions read the per-pair rows f1*A*f2, from which
 _pair_walks builds two walk tables once per subset and caches them. One
 lex-order walk, _sweep_translates, visits the F of one size and keeps a
@@ -77,6 +86,7 @@ from .groups import (
     check_kappa,
     check_partition,
     check_subset,
+    inverse_mask,
     mask_of,
     product_set,
 )
@@ -173,7 +183,7 @@ def _cache(G: GroupTable) -> dict:
     if c is None:
         c = {
             "cover": {}, "profile": {}, "pair": {},
-            "cover_size": {}, "lmax": {},
+            "cover_size": {}, "lmax": {}, "bit_rows": {},
         }
         _caches[G] = c
     return c
@@ -182,37 +192,47 @@ def _cache(G: GroupTable) -> dict:
 # -- largeness: minimal covers -------------------------------------------------
 
 
+def _bit_rows(G: GroupTable, side: str) -> list[list[int]]:
+    """rows[g][a] = 1 << g*a (left) or 1 << a*g (right), built once per
+    group and side."""
+    tables = _cache(G)["bit_rows"]
+    rows = tables.get(side)
+    if rows is None:
+        bit = [1 << g for g in range(G.order)]
+        mul = G.mul if side == "left" else list(zip(*G.mul))
+        tables[side] = rows = [list(map(bit.__getitem__, row)) for row in mul]
+    return rows
+
+
 def _translates(G: GroupTable, amask: int, side: str, at=None) -> list[int]:
-    """g*A (left) or A*g (right) for each g in at, every g by default."""
-    mul = G.mul
+    """g*A (left) or A*g (right) for each g in at, every g by default: the
+    sum of the bit rows at A's elements, which are distinct."""
+    rows = _bit_rows(G, side)
     elems = list(bits(amask))
     at = range(G.order) if at is None else at
-    if side == "left":
-        return [mask_of(map(mul[g].__getitem__, elems)) for g in at]
-    rows = [mul[a] for a in elems]
-    return [mask_of(row[g] for row in rows) for g in at]
+    return [sum(map(rows[g].__getitem__, elems)) for g in at]
 
 
 def _min_hitting(
-    n: int, covers: list[int], full: int, counter: NodeCounter
+    covers: list[int], opts: list[int], full: int, counter: NodeCounter
 ) -> tuple[int, ...] | None:
-    """(size, lex)-minimal tuple of indices f < n whose covers[f] (each a
-    subset of full) together contain full, or None when all of them
-    together do not. One node is spent per search-tree node of either phase.
+    """(size, lex)-minimal tuple of indices f whose covers[f] (each a subset
+    of full) together contain full, or None when all of them together do
+    not. opts[e], for each element e of full, is the mask of the f whose
+    covers[f] holds e; the caller reads it off the group (e*A^-1 or A^-1*e
+    for the translates of A, all f outside dom(x) for a candidate x of the
+    thickness family). One node is spent per search-tree node of either
+    phase.
     """
     if full == 0:
         return ()
+    n = len(covers)
     # dead[i]: elements with no option at index >= i
     dead = [full] * (n + 1)
     for i in range(n - 1, -1, -1):
         dead[i] = dead[i + 1] & ~covers[i]
     if dead[0]:
         return None
-    # opts[e]: bit f set when covers[f] holds element e
-    opts = [0] * full.bit_length()
-    for f, c in enumerate(covers):
-        for e in bits(c):
-            opts[e] |= 1 << f
     # greedy upper bound: the index adding most new elements, least on ties
     got = 0
     upper = 0
@@ -308,9 +328,8 @@ def _pair_walks(G: GroupTable, amask: int) -> tuple[tuple, tuple]:
     got = cache.get(amask)
     if got is None:
         n, full, inv = G.order, G.full_mask, G.inv
-        bit = [1 << g for g in range(n)]
         # f1*A*f2 is the sum of shifted[g][f2] = 1 << g*f2 over g in f1*A
-        shifted = [list(map(bit.__getitem__, row)) for row in G.mul]
+        shifted = _bit_rows(G, "left")
         elems = list(bits(amask))
         rows = [list(map(sum, zip([0] * n, *(shifted[row[a]] for a in elems)))) for row in G.mul]
         out = [list(map(full.__sub__, row)) for row in rows]
@@ -394,7 +413,9 @@ def _min_cover(
         translates = []
     else:
         translates = _translates(G, amask, side)
-        combo = _min_hitting(n, translates, G.full_mask, counter)
+        # e lies in f*A (A*f) iff f lies in e*A^-1 (A^-1*e)
+        opts = _translates(G, inverse_mask(G, amask), side)
+        combo = _min_hitting(translates, opts, G.full_mask, counter)
     if combo is None:  # pragma: no cover - a cover always exists for A != {}
         raise RuntimeError("cover search failed to terminate")
     cache[key] = result = (len(combo), combo)
@@ -459,10 +480,15 @@ def _thick_profile(
         fail = _first_empty(range(1, n), cand, walk, counter)
         doms = []
     else:
-        fail = _min_hitting(n, [cand & ~row for row in walk[0]], cand, counter)
-        # dom(x), the f with f*x (x*f) in A, is the mirror translate at x^-1
+        # dom(x), the f with f*x (x*f) in A, is the mirror translate at x^-1;
+        # x lies in cand minus t[f^-1] iff f lies outside dom(x)
         mirror = "right" if side == "left" else "left"
-        doms = _translates(G, amask, mirror, [G.inv[x] for x in bits(cand)])
+        xs = list(bits(cand))
+        doms = _translates(G, amask, mirror, [G.inv[x] for x in xs])
+        opts = [0] * n
+        for x, dom in zip(xs, doms):
+            opts[x] = G.full_mask ^ dom
+        fail = _min_hitting([cand & ~row for row in walk[0]], opts, cand, counter)
     if fail is None or len(fail) >= n:
         result = (n - 1, None)
     else:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from kappasets import classify
 from kappasets.classify import (
     BudgetExceeded,
     NodeCounter,
@@ -393,21 +394,60 @@ def test_a_search_cut_off_fills_no_table(spec):
                     assert query(G, side, *args, amask) == want
 
 
+def transpose(covers, full):
+    """opts[e]: bit f set when covers[f] holds element e, one bit at a time."""
+    opts = [0] * max(m.bit_length() for m in (full, *covers))
+    for f, c in enumerate(covers):
+        for e in bits(c):
+            opts[e] |= 1 << f
+    return opts
+
+
+def hitting(covers, full, counter):
+    """The kernel on options transposed from the covers."""
+    return _min_hitting(covers, transpose(covers, full), full, counter)
+
+
 def test_kernel_edge_cases():
     counter = NodeCounter(10**6)
-    assert _min_hitting(3, [0b01, 0b10, 0b11], 0, counter) == ()
-    assert _min_hitting(2, [0b01, 0b01], 0b11, counter) is None
+    assert hitting([0b01, 0b10, 0b11], 0, counter) == ()
+    assert hitting([0b01, 0b01], 0b11, counter) is None
     # greedy takes {2} first and needs three sets; two suffice
     covers = [0b000111, 0b111000, 0b011110, 0b100000, 0b000001]
-    assert _min_hitting(5, covers, 0b111111, counter) == (0, 1)
+    assert hitting(covers, 0b111111, counter) == (0, 1)
     # the lex-least of several optimal covers
-    assert _min_hitting(4, [0b0011, 0b1100, 0b0110, 0b1001], 0b1111, counter) == (0, 1)
+    assert hitting([0b0011, 0b1100, 0b0110, 0b1001], 0b1111, counter) == (0, 1)
 
 
 def test_kernel_spends_budget():
     covers = [1 << (i % 7) | 1 << ((3 * i + 1) % 7) for i in range(7)]
     with pytest.raises(BudgetExceeded):
-        _min_hitting(7, covers, (1 << 7) - 1, NodeCounter(1))
+        hitting(covers, (1 << 7) - 1, NodeCounter(1))
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS)
+def test_kernel_options_are_the_transposed_covers(spec, monkeypatch):
+    # the option lists the searches read off the group (e*A^-1, A^-1*e, and
+    # all f outside dom(x)) are exactly the covers transposed
+    calls = []
+
+    def recording(covers, opts, full, counter):
+        calls.append((covers, opts, full))
+        return kernel(covers, opts, full, counter)
+
+    kernel = classify._min_hitting
+    monkeypatch.setattr(classify, "_min_hitting", recording)
+    G = build_group(spec)
+    for amask in range(G.full_mask + 1):
+        A = Subset(G.order, amask)
+        for side in ONE_SIDES:
+            is_large(G, A, 2, side)
+            for variant in VARIANTS:
+                is_thick(G, A, 2, side, variant)
+    assert calls
+    for covers, opts, full in calls:
+        want = transpose(covers, full)
+        assert [opts[e] for e in bits(full)] == [want[e] for e in bits(full)], (covers, full)
 
 
 def test_symmetric4_resolvability_within_a_small_budget():

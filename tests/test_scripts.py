@@ -47,6 +47,12 @@ def test_size_census_table_is_pinned():
     assert run_script("size_census.py", ["--group", "cyclic:6"]) == CENSUS_CYCLIC6
 
 
+def test_compare_outputs_finds_a_tree_equal_to_itself():
+    out = run_script("compare_outputs.py", [str(ROOT), str(ROOT), "--workloads", "search"])
+    compared, _, differ = out.splitlines()[-1].partition(" commands compared, ")
+    assert int(compared) > 0 and differ == "0 differ"
+
+
 def test_res_tables_refuses_a_negative_budget():
     err = run_script("res_tables.py", ["--groups", "cyclic:4", "--node-budget", "-1"], returncode=2)
     assert "error: node budget must be >= 0, got -1" in err
