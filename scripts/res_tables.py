@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 
 from kappasets.classify import DEFAULT_NODE_BUDGET
-from kappasets.groups import build_group
+from kappasets.groups import GroupAxiomError, GroupSpecError, build_group
 from kappasets.resolvability import res_search
 
 DEFAULT_SPECS = [
@@ -35,10 +35,13 @@ def main() -> int:
     args = ap.parse_args()
     if args.node_budget < 0:
         ap.error(f"node budget must be >= 0, got {args.node_budget}")
+    try:
+        groups = [(spec, build_group(spec)) for spec in args.groups]
+    except (GroupSpecError, GroupAxiomError) as exc:
+        ap.error(str(exc))
 
     print(f"{'group':28s} {'kappa':>5s} {'left':>5s} {'both':>5s}  witness (left mode)")
-    for spec in args.groups:
-        G = build_group(spec)
+    for spec, G in groups:
         for kappa in range(2, G.order + 1):
             left = res_search(G, kappa, "left", node_budget=args.node_budget)
             both = res_search(G, kappa, "left+right", node_budget=args.node_budget)

@@ -13,15 +13,18 @@ import argparse
 
 from kappasets import classify as cl
 from kappasets.classify import DEFAULT_NODE_BUDGET, NodeCounter
-from kappasets.groups import build_group
+from kappasets.groups import GroupAxiomError, GroupSpecError, build_group
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--group", default="cyclic:6")
     args = ap.parse_args()
+    try:
+        G = build_group(args.group)
+    except (GroupSpecError, GroupAxiomError) as exc:
+        ap.error(str(exc))
 
-    G = build_group(args.group)
     n = G.order
     counter = NodeCounter(DEFAULT_NODE_BUDGET)
     print(f"group {args.group} (order {n}), left side")

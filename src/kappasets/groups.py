@@ -155,6 +155,8 @@ def check_kappa(G: GroupTable, kappa: int) -> None:
     """kappa must satisfy 2 <= kappa <= |G| (kappa=1 is rejected outright)."""
     if not isinstance(kappa, int):
         raise TypeError("kappa must be an int")
+    if G.order == 1:
+        raise ValueError(f"no kappa is admissible for a group of order 1 (kappa must lie in [2, |G|]), got {kappa}")
     if kappa < 2 or kappa > G.order:
         raise ValueError(f"kappa must lie in [2, {G.order}], got {kappa}")
 

@@ -365,6 +365,11 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert run_cli(
         ["classify", "--group", "cyclic:4", "--subset", "0", "--kappa", "9"], tmp_path
     ) == 2
+    capsys.readouterr()
+    assert run_cli(
+        ["classify", "--group", "cyclic:1", "--subset", "0", "--kappa", "2"], tmp_path
+    ) == 2
+    assert "error: no kappa is admissible for a group of order 1" in capsys.readouterr().err
     assert run_cli(["construct", "--construction", "s-set", "--params", "letter="], tmp_path) == 2
     assert run_cli(
         ["construct", "--construction", "c2-ds", "--params", "alphabets=2,2", "marks=a,"], tmp_path

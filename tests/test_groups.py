@@ -268,6 +268,12 @@ def test_kappa_validation():
             check_kappa(G, bad)
     check_kappa(G, 2)
     check_kappa(G, 4)
+    with pytest.raises(ValueError, match=r"^kappa must lie in \[2, 4\], got 5$"):
+        check_kappa(G, 5)
+    # [2, 1] would name an empty range; order 1 admits no kappa at all
+    for bad in (1, 2):
+        with pytest.raises(ValueError, match=r"^no kappa is admissible for a group of order 1 "):
+            check_kappa(build_group("cyclic:1"), bad)
 
 
 def test_is_kappa_normal_counterexamples():

@@ -22,15 +22,19 @@ nodes spent: 186
 """
 
 
-def run_script(script, args, returncode=0):
+def spawn_script(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    got = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def run_script(script, args, returncode=0):
+    got = spawn_script(script, args)
     assert got.returncode == returncode, got.stderr
     return got.stdout if returncode == 0 else got.stderr
 
@@ -57,6 +61,26 @@ def test_res_tables_refuses_a_negative_budget():
     err = run_script("res_tables.py", ["--groups", "cyclic:4", "--node-budget", "-1"], returncode=2)
     assert "error: node budget must be >= 0, got -1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "script,args,message",
+    [
+        ("size_census.py", ["--group", "nope:3"], "unknown group kind 'nope'"),
+        ("size_census.py", ["--group", "symmetric:5"], "order 120 exceeds the configured maximum 64"),
+        ("res_tables.py", ["--groups", "nope:3"], "unknown group kind 'nope'"),
+        ("res_tables.py", ["--groups", "cyclic:4", "nope:3"], "unknown group kind 'nope'"),
+        ("res_tables.py", ["--groups", "cyclic:4", "symmetric:5"], "order 120 exceeds the configured maximum 64"),
+    ],
+)
+def test_scripts_refuse_a_bad_group_spec(script, args, message):
+    # every group is built before anything is printed, so a bad spec late in
+    # the list prints no header and no rows of the groups before it
+    got = spawn_script(script, args)
+    assert got.returncode == 2, got.stderr
+    assert f"error: {message}" in got.stderr
+    assert "Traceback" not in got.stderr
+    assert got.stdout == ""
 
 
 CODE_LINES_FIXTURE = '''\

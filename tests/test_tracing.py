@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from kappasets import cli
+import kappasets
+from kappasets import classify, cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -40,3 +41,21 @@ def test_tracer_counts_every_maximal_test_set(tmp_path, capsys):
         assert got["calls"] == 1, side
         assert got["entries"] == math.comb(8, 3), side
         assert tracer.totals["cli.main"]["calls"] == 1, side
+
+
+def test_package_names_hold_no_wrapper_after_a_trace(tmp_path, capsys):
+    # the package resolves its names on each access, so nothing the tracer
+    # swapped in stays behind in its namespace once the trace is over
+    original = classify.is_large
+    tracer = Tracer()
+    with tracer.installed():
+        assert kappasets.is_large is classify.is_large is not original
+        code = cli.main(["classify", "--group", "cyclic:6", "--subset", "0,1,2", "--kappa", "3",
+                         "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.totals["classify.is_large"]["calls"] > 0
+    assert kappasets.is_large is classify.is_large is original
+    assert "is_large" not in vars(kappasets)
+    assert not [name for name, value in vars(kappasets).items()
+                if getattr(value, "__module__", None) == Tracer.__module__]
