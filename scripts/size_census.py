@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 
 from kappasets import classify as cl
-from kappasets.classify import DEFAULT_NODE_BUDGET, NodeCounter
-from kappasets.groups import GroupAxiomError, GroupSpecError, build_group
+from kappasets.classify import DEFAULT_NODE_BUDGET, NodeCounter, charged
+from kappasets.groups import GroupAxiomError, GroupSpecError, Subset, build_group
 
 
 def main() -> int:
@@ -39,12 +39,7 @@ def main() -> int:
             thick_g += g_ok
             thick_a += a_ok
             gap += g_ok != a_ok
-        for amask in range(1 << n):
-            small += all(
-                cl.min_cover_size(G, lmask & ~amask, "left", counter) <= limit
-                for lmask in range(1 << n)
-                if cl.min_cover_size(G, lmask, "left", counter) <= limit
-            )
+            small += charged(counter, cl.is_small, G, Subset(n, amask), kappa, "left").verdict
         print(f"{kappa:5d} {large:6d} {thick_g:6d} {thick_a:6d} {gap:4d} {small:6d}")
     print(f"nodes spent: {counter.spent}")
     return 0

@@ -27,12 +27,11 @@ from .constructions import (
     split3_partition,
     thm3_partition,
 )
-from .groups import DEFAULT_MAX_ORDER, GroupSpecError, GroupTable, Subset, build_group
+from .groups import DEFAULT_MAX_ORDER, GroupTable, Subset, build_group
 from .report import ClaimRecord, RunReport, write_report
 from .resolvability import THICK_PROBE_NOTE, partition_search, res_search
 from .suites import SUITES, run_suite
 from .words import (
-    WordSyntaxError,
     ball_size,
     concat,
     enumerate_ball,
@@ -112,20 +111,15 @@ def _rank_arg(value: str, name: str) -> int:
 
 
 def _letters_arg(value: str, alphabet_size: int) -> list[int]:
+    """The 0-based letters of a comma list; each item is a one-letter word
+    of the word grammar (a, b, ... or x1, x2, ...) and empty items are
+    skipped."""
     out = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if len(part) == 1 and part.isalpha():
-            i = ord(part.lower()) - ord("a")
-        elif part.isdigit():
-            i = int(part)
-        else:
+    for part in filter(None, (t.strip() for t in value.split(","))):
+        w = parse_word(part, alphabet_size)
+        if len(w) != 1 or w[0] < 0:
             raise UsageError(f"bad letter {part!r}")
-        if not 0 <= i < alphabet_size:
-            raise UsageError(f"letter {part!r} out of range for alphabet size {alphabet_size}")
-        out.append(i)
+        out.append(w[0] - 1)
     return out
 
 
@@ -228,12 +222,12 @@ def cmd_classify(args, rep: RunReport) -> None:
 
 
 # -- constructions: name -> (parameter defaults, rank, radius, builder) -----------
-# A builder takes the merged parameters and the radius (--radius, or else the
-# row's default) and returns (anchor, detail, cells). A radius of None builds
-# no ball and takes no --radius. The alphabet size, which an adversary is read
-# against before the build, is the m parameter, or else the fixed rank; a rank
-# of None takes no adversary. A partition is verified once, by its
-# constructor, on the ball of the radius it is given.
+# A builder takes the merged parameters, the alphabet size and the radius
+# (--radius, or else the row's default) and returns (anchor, detail, cells).
+# The alphabet size is the m parameter, or else the fixed rank; a rank of
+# None takes no adversary. A radius of None builds no ball and takes no
+# --radius. A partition is verified once, by its constructor, on the ball of
+# the radius it is given.
 
 
 def _verified(part: Partition, radius: int) -> tuple:
@@ -241,8 +235,7 @@ def _verified(part: Partition, radius: int) -> tuple:
     return part.provenance, detail, part.cells
 
 
-def _build_s_set(p: dict[str, str], radius: int) -> tuple:
-    m = _rank_arg(p["m"], "s-set parameter m")
+def _build_s_set(p: dict[str, str], m: int, radius: int) -> tuple:
     pred = s_set(m, _one_letter(p["letter"], m))
     ball = enumerate_ball(m, radius)
     members = sum(1 for w in ball.words if pred(w))
@@ -250,28 +243,26 @@ def _build_s_set(p: dict[str, str], radius: int) -> tuple:
     return f"endpoint-marked set on {m} letters", detail, (pred,)
 
 
-def _build_thm3(p: dict[str, str], radius: int) -> tuple:
-    m = _rank_arg(p["m"], "thm3 parameter m")
+def _build_thm3(p: dict[str, str], m: int, radius: int) -> tuple:
     part = thm3_partition(m, _letters_arg(p["a1"], m), check_radius=radius)
     detail = f"partition verified on the radius-{radius} ball ({ball_size(m, radius)} words)"
     return "two-cell last-letter split", detail, part.cells
 
 
-def _build_split3(p: dict[str, str], radius: int) -> tuple:
-    m = _rank_arg(p["m"], "c1-split3 parameter m")
+def _build_split3(p: dict[str, str], m: int, radius: int) -> tuple:
     a1, a2, a3 = (_letters_arg(p[k], m) for k in ("a1", "a2", "a3"))
     return _verified(split3_partition(m, a1, a2, a3, check_radius=radius), radius)
 
 
-def _build_rank2(p: dict[str, str], radius: int) -> tuple:
+def _build_rank2(p: dict[str, str], m: int, radius: int) -> tuple:
     return _verified(rank2_partition(check_radius=radius), radius)
 
 
-def _build_rank1(p: dict[str, str], radius: int) -> tuple:
+def _build_rank1(p: dict[str, str], m: int, radius: int) -> tuple:
     return _verified(rank1_partition(check_radius=radius), radius)
 
 
-def _build_c2_ds(p: dict[str, str], radius: None) -> tuple:
+def _build_c2_ds(p: dict[str, str], m: None, radius: None) -> tuple:
     entry = "an entry of c2-ds parameter alphabets"
     sizes = tuple(_rank_arg(x, entry) for x in p["alphabets"].split(","))
     given = p["marks"].split(",")
@@ -317,8 +308,8 @@ def cmd_construct(args, rep: RunReport) -> None:
     name = args.construction
     defaults, rank, radius, build = _CONSTRUCTIONS[name]
     params = _read_pairs(args.params or [], defaults, f"{name} parameter")
+    m = _rank_arg(params["m"], f"{name} parameter m") if "m" in params else rank
     if args.adversary is not None:  # read before the build, which may be long
-        m = _rank_arg(params["m"], f"{name} parameter m") if "m" in params else rank
         if m is None:
             raise UsageError(f"{name} takes no --adversary")
         H = _parse_adversary(args.adversary, m)
@@ -328,7 +319,7 @@ def cmd_construct(args, rep: RunReport) -> None:
         radius = args.radius
     # the anchor comes out of the builder, so this claim is timed here
     t0 = time.perf_counter()
-    anchor, detail, cells = build(params, radius)
+    anchor, detail, cells = build(params, m, radius)
     rep.claims.append(
         ClaimRecord(f"construct.{name}", anchor, "pass", detail, 0, time.perf_counter() - t0)
     )
@@ -494,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     rep = RunReport(command=" ".join(["kappasets", *argv]))
     try:
         args.fn(args, rep)
-    except (UsageError, GroupSpecError, WordSyntaxError, ValueError) as e:
+    except ValueError as e:  # UsageError, GroupSpecError and WordSyntaxError among them
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     out_dir, text = write_report(rep, args.out_dir)

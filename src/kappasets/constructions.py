@@ -64,10 +64,6 @@ class Partition:
                 )
 
 
-def _letter_name(i: int) -> str:
-    return chr(ord("a") + i) if i < 26 else f"x{i + 1}"
-
-
 # -- the endpoint-marked set S ---------------------------------------------------
 
 
@@ -86,14 +82,14 @@ def s_set(alphabet_size: int, letter: int = 0) -> WordSetPredicate:
     def member(w: Word) -> bool:
         return bool(w) and abs(w[0]) == code and abs(w[-1]) == code
 
-    return WordSetPredicate(f"endpoints marked {_letter_name(letter)}", member)
+    return WordSetPredicate(f"endpoints marked {format_word((letter + 1,))}", member)
 
 
 # -- two-cell split by last letter ------------------------------------------------
 
 
 def thm3_partition(
-    alphabet_size: int, a1_letters: Sequence[int], check_radius: int = 3
+    alphabet_size: int, a1_letters: Sequence[int], check_radius: int
 ) -> Partition:
     """Split the free group by whether the last letter lies in A1 (either sign).
 
@@ -108,7 +104,7 @@ def thm3_partition(
     def in_b1(w: Word) -> bool:
         return bool(w) and abs(w[-1]) - 1 in a1
 
-    names = ",".join(_letter_name(i) for i in sorted(a1))
+    names = ",".join(format_word((i + 1,)) for i in sorted(a1))
     cells = (
         WordSetPredicate(f"last letter in {{{names}}}", in_b1),
         WordSetPredicate(f"last letter not in {{{names}}}", lambda w: not in_b1(w)),
@@ -126,7 +122,7 @@ def split3_partition(
     a1: Sequence[int],
     a2: Sequence[int],
     a3: Sequence[int],
-    check_radius: int = 3,
+    check_radius: int,
 ) -> Partition:
     """Three cells cut by which letter-classes the two endpoints avoid.
 
@@ -170,7 +166,7 @@ _A2 = frozenset({(1, 1), (-1, -1)}) | _MIXED2
 _B2 = frozenset({(2, 2), (-2, -2)}) | _MIXED2
 
 
-def rank2_partition(check_radius: int = 4) -> Partition:
+def rank2_partition(check_radius: int) -> Partition:
     """Rank-2 three-cell split by the length-2 prefix and suffix.
 
     Cell 0: both factors avoid b^{+-2}; cell 1: both avoid a^{+-2}, minus
@@ -210,7 +206,7 @@ def _rank1_value(w: Word) -> int:
     return len(w) if (not w or w[0] > 0) else -len(w)
 
 
-def rank1_partition(check_radius: int = 16) -> Partition:
+def rank1_partition(check_radius: int) -> Partition:
     """Two-cell split of the rank-1 free group (the integers) by doubling
     blocks; each block eventually outgrows any fixed translate window."""
     cells = (
@@ -269,5 +265,5 @@ def comment2_bset(
         top = supp[-1]
         return abs(ds_rho(g)) - 1 == mks[top]
 
-    desc = ",".join(_letter_name(a) for a in mks)
+    desc = ",".join(format_word((a + 1,)) for a in mks)
     return WordSetPredicate(f"top component ends in mark ({desc})", member)

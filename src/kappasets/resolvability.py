@@ -64,7 +64,6 @@ class SearchOutcome:
     first, best is the one-cell partition {G}, a proved lower bound, and
     optimal is False."""
 
-    constraint: str
     cells: int
     optimal: bool
     nodes: int
@@ -76,7 +75,6 @@ class ProbeOutcome:
     """Result of a fixed-cell-count partition probe; exhaustive=False means
     the node budget ran out before the search space was exhausted."""
 
-    constraint: str
     found: Partition | None
     exhaustive: bool
     nodes: int
@@ -168,7 +166,7 @@ def _probe(
     variant: str = "witness-in-G",
 ) -> Partition | None:
     """First partition of G, in canonical order, into t cells that all meet
-    target (a res constraint or one of PROBE_TARGETS), re-verified through
+    target (one of RES_MODES or PROBE_TARGETS), re-verified through
     the public classifiers on counter's budget; None when no such partition
     exists. Raises BudgetExceeded when counter runs out. Only all-thick reads
     variant.
@@ -209,16 +207,15 @@ def _probe(
             return not charged(recheck, is_large, G, cell, kappa, "left").verdict
 
         min_cell = 1
-    else:
-        mode = "left" if target == "all-left-large" else "left+right"
+    else:  # a res mode: every cell left (or left and right) large
 
         def cell_ok(mask: int) -> bool:
-            return _cell_large(G, mask, limit, mode, counter)
+            return _cell_large(G, mask, limit, target, counter)
 
         def verify(cell: Subset) -> bool:
             return all(
                 charged(recheck, is_large, G, cell, kappa, side).verdict
-                for side in mode.split("+")
+                for side in target.split("+")
             )
 
         min_cell = -(-n // limit)  # ceil(n / (kappa-1))
@@ -256,18 +253,17 @@ def res_search(
     n = G.order
     t_max = n // -(-n // (kappa - 1))
     counter = NodeCounter(node_budget)
-    constraint = "all-left-large" if mode == "left" else "all-left-and-right-large"
     optimal = True
     for t in range(t_max, 1, -1):
         try:
-            best = _probe(G, kappa, t, constraint, counter)
+            best = _probe(G, kappa, t, mode, counter)
         except BudgetExceeded:
             optimal = False
             break
         if best is not None:
-            return SearchOutcome(constraint, t, True, counter.spent, best)
-    best = _probe(G, kappa, 1, constraint, counter)
-    return SearchOutcome(constraint, 1, optimal, counter.spent, best)
+            return SearchOutcome(t, True, counter.spent, best)
+    best = _probe(G, kappa, 1, mode, counter)
+    return SearchOutcome(1, optimal, counter.spent, best)
 
 
 def partition_search(
@@ -296,5 +292,5 @@ def partition_search(
     try:
         found = _probe(G, kappa, n_cells, target, counter, variant)
     except BudgetExceeded:
-        return ProbeOutcome(target, None, False, counter.spent)
-    return ProbeOutcome(target, found, True, counter.spent)
+        return ProbeOutcome(None, False, counter.spent)
+    return ProbeOutcome(found, True, counter.spent)

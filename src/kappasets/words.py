@@ -201,7 +201,7 @@ def words_over(letters: Iterable[int], radius: int) -> list[Word]:
     return words
 
 
-_XN_TOKEN = re.compile(r"x(\d+)(')?")
+_XN_TOKEN = re.compile(r"(x\d+)(')?")
 _LETTER_TOKEN = re.compile(r"([a-z])(')?")
 
 
@@ -217,7 +217,7 @@ def parse_word(text: str, alphabet_size: int) -> Word:
         token_re = _XN_TOKEN
 
         def idx(tok: str) -> int:
-            i = int(tok) - 1
+            i = int(tok[1:]) - 1
             if i < 0:
                 raise WordSyntaxError(f"letter numbering starts at x1: {text!r}")
             return i

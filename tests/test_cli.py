@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kappasets
-from kappasets import cli, report, words
+from kappasets import cli, report, suites, words
 from kappasets.cli import _CONSTRUCTIONS, main
 from kappasets.constructions import Partition
 from kappasets.groups import build_group
@@ -354,6 +354,69 @@ def test_verify_all_suites(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_failing_claim_exits_one(tmp_path, capsys, monkeypatch):
+    # a failing claim exits 1, and outranks an inconclusive claim in the same report
+    def fails(counter):
+        return False, "counterexample 1"
+
+    def runs_out(counter):
+        counter.spend(counter.budget + 1)
+
+    monkeypatch.setitem(suites.SUITES, "broken", (
+        ("broken.runs-out", "spends past its budget", runs_out),
+        ("broken.fails", "always fails", fails),
+    ))
+    assert run_cli(["verify", "--suite", "broken"], tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "status: inconclusive" in out
+    assert "status: fail" in out
+
+
+@pytest.mark.parametrize(
+    "argv,claim",
+    [
+        (["c2-ds", "--params", "alphabets=30", "marks=x27"],
+         ("construct.c2-ds", "top component ends in mark (x27)", "pass",
+          "direct sum of 1 free groups, alphabet sizes (30,)", 0)),
+        (["s-set", "--params", "m=30", "letter=x27", "--radius", "1"],
+         ("construct.s-set", "endpoint-marked set on 30 letters", "pass",
+          "2 of 61 radius-1 words are members", 0)),
+        (["thm3", "--params", "m=3", "a1=x1,b", "--radius", "1"],
+         ("construct.thm3", "two-cell last-letter split", "pass",
+          "partition verified on the radius-1 ball (7 words)", 0)),
+    ],
+    ids=["c2-ds marks=x27", "s-set letter=x27", "thm3 a1=x1,b"],
+)
+def test_params_read_letters_by_the_word_grammar(argv, claim, tmp_path, capsys):
+    # the letters construct prints are the ones it reads
+    assert run_cli(["construct", "--construction", *argv], tmp_path) == 0
+    body, _ = latest_report(tmp_path)
+    c = body["report"]["claims"][0]
+    assert (c["claim_id"], c["anchor"], c["status"], c["detail"], c["nodes"]) == claim
+    capsys.readouterr()
+
+
+def test_letters_outside_the_word_grammar_are_usage_errors(tmp_path, capsys):
+    for argv, message in (
+        # 0-based digits and capitals are not letters of the word grammar
+        (["c2-ds", "--params", "alphabets=30", "marks=26"], "cannot parse word literal '26'"),
+        (["thm3", "--params", "a1=A"], "cannot parse word literal 'A'"),
+        (["s-set", "--adversary", "letters=0;radius=1"], "cannot parse word literal '0'"),
+        # a word that is not one letter
+        (["s-set", "--params", "letter=a'"], "bad letter \"a'\""),
+        (["thm3", "--params", "a1=ab"], "bad letter 'ab'"),
+        (["s-set", "--params", "letter=1"], "bad letter '1'"),
+        # one out-of-range message, from letters= and words= alike
+        (["c1-rank2", "--adversary", "letters=c"],
+         "letter 'c' out of range for alphabet of size 2"),
+        (["c1-rank1", "--adversary", "words=b"], "letter 'b' out of range for alphabet of size 1"),
+        (["c2-ds", "--params", "alphabets=2,30", "marks=a,x31"],
+         "letter 'x31' out of range for alphabet of size 30"),
+    ):
+        assert run_cli(["construct", "--construction", *argv], tmp_path) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert main(["classify", "--group", "cyclic:6"]) == 2  # missing flags
     assert run_cli(
@@ -483,8 +546,8 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
          "ball of rank 4, radius 9 has at least 457 words (limit 100)"),
         (["thm3", "--adversary", ""], "empty adversary"),
         (["thm3", "--params", "m=2", "--adversary", "letters=c"],
-         "letter 'c' out of range for alphabet size 2"),
-        (["c1-rank2", "--adversary", "letters=c"], "letter 'c' out of range for alphabet size 2"),
+         "letter 'c' out of range for alphabet of size 2"),
+        (["c1-rank2", "--adversary", "letters=c"], "letter 'c' out of range for alphabet of size 2"),
         (["c1-rank1", "--adversary", "words=b"], "letter 'b' out of range for alphabet of size 1"),
     ):
         assert run_cli(["construct", "--construction", *argv], tmp_path) == 2

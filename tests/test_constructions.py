@@ -48,7 +48,7 @@ class TestSSet:
 
 class TestThm3:
     def test_cell_membership(self):
-        part = thm3_partition(4, [0, 1])
+        part = thm3_partition(4, [0, 1], check_radius=3)
         b1, b2 = part.cells
         assert b1((3, 1))  # r then p: last letter p
         assert b2((1, 3))  # ends in r
@@ -56,14 +56,14 @@ class TestThm3:
 
     def test_degenerate_splits_rejected(self):
         with pytest.raises(ValueError):
-            thm3_partition(4, [])
+            thm3_partition(4, [], check_radius=3)
         with pytest.raises(ValueError):
-            thm3_partition(4, [0, 1, 2, 3])
+            thm3_partition(4, [0, 1, 2, 3], check_radius=3)
 
 
 class TestSplit3:
     def test_cell_membership(self):
-        part = split3_partition(3, [0], [1], [2])
+        part = split3_partition(3, [0], [1], [2], check_radius=3)
         cells = part.cells
         yz = (2, 3)
         xzx = (1, 3, 1)
@@ -76,18 +76,18 @@ class TestSplit3:
 
     def test_rejects_bad_splits(self):
         with pytest.raises(ValueError):
-            split3_partition(3, [0], [1], [])
+            split3_partition(3, [0], [1], [], check_radius=3)
         with pytest.raises(ValueError):
-            split3_partition(3, [0], [0, 1], [2])
+            split3_partition(3, [0], [0, 1], [2], check_radius=3)
 
     def test_same_formula_for_bigger_alphabets(self):
-        part = split3_partition(6, [0, 1], [2, 3], [4, 5])
+        part = split3_partition(6, [0, 1], [2, 3], [4, 5], check_radius=3)
         part.verify_on_ball(enumerate_ball(6, 3))
 
 
 class TestRank2:
     def test_cell_membership(self):
-        b1, b2, b3 = rank2_partition().cells
+        b1, b2, b3 = rank2_partition(check_radius=4).cells
         ab_n = reduce_word([1, 2] * 3)
         assert b1(ab_n)
         assert b2((2, 2, 2))

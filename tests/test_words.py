@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kappasets import words as words_module
@@ -214,6 +214,22 @@ def test_parse_errors():
         parse_word("a b", 2)
     with pytest.raises(WordSyntaxError):
         parse_word("x0", 2)
+
+
+def test_format_names_letters_past_z_by_number():
+    assert format_word((27, -1)) == "x27x1'"
+    assert format_word((26, -1)) == "za'"
+    assert parse_word("x27x1'", 30) == (27, -1)
+
+
+letters30 = st.integers(1, 30).flatmap(lambda i: st.sampled_from([i, -i]))
+
+
+@given(st.lists(letters30, max_size=6), st.integers(27, 30), st.lists(letters30, max_size=6))
+def test_format_roundtrip_past_z(u, high, v):
+    w = reduce_word([*u, high, *v])
+    assume(any(abs(x) >= 27 for x in w))
+    assert parse_word(format_word(w), 30) == w
 
 
 @given(words)
