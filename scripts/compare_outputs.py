@@ -7,9 +7,12 @@ perfbench/workloads.py lists in command_space for the chosen workloads
 The two runs are compared command by command: the exit code and the report
 text, node counts included. The lines that name the run and not the
 result are left out: "command:" (it echoes the output directory),
-"content-hash:" (it hashes that echo) and "report written to".
+"content-hash:" (it hashes that echo) and "report written to". With
+--ignore-nodes the claims' "nodes:" lines are left out too, so a change
+that moves only node counts compares equal, and each tree's node total per
+workload is printed.
 
-    python scripts/compare_outputs.py OLD_TREE NEW_TREE [--workloads search,verify]
+    python scripts/compare_outputs.py OLD_TREE NEW_TREE [--workloads search,verify] [--ignore-nodes]
 
 Exits 0 when the trees agree on every command, 1 when any differs (the
 first few differences are printed), 2 on a usage error.
@@ -27,6 +30,7 @@ from pathlib import Path
 
 WORKLOADS = ("classify", "search", "verify")
 IGNORED = ("command:", "content-hash:", "report written to")
+NODES = "nodes:"
 SHOWN_DIFFS = 5
 
 #: Runs in a tree's own interpreter: argv is the tree and the workloads; it
@@ -60,17 +64,27 @@ def start(tree: Path, workloads: list[str]) -> subprocess.Popen:
     return subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
 
 
-def report(stdout: str) -> list[str]:
-    return [line for line in stdout.splitlines() if not line.startswith(IGNORED)]
+def report(stdout: str, ignore_nodes: bool = False) -> list[str]:
+    ignored = (*IGNORED, NODES) if ignore_nodes else IGNORED
+    return [line for line in stdout.splitlines() if not line.startswith(ignored)]
 
 
-def differences(old: list, new: list) -> list[str]:
+def node_totals(runs: list) -> dict[str, int]:
+    """The nodes the claims of each workload's commands report, summed."""
+    totals: dict[str, int] = {}
+    for workload, _, _, stdout in runs:
+        nodes = [int(line[len(NODES):]) for line in stdout.splitlines() if line.startswith(NODES)]
+        totals[workload] = totals.get(workload, 0) + sum(nodes)
+    return totals
+
+
+def differences(old: list, new: list, ignore_nodes: bool = False) -> list[str]:
     """One text block per command whose code or report differs."""
     if [r[:2] for r in old] != [r[:2] for r in new]:
         return ["the two trees list different commands"]
     found = []
     for (workload, argv, code_a, out_a), (_, _, code_b, out_b) in zip(old, new):
-        lines_a, lines_b = report(out_a), report(out_b)
+        lines_a, lines_b = report(out_a, ignore_nodes), report(out_b, ignore_nodes)
         if (code_a, lines_a) != (code_b, lines_b):
             head = f"{workload}: {' '.join(argv)} (exit {code_a} -> {code_b})"
             diff = difflib.unified_diff(lines_a, lines_b, "old", "new", lineterm="", n=1)
@@ -83,6 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("old", type=Path)
     p.add_argument("new", type=Path)
     p.add_argument("--workloads", default=",".join(WORKLOADS))
+    p.add_argument("--ignore-nodes", action="store_true", help="leave the claims' node counts out")
     args = p.parse_args(argv)
     workloads = args.workloads.split(",")
     bad = [w for w in workloads if w not in WORKLOADS]
@@ -95,9 +110,13 @@ def main(argv: list[str] | None = None) -> int:
         if proc.returncode != 0:
             raise SystemExit(f"error: the run in {tree} exited {proc.returncode}")
     old, new = map(json.loads, outs)
-    found = differences(old, new)
+    found = differences(old, new, args.ignore_nodes)
     for block in found[:SHOWN_DIFFS]:
         print(block)
+    if args.ignore_nodes:
+        for tree, runs in zip(trees, (old, new)):
+            totals = ", ".join(f"{w} {n}" for w, n in node_totals(runs).items())
+            print(f"nodes in {tree}: {totals}")
     print(f"{len(old)} commands compared, {len(found)} differ")
     return 1 if found else 0
 

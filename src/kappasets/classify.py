@@ -44,7 +44,14 @@ at most kappa-1; and thick_lmax, the largest test-set size that always
 translates into A, so A is kappa-thick iff kappa-1 is at most it. No F
 covers G from the empty set, and its cover number is |G| + 1, which
 exceeds kappa-1 for every admissible kappa; the empty set is then never
-large, without a special case at the caller.
+large, without a special case at the caller. A caller that reads only
+whether the cover number is at most kappa-1 asks the decision
+cover_within at k = kappa-1 instead: the partition searches' cell tests,
+is_small's scan and re-check, and is_thick's duality cross-check. It
+refutes by the counting bound, proves by the greedy cover (one side),
+and else runs one exact search at k, never the sizes below k nor the lex phase. The
+printed cover witness (is_large), the thickness profile, the suites'
+kappa sweeps and the size census read the number itself.
 
 Both one-sided numbers are translation invariant: F*(g*A) = (F*g)*A and
 (A*g)*F = A*(g*F) keep the cover number, and since F*x lands in A*h iff
@@ -52,16 +59,23 @@ F*(x*h^-1) lands in A, and x lies in A*h iff x*h^-1 lies in A (mirrored
 on the right), thick_lmax keeps in both variants. A one-sided search
 already holds translates of A: the cover masks f*A (A*f), and the sets
 dom(x) = A*x^-1 (x^-1*A) of the f that take a candidate x into A, which
-are the mirror-side translates at x^-1. When it finishes it enters its
-number for each of them in one of two per-group size tables,
-"cover_size" keyed (side, mask) and "lmax" keyed (side, variant, mask);
-min_cover_size and thick_lmax read them before any search, at no node
-cost. A search cut
-off by its budget enters nothing. Witnesses are not translated: the
-lex-least cover of g*A is not g times that of A, so _min_cover and
-_thick_profile, with their exact-key "cover" and "profile" caches, still
-search A itself. The two-sided numbers are not invariant in general
-(F*(g*A)*F translates only the inner factor) and have no size table.
+are the mirror-side translates at x^-1. When it finishes it enters what
+it found for each of them in one of two per-group size tables.
+"lmax", keyed (side, variant, mask), holds the number. "cover_size",
+keyed (side, mask), holds what is known of the cover number as a (lower,
+upper) pair, exact when the two are equal: min_cover_size enters the
+number as an exact pair and reads only exact pairs, and cover_within
+reads the pair and tightens it by what its search proves. Both tables are
+read before any search, at no node cost. A search cut off by its budget
+enters nothing. Witnesses are not translated: the lex-least cover of g*A
+is not g times that of A, so _min_cover and _thick_profile, with their
+exact-key "cover" and "profile" caches, still search A itself. The
+two-sided numbers are not invariant in general (F*(g*A)*F translates only
+the inner factor): only cover_within enters a two-sided cover_size entry,
+for A itself alone, and there is no two-sided lmax entry. _min_cover's
+two-sided numbers stay in its "cover" cache alone: entering each one the
+suites' sweeps find as well raised the peak memory of verify --suite
+duality by about 0.1 MB.
 
 All searches are deterministic; witnesses are minimal in (size, lex) order
 and re-verified against the raw definitions before they are returned. A
@@ -233,19 +247,7 @@ def _min_hitting(
         dead[i] = dead[i + 1] & ~covers[i]
     if dead[0]:
         return None
-    # greedy upper bound: the index adding most new elements, least on ties
-    got = 0
-    upper = 0
-    while got != full:
-        best_f = 0
-        best_new = 0
-        for f in range(n):
-            new = (covers[f] & ~got).bit_count()
-            if new > best_new:
-                best_new = new
-                best_f = f
-        got |= covers[best_f]
-        upper += 1
+    upper = _greedy(covers, full, n)
     maxcover = max(c.bit_count() for c in covers)
     size = upper
     for k in range(-(-full.bit_count() // maxcover), upper):
@@ -256,6 +258,20 @@ def _min_hitting(
     if not _lex_first(full, size, 0, covers, dead, maxcover, chosen, counter):
         raise RuntimeError("hitting-set lex phase found no witness")  # pragma: no cover
     return tuple(chosen)
+
+
+def _greedy(covers: list[int], full: int, cap: int) -> int | None:
+    """How many covers the greedy pass takes to hold full (each time the
+    index adding most new elements, least on ties), or None once it has
+    taken cap without holding it."""
+    got = taken = 0
+    while got != full:
+        if taken == cap:
+            return None
+        news = [(c & ~got).bit_count() for c in covers]
+        got |= covers[news.index(max(news))]
+        taken += 1
+    return taken
 
 
 def _hits_within(
@@ -384,6 +400,15 @@ def _first_empty(
     return None
 
 
+def _pair_floor(n: int, count: int) -> int:
+    """Least s with s*s*count >= n: |F*A*F| <= |F|^2*|A|, so no smaller F
+    covers G two-sided."""
+    s = 1
+    while s * s * count < n:
+        s += 1
+    return s
+
+
 def _min_cover(
     G: GroupTable, amask: int, side: str, counter: NodeCounter
 ) -> tuple[int, tuple[int, ...]] | None:
@@ -393,8 +418,8 @@ def _min_cover(
     One-sided covers are hitting sets of the translate masks f*A (A*f),
     found by _min_hitting; a two-sided cover is the first F, walked by size
     from the least s with s*s*|A| >= |G|, whose pairs leave no element of G
-    outside every f1*A*f2. A finished one-sided search enters its number
-    for every translate f*A (A*f) in the cover_size table.
+    outside every f1*A*f2. A finished one-sided search enters its number,
+    as exact, for every translate f*A (A*f) in the cover_size table.
     """
     tables = _cache(G)
     cache = tables["cover"]
@@ -406,10 +431,8 @@ def _min_cover(
         return None
     n = G.order
     if side == "two-sided":
-        smin = 1
-        while smin * smin * amask.bit_count() < n:
-            smin += 1
-        combo = _first_empty(range(smin, n + 1), G.full_mask, _pair_walks(G, amask)[0], counter)
+        tried = range(_pair_floor(n, amask.bit_count()), n + 1)
+        combo = _first_empty(tried, G.full_mask, _pair_walks(G, amask)[0], counter)
         translates = []
     else:
         translates = _translates(G, amask, side)
@@ -419,21 +442,67 @@ def _min_cover(
     if combo is None:  # pragma: no cover - a cover always exists for A != {}
         raise RuntimeError("cover search failed to terminate")
     cache[key] = result = (len(combo), combo)
-    sizes = tables["cover_size"]
+    exact = (len(combo), len(combo))
     for m in translates:
-        sizes[side, m] = len(combo)
+        tables["cover_size"][side, m] = exact
     return result
 
 
 def min_cover_size(G: GroupTable, amask: int, side: str, counter: NodeCounter) -> int:
     """Least |F| covering G from A on the given side; |G| + 1 for the empty
-    set, which no F covers. A one-sided number already found for a
-    translate of A is read from the size table at no node cost."""
-    got = _cache(G)["cover_size"].get((side, amask))
-    if got is not None:
-        return got
+    set, which no F covers. A number the size table holds as exact, found
+    for A or a translate, is read at no node cost; bounds alone are not
+    read, and the search runs."""
+    lo, hi = _cache(G)["cover_size"].get((side, amask), (0, 0))
+    if lo == hi > 0:
+        return lo
     got = _min_cover(G, amask, side, counter)
     return G.order + 1 if got is None else got[0]
+
+
+def cover_within(G: GroupTable, amask: int, side: str, k: int, counter: NodeCounter) -> bool:
+    """Some F with |F| <= k has F*A = G (left), A*F = G (right) or
+    F*A*F = G (two-sided): A is kappa-large iff this holds at k = kappa-1.
+
+    What the size table holds for A decides first, at no node cost. The
+    counting bound then refutes, also free, when |F|*|A| (|F|^2*|A|
+    two-sided) is below |G| at |F| = k, as it is for the empty set. One
+    side then takes the greedy cover of the translates, stopped once it
+    passes k, and else one exact search at k; two-sided walks the sizes
+    from the larger of the counting bound and the table's lower bound up to
+    k, so a hit there is the exact number. What the search proves enters
+    the table for every translate of A (A itself two-sided): c <= the
+    greedy count, c <= k, or c > k. A search cut off by its budget enters
+    nothing.
+    """
+    sizes = _cache(G)["cover_size"]
+    lo, hi = sizes.get((side, amask), (0, G.order + 1))
+    if hi <= k:
+        return True
+    if lo > k:
+        return False
+    n, count = G.order, amask.bit_count()
+    if side == "two-sided":
+        if n > k * k * count:
+            return False
+        tried = range(max(lo, _pair_floor(n, count)), k + 1)
+        combo = _first_empty(tried, G.full_mask, _pair_walks(G, amask)[0], counter)
+        known = (k + 1, hi) if combo is None else (len(combo), len(combo))
+        translates = [amask]
+    else:
+        if n > k * count:
+            return False
+        full = G.full_mask
+        translates = _translates(G, amask, side)
+        upper = _greedy(translates, full, k)
+        if upper is None:
+            # e lies in f*A (A*f) iff f lies in e*A^-1 (A^-1*e)
+            opts = _translates(G, inverse_mask(G, amask), side)
+            upper = k if _hits_within(full, k, full, translates, opts, count, counter) else None
+        known = (k + 1, hi) if upper is None else (lo, upper)
+    for m in translates:
+        sizes[side, m] = known
+    return known[1] <= k
 
 
 # -- thickness: least failing test sets ---------------------------------------
@@ -578,7 +647,7 @@ def is_thick(
         lmax, fail = _thick_profile(G, A.mask, side, variant, counter)
         verdict = kappa - 1 <= lmax
         if variant == "witness-in-G":
-            comp_large = min_cover_size(G, A.mask ^ G.full_mask, side, counter) <= kappa - 1
+            comp_large = cover_within(G, A.mask ^ G.full_mask, side, kappa - 1, counter)
             if verdict == comp_large:  # pragma: no cover - internal duality check
                 raise RuntimeError("thickness/largeness duality cross-check failed")
         if verdict:
@@ -640,6 +709,9 @@ def is_small(
     with |L| * (kappa-1) >= |G|, stops at the first large L that meets A:
     it has size m and is the (size, lex)-minimal failing L. A two-sided
     claim is decided by its left scan, which fails for every nonempty A.
+    Each L, and L minus A, is tested by the decision cover_within at
+    kappa-1; only the failing L's minimal cover is searched, to re-verify L
+    against the multiplication table.
     """
     check_subset(G, A)
     check_kappa(G, kappa)
@@ -656,9 +728,8 @@ def is_small(
             for combo in itertools.combinations(range(n), size):
                 counter.spend()
                 lmask = mask_of(combo)
-                if lmask & A.mask and min_cover_size(G, lmask, side, counter) <= limit:
-                    rest = lmask & ~A.mask
-                    if min_cover_size(G, rest, side, counter) <= limit:  # pragma: no cover
+                if lmask & A.mask and cover_within(G, lmask, side, limit, counter):
+                    if cover_within(G, lmask & ~A.mask, side, limit, counter):  # pragma: no cover
                         raise RuntimeError("small counterexample is still large without A")
                     L = Subset(n, lmask)
                     F = Subset.from_indices(n, _min_cover(G, lmask, side, counter)[1])

@@ -24,6 +24,12 @@ opened, all placed elements) rules it out; witness-in-A thickness implies
 witness-in-G thickness, so the same prune holds for that variant. A thick
 cell also holds a translate F*x with |F| = kappa-1, which sets the
 cell-size floor; a large cell holds at least |G|/(kappa-1) elements.
+
+A largeness test of a cell or of the placed elements reads only whether
+the set is kappa-large, so it is the decision classify.cover_within at
+kappa-1, never the exact cover number: the counting bound and the greedy
+cover settle most cells, and the rest take one exact search at kappa-1.
+A found partition is re-checked through the public classifiers.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ from .classify import (
     NodeCounter,
     charged,
     check_variant,
+    cover_within,
     is_large,
     is_thick,
-    min_cover_size,
     thick_lmax,
 )
 from .constructions import Partition
@@ -83,8 +89,8 @@ class ProbeOutcome:
 def _cell_large(G: GroupTable, mask: int, limit: int, mode: str, counter: NodeCounter) -> bool:
     # branches, not all() over the sides: this runs per leaf and per prune,
     # where a generator per call costs the search workload 5-8%
-    return min_cover_size(G, mask, "left", counter) <= limit and (
-        mode == "left" or min_cover_size(G, mask, "right", counter) <= limit
+    return cover_within(G, mask, "left", limit, counter) and (
+        mode == "left" or cover_within(G, mask, "right", limit, counter)
     )
 
 

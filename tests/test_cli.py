@@ -273,13 +273,15 @@ def claim_outcomes(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "budget,code,small", [(8, 3, ("inconclusive", 9)), (9, 0, ("pass", 9))]
+    "budget,code,small", [(2, 3, ("inconclusive", 3)), (3, 0, ("pass", 3))]
 )
 def test_two_sided_small_claim_honours_the_budget(budget, code, small, tmp_path, capsys):
-    # the two-sided small claim is its left scan, which spends 9 nodes here,
-    # so one node less leaves it inconclusive one node past the budget
+    # the two-sided small claim is its left scan, which spends 3 nodes here,
+    # so one node less leaves it inconclusive one node past the budget; the
+    # large and witness-in-A thickness claims spend 2 each, so the small
+    # claim alone decides the exit code
     argv = ["classify", "--group", "cyclic:6", "--subset", "0,1", "--kappa", "3",
-            "--sides", "two-sided", "--node-budget", str(budget)]
+            "--sides", "two-sided", "--variant", "witness-in-A", "--node-budget", str(budget)]
     got_code, claims = claim_outcomes(tmp_path, argv)
     assert got_code == code
     assert claims[-1] == ("classify.small.two-sided", *small)
@@ -310,15 +312,15 @@ def test_verify_honours_the_node_budget(budget, code, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("budget,code", [(285, 3), (286, 0)])
+@pytest.mark.parametrize("budget,code", [(175, 3), (176, 0)])
 def test_search_recheck_spends_from_the_budget(budget, code, tmp_path, capsys):
     # the found partition's re-check through is_thick is charged to the
-    # claim: the search finds it within 154 nodes, the re-check spends the rest
+    # claim: the search finds it within 44 nodes, the re-check spends the rest
     argv = ["search", "--group", "cyclic:12", "--kappa", "3", "--mode", "two-thick",
             "--node-budget", str(budget)]
     got_code, claims = claim_outcomes(tmp_path, argv)
     assert got_code == code
-    assert claims == [("search.two-thick", "pass" if code == 0 else "inconclusive", 286)]
+    assert claims == [("search.two-thick", "pass" if code == 0 else "inconclusive", 176)]
     capsys.readouterr()
 
 

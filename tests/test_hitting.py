@@ -23,6 +23,7 @@ from kappasets.classify import (
     _thick_profile,
     _thick_witness_map,
     _translate_into,
+    cover_within,
     is_large,
     is_small,
     is_thick,
@@ -324,10 +325,15 @@ def on_fresh_group(spec, query, *args):
 
 
 def table_entries(G):
-    """The filled (query, key) -> number entries of G's two size tables."""
+    """The filled (query, key) -> number entries of G's two size tables; a
+    cover_size entry is a (lower, upper) pair, read as its number when
+    exact."""
     tables = _caches.get(G, {})
     return {
-        **{(cover_size, key): size for key, size in tables.get("cover_size", {}).items()},
+        **{
+            (cover_size, key): lo if lo == hi else (lo, hi)
+            for key, (lo, hi) in tables.get("cover_size", {}).items()
+        },
         **{(lmax, key): size for key, size in tables.get("lmax", {}).items()},
     }
 
@@ -379,19 +385,72 @@ def test_size_tables_keep_the_sides_apart(spec, amask):
         assert_tables_match_fresh_groups(spec, amask, side, set())
 
 
+def within(G, side, k, amask, counter=None):
+    return cover_within(G, amask, side, k, counter or NodeCounter(10**9))
+
+
 @pytest.mark.parametrize("spec", GRID_SPECS)
 def test_a_search_cut_off_fills_no_table(spec):
+    # and the same call with a fresh counter then spends, on that group, what
+    # it spends on a fresh group
+    n = build_group(spec).order
+    queries = (
+        (cover_size, ()), *((lmax, (v,)) for v in VARIANTS), *((within, (k,)) for k in range(1, n + 1))
+    )
     for amask in range(build_group(spec).full_mask + 1):
-        for side in ONE_SIDES:
-            for query, args in ((cover_size, ()), *((lmax, (v,)) for v in VARIANTS)):
+        for side in SIDES:
+            for query, args in queries:
                 counter = NodeCounter(10**9)
                 want = query(build_group(spec), side, *args, amask, counter)
                 for budget in {counter.spent - 1, counter.spent // 2} if counter.spent else ():
                     G = build_group(spec)
                     with pytest.raises(BudgetExceeded):
                         query(G, side, *args, amask, NodeCounter(budget))
-                    assert table_entries(G) == {}, (query.__name__, side, args, amask, budget)
-                    assert query(G, side, *args, amask) == want
+                    case = (query.__name__, side, args, amask, budget)
+                    assert table_entries(G) == {}, case
+                    again = NodeCounter(10**9)
+                    assert query(G, side, *args, amask, again) == want, case
+                    assert again.spent == counter.spent, case
+
+
+#: Subsets with a k that only the exact search refutes although the cover
+#: number exceeds k + 1 ({0, 4} in cyclic:12: c = 8, k = 6), so that a
+#: refutation entered as an upper bound shows. No GRID_SPECS subset has one.
+DEEP_REFUTATIONS = (("cyclic:12", 0b10001, 6), ("cyclic:14", 0b100100010, 5))
+
+
+@pytest.mark.parametrize(
+    "spec,masks",
+    [*((spec, None) for spec in GRID_SPECS), *((spec, (m,)) for spec, m, _ in DEEP_REFUTATIONS)],
+)
+def test_decisions_match_the_cover_number(spec, masks):
+    # every subset (or the given ones), side and k in 1..n: on a group of its
+    # own, on one group with k ascending (each decision reads the bounds the
+    # smaller k left) and with k descending, and on the group the exact
+    # search filled; every (lower, upper) entry left holds the number
+    G = build_group(spec)
+    n = G.order
+    masks = range(G.full_mask + 1) if masks is None else masks
+    numbers = {(side, m): cover_size(G, side, m) for side in SIDES for m in masks}
+    ascending, descending = build_group(spec), build_group(spec)
+    for (side, m), c in numbers.items():
+        for k in range(1, n + 1):
+            case = (side, m, k, c)
+            assert within(build_group(spec), side, k, m) == (c <= k), case
+            assert within(ascending, side, k, m) == (c <= k), case
+            assert within(G, side, k, m) == (c <= k), case
+        for k in range(n, 0, -1):
+            assert within(descending, side, k, m) == (c <= k), (side, m, k, c)
+    for H in (ascending, descending, G):
+        for (side, m), (lo, hi) in list(_caches[H]["cover_size"].items()):
+            assert lo <= cover_size(G, side, m) <= hi, (side, m, lo, hi)
+
+
+@pytest.mark.parametrize("spec,amask,k", DEEP_REFUTATIONS)
+def test_deep_refutations_need_the_exact_search(spec, amask, k):
+    counter = NodeCounter(10**9)
+    assert not within(build_group(spec), "left", k, amask, counter) and counter.spent > 0
+    assert cover_size(build_group(spec), "left", amask) > k + 1
 
 
 def transpose(covers, full):

@@ -1,6 +1,7 @@
 """Smoke tests: the scripts under scripts/ run to completion, and the size
 census prints its pinned table."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -55,6 +56,49 @@ def test_compare_outputs_finds_a_tree_equal_to_itself():
     out = run_script("compare_outputs.py", [str(ROOT), str(ROOT), "--workloads", "search"])
     compared, _, differ = out.splitlines()[-1].partition(" commands compared, ")
     assert int(compared) > 0 and differ == "0 differ"
+
+
+SEARCH_REPORT = """\
+kappasets report
+version: 0.1.0
+command: kappasets search --group cyclic:8 --kappa 3 --mode res-left --out-dir out
+content-hash: 3575bd09bf30
+
+[claim search.res-left]
+anchor: max cells in a partition into left 3-large subsets
+status: pass
+detail: cells=2 optimal=True partition: {0,1,2,3} | {4,5,6,7}
+nodes: 12
+report written to out/20261019T102723Z-3575bd09bf30
+"""
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_outputs_can_leave_the_node_counts_out():
+    compare = load_script("compare_outputs")
+    fewer = SEARCH_REPORT.replace("nodes: 12", "nodes: 7")
+    other = SEARCH_REPORT.replace("cells=2", "cells=3")
+
+    def runs(*texts):
+        return [["search", ["search"], 0, text] for text in texts]
+
+    assert compare.report(SEARCH_REPORT, ignore_nodes=True) == [
+        "kappasets report", "version: 0.1.0", "", "[claim search.res-left]",
+        "anchor: max cells in a partition into left 3-large subsets", "status: pass",
+        "detail: cells=2 optimal=True partition: {0,1,2,3} | {4,5,6,7}",
+    ]
+    assert compare.report(SEARCH_REPORT)[-1] == "nodes: 12"
+    assert len(compare.differences(runs(SEARCH_REPORT), runs(fewer))) == 1
+    assert compare.differences(runs(SEARCH_REPORT), runs(fewer), ignore_nodes=True) == []
+    assert len(compare.differences(runs(SEARCH_REPORT), runs(other), ignore_nodes=True)) == 1
+    verify = ["verify", ["verify"], 0, "nodes: 3\nnodes: 4\n"]
+    assert compare.node_totals([*runs(SEARCH_REPORT, fewer), verify]) == {"search": 19, "verify": 7}
 
 
 def test_res_tables_refuses_a_negative_budget():
