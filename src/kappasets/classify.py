@@ -8,11 +8,13 @@ inverse indices: f*x lies in A iff x lies in f^-1*A = t[f^-1] (x*f in A
 iff x in A*f^-1 on the right), so a test set F fails exactly when every
 candidate x lies outside t[f^-1] for some f in F, and the least failing F
 is a minimal cover of the candidates by the masks candidates minus
-t[f^-1]. Both reduce to one exact hitting-set kernel, _min_hitting. It
-takes a greedy upper bound and a counting lower bound, decides each size
-in between by branch and bound on the uncovered element with the fewest
-options (the column rule of Knuth's Algorithm X), and then finds the
-lex-least cover of the optimal size by one index-order search.
+t[f^-1]. Both reduce to one exact hitting-set step, _tighten. Given
+bounds on the least number of sets that cover and a size k between them,
+it proves k by the greedy pass stopped once it passes k, and else decides
+k by branch and bound on the uncovered element with the fewest options
+(the column rule of Knuth's Algorithm X). Once the bounds meet,
+_lex_least finds the lex-least cover of that size by one index-order
+search.
 
 A translate is the sum of A's entries in one of the per-group bit rows
 rows[g][a] = 1 << g*a (left) or 1 << a*g (right), built once per group and
@@ -46,12 +48,20 @@ covers G from the empty set, and its cover number is |G| + 1, which
 exceeds kappa-1 for every admissible kappa; the empty set is then never
 large, without a special case at the caller. A caller that reads only
 whether the cover number is at most kappa-1 asks the decision
-cover_within at k = kappa-1 instead: the partition searches' cell tests,
-is_small's scan and re-check, and is_thick's duality cross-check. It
-refutes by the counting bound, proves by the greedy cover (one side),
-and else runs one exact search at k, never the sizes below k nor the lex phase. The
-printed cover witness (is_large), the thickness profile, the suites'
-kappa sweeps and the size census read the number itself.
+cover_within at k = kappa-1: is_large, which searches a witness only for
+a large A, the partition searches' cell tests, is_small's scan and
+re-check, and is_thick's duality cross-check.
+
+Every cover query runs one bounds step, _cover_bounds. It reads a (lower,
+upper) pair for the cover number, raises the lower end to the counting
+bound at no node cost, and decides the sizes it is asked: one side by
+_tighten, two-sided by walking the sizes from the lower bound up. A
+two-sided hit is the exact number, and the walk records its F, the
+(size, lex)-least cover, in the "cover" cache. cover_within asks it for k
+alone; min_cover_size asks it for each size from the lower bound up,
+until the pair is exact. _min_cover, the minimal cover, takes its size
+from min_cover_size; one side then runs only the lex phase, and
+two-sided reads the F the walk recorded.
 
 Both one-sided numbers are translation invariant: F*(g*A) = (F*g)*A and
 (A*g)*F = A*(g*F) keep the cover number, and since F*x lands in A*h iff
@@ -63,19 +73,14 @@ are the mirror-side translates at x^-1. When it finishes it enters what
 it found for each of them in one of two per-group size tables.
 "lmax", keyed (side, variant, mask), holds the number. "cover_size",
 keyed (side, mask), holds what is known of the cover number as a (lower,
-upper) pair, exact when the two are equal: min_cover_size enters the
-number as an exact pair and reads only exact pairs, and cover_within
-reads the pair and tightens it by what its search proves. Both tables are
-read before any search, at no node cost. A search cut off by its budget
-enters nothing. Witnesses are not translated: the lex-least cover of g*A
-is not g times that of A, so _min_cover and _thick_profile, with their
-exact-key "cover" and "profile" caches, still search A itself. The
-two-sided numbers are not invariant in general (F*(g*A)*F translates only
-the inner factor): only cover_within enters a two-sided cover_size entry,
-for A itself alone, and there is no two-sided lmax entry. _min_cover's
-two-sided numbers stay in its "cover" cache alone: entering each one the
-suites' sweeps find as well raised the peak memory of verify --suite
-duality by about 0.1 MB.
+upper) pair, exact when the two are equal; _cover_bounds is its one
+writer. Both tables are read before any search, at no node cost. A search
+cut off by its budget enters nothing. Witnesses are not translated: the
+lex-least cover of g*A is not g times that of A, so _min_cover and
+_thick_profile, with their exact-key "cover" and "profile" caches, still
+search A itself. The two-sided numbers are not invariant in general
+(F*(g*A)*F translates only the inner factor): a two-sided cover_size
+entry is for A itself alone, and there is no two-sided lmax entry.
 
 All searches are deterministic; witnesses are minimal in (size, lex) order
 and re-verified against the raw definitions before they are returned. A
@@ -88,6 +93,7 @@ multiplication table itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
@@ -233,31 +239,37 @@ def _min_hitting(
     """(size, lex)-minimal tuple of indices f whose covers[f] (each a subset
     of full) together contain full, or None when all of them together do
     not. opts[e], for each element e of full, is the mask of the f whose
-    covers[f] holds e; the caller reads it off the group (e*A^-1 or A^-1*e
-    for the translates of A, all f outside dom(x) for a candidate x of the
-    thickness family). One node is spent per search-tree node of either
-    phase.
+    covers[f] holds e; the caller reads it off the group (all f outside
+    dom(x) for a candidate x of the thickness family). The size lies
+    between the counting bound and len(covers); _tighten raises the lower
+    bound until the two meet, and _lex_least finds the cover of that size.
+    One node is spent per search-tree node of either phase.
     """
     if full == 0:
         return ()
-    n = len(covers)
-    # dead[i]: elements with no option at index >= i
-    dead = [full] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        dead[i] = dead[i + 1] & ~covers[i]
-    if dead[0]:
+    if full & ~functools.reduce(int.__or__, covers):
         return None
-    upper = _greedy(covers, full, n)
     maxcover = max(c.bit_count() for c in covers)
-    size = upper
-    for k in range(-(-full.bit_count() // maxcover), upper):
-        if _hits_within(full, k, (1 << n) - 1, covers, opts, maxcover, counter):
-            size = k
-            break
-    chosen: list[int] = []
-    if not _lex_first(full, size, 0, covers, dead, maxcover, chosen, counter):
-        raise RuntimeError("hitting-set lex phase found no witness")  # pragma: no cover
-    return tuple(chosen)
+    lo, hi = -(-full.bit_count() // maxcover), len(covers)
+    while lo < hi:
+        lo, hi = _tighten(covers, lambda: opts, full, maxcover, lo, (lo, hi), counter)
+    return _lex_least(covers, full, lo, maxcover, counter)
+
+
+def _tighten(
+    covers: list[int], options, full: int, maxcover: int, k: int,
+    known: tuple[int, int], counter: NodeCounter,
+) -> tuple[int, int]:
+    """known, the (lower, upper) bounds on how few covers hold full, at
+    least the counting bound |full| / maxcover and with lower <= k < upper,
+    tightened by deciding whether k covers do: the greedy pass proves it
+    when it holds full within k covers, else one exact search at k
+    decides, over the option lists that options() returns."""
+    lo, hi = known
+    got = _greedy(covers, full, k)
+    if got is None and _hits_within(full, k, (1 << len(covers)) - 1, covers, options(), maxcover, counter):
+        got = k
+    return (k + 1, hi) if got is None else (lo, got)
 
 
 def _greedy(covers: list[int], full: int, cap: int) -> int | None:
@@ -304,6 +316,22 @@ def _hits_within(
         allowed ^= low  # later branches never use an index tried here
         choice ^= low
     return False
+
+
+def _lex_least(
+    covers: list[int], full: int, size: int, maxcover: int, counter: NodeCounter
+) -> tuple[int, ...]:
+    """The lex-least size indices whose covers hold full, when size is the
+    least number that do."""
+    n = len(covers)
+    # dead[i]: elements with no option at index >= i
+    dead = [full] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        dead[i] = dead[i + 1] & ~covers[i]
+    chosen: list[int] = []
+    if not _lex_first(full, size, 0, covers, dead, maxcover, chosen, counter):
+        raise RuntimeError("hitting-set lex phase found no witness")  # pragma: no cover
+    return tuple(chosen)
 
 
 def _lex_first(
@@ -400,13 +428,59 @@ def _first_empty(
     return None
 
 
-def _pair_floor(n: int, count: int) -> int:
-    """Least s with s*s*count >= n: |F*A*F| <= |F|^2*|A|, so no smaller F
-    covers G two-sided."""
-    s = 1
-    while s * s * count < n:
-        s += 1
-    return s
+def _cover_floor(n: int, count: int, side: str) -> int:
+    """Least |F| the counting bound leaves for an A of count elements:
+    |F*A| <= |F|*|A| and |F*A*F| <= |F|^2*|A|; |G| + 1 when A is empty."""
+    if not count:
+        return n + 1
+    least = -(-n // count)
+    return least if side != "two-sided" else math.isqrt(least - 1) + 1
+
+
+def _cover_bounds(
+    G: GroupTable, amask: int, side: str, ks, counter: NodeCounter
+) -> tuple[int, int]:
+    """What is known of A's cover number, a (lower, upper) pair, once each
+    k of ks in turn that the pair leaves open has been decided.
+
+    The pair is read from the size table, and the counting bound raises its
+    lower end, both at no node cost and with no table built. One side then
+    decides k by _tighten over the translates of A, built once, with the
+    translates of A^-1 as options: e lies in f*A (A*f) iff f lies in
+    e*A^-1 (A^-1*e). The options are built at the first exact search, since
+    a greedy proof needs none. Two-sided walks the sizes from the lower
+    bound up to k; a hit is the exact number, and its F, the (size,
+    lex)-least cover, is recorded in the "cover" cache. Once every k is
+    decided the pair is entered for each translate of A (A itself
+    two-sided), so a search cut off by its budget enters nothing.
+    """
+    n, count, tables = G.order, amask.bit_count(), _cache(G)
+    lo, hi = tables["cover_size"].get((side, amask), (0, n + 1))
+    lo = max(lo, _cover_floor(n, count, side))
+    masks, opts = None, []
+
+    def options():
+        if not opts:
+            opts.extend(_translates(G, inverse_mask(G, amask), side))
+        return opts
+
+    for k in ks:
+        if not lo <= k < hi:
+            continue
+        if side == "two-sided":
+            masks = [amask]
+            combo = _first_empty(range(lo, k + 1), G.full_mask, _pair_walks(G, amask)[0], counter)
+            if combo is None:
+                lo = k + 1
+            else:
+                lo = hi = len(combo)
+                tables["cover"][side, amask] = (lo, combo)
+        else:
+            masks = masks or _translates(G, amask, side)
+            lo, hi = _tighten(masks, options, G.full_mask, count, k, (lo, hi), counter)
+    for m in masks or ():
+        tables["cover_size"][side, m] = (lo, hi)
+    return lo, hi
 
 
 def _min_cover(
@@ -415,94 +489,43 @@ def _min_cover(
     """Minimal (size, lex) F with F*A = G (left), A*F = G (right) or
     F*A*F = G (two-sided); None when A is empty.
 
-    One-sided covers are hitting sets of the translate masks f*A (A*f),
-    found by _min_hitting; a two-sided cover is the first F, walked by size
-    from the least s with s*s*|A| >= |G|, whose pairs leave no element of G
-    outside every f1*A*f2. A finished one-sided search enters its number,
-    as exact, for every translate f*A (A*f) in the cover_size table.
+    The size is min_cover_size's. One side then runs only the lex phase at
+    that size over the translates f*A (A*f); two-sided, the walk that found
+    the size has recorded F in the "cover" cache.
     """
-    tables = _cache(G)
-    cache = tables["cover"]
+    cache = _cache(G)["cover"]
     key = (side, amask)
-    if key in cache:
-        return cache[key]
-    if amask == 0:
-        cache[key] = None
-        return None
-    n = G.order
-    if side == "two-sided":
-        tried = range(_pair_floor(n, amask.bit_count()), n + 1)
-        combo = _first_empty(tried, G.full_mask, _pair_walks(G, amask)[0], counter)
-        translates = []
-    else:
-        translates = _translates(G, amask, side)
-        # e lies in f*A (A*f) iff f lies in e*A^-1 (A^-1*e)
-        opts = _translates(G, inverse_mask(G, amask), side)
-        combo = _min_hitting(translates, opts, G.full_mask, counter)
-    if combo is None:  # pragma: no cover - a cover always exists for A != {}
-        raise RuntimeError("cover search failed to terminate")
-    cache[key] = result = (len(combo), combo)
-    exact = (len(combo), len(combo))
-    for m in translates:
-        tables["cover_size"][side, m] = exact
-    return result
+    if key not in cache:
+        size = min_cover_size(G, amask, side, counter)
+        if not amask:
+            cache[key] = None
+        elif key not in cache:  # one side; a two-sided walk has recorded its F
+            covers = _translates(G, amask, side)
+            cache[key] = (size, _lex_least(covers, G.full_mask, size, amask.bit_count(), counter))
+    return cache[key]
 
 
 def min_cover_size(G: GroupTable, amask: int, side: str, counter: NodeCounter) -> int:
     """Least |F| covering G from A on the given side; |G| + 1 for the empty
-    set, which no F covers. A number the size table holds as exact, found
-    for A or a translate, is read at no node cost; bounds alone are not
-    read, and the search runs."""
-    lo, hi = _cache(G)["cover_size"].get((side, amask), (0, 0))
-    if lo == hi > 0:
-        return lo
-    got = _min_cover(G, amask, side, counter)
-    return G.order + 1 if got is None else got[0]
+    set, which no F covers. Each size from the lower bound up is decided
+    until the pair is exact; an exact pair in the size table, found for A
+    or a translate, is read at no node cost."""
+    lo, hi = _cache(G)["cover_size"].get((side, amask), (0, G.order + 1))
+    return lo if lo == hi else _cover_bounds(G, amask, side, range(lo, hi), counter)[0]
 
 
 def cover_within(G: GroupTable, amask: int, side: str, k: int, counter: NodeCounter) -> bool:
     """Some F with |F| <= k has F*A = G (left), A*F = G (right) or
     F*A*F = G (two-sided): A is kappa-large iff this holds at k = kappa-1.
 
-    What the size table holds for A decides first, at no node cost. The
-    counting bound then refutes, also free, when |F|*|A| (|F|^2*|A|
-    two-sided) is below |G| at |F| = k, as it is for the empty set. One
-    side then takes the greedy cover of the translates, stopped once it
-    passes k, and else one exact search at k; two-sided walks the sizes
-    from the larger of the counting bound and the table's lower bound up to
-    k, so a hit there is the exact number. What the search proves enters
-    the table for every translate of A (A itself two-sided): c <= the
-    greedy count, c <= k, or c > k. A search cut off by its budget enters
-    nothing.
+    What the size table holds for A decides first, and then the counting
+    bound refutes (as it does for the empty set), both at no node cost,
+    with no table built and nothing entered; else _cover_bounds decides k.
     """
-    sizes = _cache(G)["cover_size"]
-    lo, hi = sizes.get((side, amask), (0, G.order + 1))
-    if hi <= k:
-        return True
-    if lo > k:
-        return False
-    n, count = G.order, amask.bit_count()
-    if side == "two-sided":
-        if n > k * k * count:
-            return False
-        tried = range(max(lo, _pair_floor(n, count)), k + 1)
-        combo = _first_empty(tried, G.full_mask, _pair_walks(G, amask)[0], counter)
-        known = (k + 1, hi) if combo is None else (len(combo), len(combo))
-        translates = [amask]
-    else:
-        if n > k * count:
-            return False
-        full = G.full_mask
-        translates = _translates(G, amask, side)
-        upper = _greedy(translates, full, k)
-        if upper is None:
-            # e lies in f*A (A*f) iff f lies in e*A^-1 (A^-1*e)
-            opts = _translates(G, inverse_mask(G, amask), side)
-            upper = k if _hits_within(full, k, full, translates, opts, count, counter) else None
-        known = (k + 1, hi) if upper is None else (lo, upper)
-    for m in translates:
-        sizes[side, m] = known
-    return known[1] <= k
+    lo, hi = _cache(G)["cover_size"].get((side, amask), (0, G.order + 1))
+    if lo <= k < hi and _cover_floor(G.order, amask.bit_count(), side) <= k:
+        hi = _cover_bounds(G, amask, side, (k,), counter)[1]
+    return hi <= k
 
 
 # -- thickness: least failing test sets ---------------------------------------
@@ -601,21 +624,20 @@ def is_large(
     G: GroupTable, A: Subset, kappa: int, side: str = "left", *,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SizeVerdict:
-    """Exact decision of left/right/two-sided kappa-largeness with minimal witness."""
+    """Exact decision of left/right/two-sided kappa-largeness with minimal
+    witness: cover_within decides at kappa-1, and only a large A has its
+    minimal cover searched."""
     check_subset(G, A)
     check_kappa(G, kappa)
     check_side(side)
     counter = NodeCounter(node_budget)
     try:
-        got = _min_cover(G, A.mask, side, counter)
+        got = cover_within(G, A.mask, side, kappa - 1, counter) and _min_cover(G, A.mask, side, counter)
     except BudgetExceeded:
         return SizeVerdict("large", side, kappa, None, nodes=counter.spent)
-    if got is None:
+    if not got:
         return SizeVerdict("large", side, kappa, False, nodes=counter.spent)
-    size, combo = got
-    if size > kappa - 1:
-        return SizeVerdict("large", side, kappa, False, nodes=counter.spent)
-    F = Subset.from_indices(G.order, combo)
+    F = Subset.from_indices(G.order, got[1])
     shape = {"left": "FA", "right": "AF", "two-sided": "FAF"}[side]
     if product_set(G, F, A, shape).mask != G.full_mask:  # pragma: no cover
         raise RuntimeError("large witness failed re-verification")

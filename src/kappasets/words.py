@@ -20,6 +20,10 @@ IDENTITY: Word = ()
 
 #: Refuse to materialize balls (and direct-sum balls) bigger than this.
 MAX_BALL_WORDS = 2_000_000
+#: Refuse a ball whose words hold more letters than this in all. Every ball
+#: of rank >= 2 within MAX_BALL_WORDS fits (the largest, rank 2 and radius
+#: 12, holds 12,223,144); it bounds rank 1, whose radius-r ball holds r(r+1).
+MAX_BALL_LETTERS = 16_000_000
 
 
 class WordSyntaxError(ValueError):
@@ -96,25 +100,26 @@ def ball_size(alphabet_size: int, radius: int) -> int:
     """Count of reduced words of length <= radius, one length at a time.
 
     Raises the ValueError of enumerate_ball at the first length whose
-    running count passes MAX_BALL_WORDS, so no power past the limit is
-    formed. The 2m signed letters, which the builder forms at every radius,
-    must fit the limit too.
+    running count of words passes MAX_BALL_WORDS, or whose running count of
+    the letters those words hold passes MAX_BALL_LETTERS, so no power past
+    a limit is formed. The 2m signed letters, which the builder forms at
+    every radius, must fit the word limit too.
     """
     m = alphabet_size
     if m < 1:
         raise ValueError("alphabet size must be >= 1")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    count, level, limit = 1, 2 * m, MAX_BALL_WORDS
+    count, letters, level, limit = 1, 0, 2 * m, MAX_BALL_WORDS
     if level > limit:
         raise ValueError(f"alphabet of rank {m} has {level} signed letters (limit {limit})")
     for length in range(1, radius + 1):
         count += level
-        if count > limit:
-            some = "" if length == radius else "at least "
-            raise ValueError(
-                f"ball of rank {m}, radius {radius} has {some}{count} words (limit {limit})"
-            )
+        letters += length * level
+        for got, unit, most in ((count, "words", limit), (letters, "letters", MAX_BALL_LETTERS)):
+            if got > most:
+                some = "" if length == radius else "at least "
+                raise ValueError(f"ball of rank {m}, radius {radius} has {some}{got} {unit} (limit {most})")
         level *= 2 * m - 1
     return count
 

@@ -733,13 +733,20 @@ HUGE = "99999999999999999999"
         (["c1-split3", "--params", f"m={HUGE}"],
          f"alphabet of rank {HUGE} has {2 * int(HUGE)} signed letters (limit 2000000)"),
         (["s-set", "--params", "m=-1"], "s-set parameter m must be >= 1, got -1"),
+        # 200,001 words, within the word limit, but r(r+1) = 10**10 letters
+        (["c1-rank1", "--radius", "100000"],
+         "ball of rank 1, radius 100000 has at least 16004000 letters (limit 16000000)"),
     ],
-    ids=["adversary-radius", "radius", "s-set-m", "thm3-m", "c1-split3-m", "s-set-negative-m"],
+    ids=[
+        "adversary-radius", "radius", "s-set-m", "thm3-m", "c1-split3-m", "s-set-negative-m",
+        "rank1-letters",
+    ],
 )
 def test_huge_rank_or_radius_is_refused_before_the_build(argv, message, tmp_path):
-    # each of these once ran until killed; the rank and the word count are
-    # now checked before any letter set or ball is built, and a child with a
-    # timeout turns a regression into a failure rather than a hang
+    # each of these once ran until killed; the rank and the word and letter
+    # counts are now checked before any letter set or ball is built, and a
+    # child with a timeout and a capped address space turns a regression
+    # into a failure rather than a hang
     got = subprocess.run(
         [sys.executable, "-m", "kappasets", "construct", "--construction", *argv,
          "--out-dir", str(tmp_path / "runs")],

@@ -427,16 +427,22 @@ def test_decisions_match_the_cover_number(spec, masks):
     # every subset (or the given ones), side and k in 1..n: on a group of its
     # own, on one group with k ascending (each decision reads the bounds the
     # smaller k left) and with k descending, and on the group the exact
-    # search filled; every (lower, upper) entry left holds the number
+    # search filled; every (lower, upper) entry left holds the number, and
+    # the minimal cover and its size, found from the bounds the decisions
+    # left, are the oracle's
     G = build_group(spec)
     n = G.order
     masks = range(G.full_mask + 1) if masks is None else masks
     numbers = {(side, m): cover_size(G, side, m) for side in SIDES for m in masks}
+    covers = {(side, m): oracle_cover(G, m, side) for side, m in numbers}
     ascending, descending = build_group(spec), build_group(spec)
     for (side, m), c in numbers.items():
         for k in range(1, n + 1):
             case = (side, m, k, c)
-            assert within(build_group(spec), side, k, m) == (c <= k), case
+            fresh = build_group(spec)
+            assert within(fresh, side, k, m) == (c <= k), case
+            assert _min_cover(fresh, m, side, NodeCounter(10**9)) == covers[side, m], case
+            assert cover_size(fresh, side, m) == c, case
             assert within(ascending, side, k, m) == (c <= k), case
             assert within(G, side, k, m) == (c <= k), case
         for k in range(n, 0, -1):
@@ -444,6 +450,34 @@ def test_decisions_match_the_cover_number(spec, masks):
     for H in (ascending, descending, G):
         for (side, m), (lo, hi) in list(_caches[H]["cover_size"].items()):
             assert lo <= cover_size(G, side, m) <= hi, (side, m, lo, hi)
+    for H in (ascending, descending):
+        for (side, m), c in numbers.items():
+            assert cover_size(H, side, m) == c, (side, m, c)
+            assert _min_cover(H, m, side, NodeCounter(10**9)) == covers[side, m], (side, m)
+
+
+def test_a_large_claim_the_counting_bound_refutes_searches_nothing():
+    # 8 > 2*|A| (and 2*2*|A|) at kappa-1 = 2: the decision refutes every
+    # side with no table built, and no least cover is searched for a verdict
+    # that prints none
+    G = build_group("cyclic:8")
+    for side in SIDES:
+        got = is_large(G, Subset.from_indices(8, [1]), 3, side)
+        assert (got.verdict, got.nodes) == (False, 0), side
+    assert table_entries(G) == {} and _caches[G]["cover"] == {}
+
+
+def test_a_two_sided_large_claim_after_its_decision_walks_once():
+    # the decision's walk records the least cover it hits, and the claim
+    # reads it: no second walk
+    spec, A, kappa = "dihedral:4", Subset.from_indices(8, [0, 1]), 4
+    G, counter = build_group(spec), NodeCounter(10**9)
+    assert cover_within(G, A.mask, "two-sided", kappa - 1, counter) and counter.spent > 0
+    got = is_large(G, A, kappa, "two-sided")
+    assert (got.verdict, got.nodes) == (True, 0)
+    fresh = is_large(build_group(spec), A, kappa, "two-sided")
+    assert fresh == replace(got, nodes=counter.spent)
+    assert got.witness == Subset.from_indices(8, oracle_cover(G, A.mask, "two-sided")[1])
 
 
 @pytest.mark.parametrize("spec,amask,k", DEEP_REFUTATIONS)
@@ -486,27 +520,34 @@ def test_kernel_spends_budget():
 
 @pytest.mark.parametrize("spec", GRID_SPECS)
 def test_kernel_options_are_the_transposed_covers(spec, monkeypatch):
-    # the option lists the searches read off the group (e*A^-1, A^-1*e, and
-    # all f outside dom(x)) are exactly the covers transposed
-    calls = []
+    # the option lists that the one-sided cover searches (e*A^-1, A^-1*e) and
+    # the thickness searches (all f outside dom(x)) read off the group and
+    # hand to the shared step are exactly the covers transposed; the cover
+    # searches hand it the translates of A itself
+    calls = {"cover": [], "thick": []}
+    family = []
 
-    def recording(covers, opts, full, counter):
-        calls.append((covers, opts, full))
-        return kernel(covers, opts, full, counter)
+    def recording(covers, options, full, *rest):
+        calls[family[0]].append((*family[1:], covers, options(), full))
+        return step(covers, options, full, *rest)
 
-    kernel = classify._min_hitting
-    monkeypatch.setattr(classify, "_min_hitting", recording)
+    step = classify._tighten
+    monkeypatch.setattr(classify, "_tighten", recording)
     G = build_group(spec)
+    counter = NodeCounter(10**9)
     for amask in range(G.full_mask + 1):
-        A = Subset(G.order, amask)
         for side in ONE_SIDES:
-            is_large(G, A, 2, side)
+            family[:] = ("cover", amask, side)
+            cover_size(G, side, amask, counter)
+            family[:] = ("thick", amask, side)
             for variant in VARIANTS:
-                is_thick(G, A, 2, side, variant)
-    assert calls
-    for covers, opts, full in calls:
+                lmax(G, side, variant, amask, counter)
+    assert calls["cover"] and calls["thick"]
+    for amask, side, covers, opts, full in calls["cover"]:
+        assert (covers, full) == (cover_masks(G, amask, side), G.full_mask), (amask, side)
+    for amask, side, covers, opts, full in calls["cover"] + calls["thick"]:
         want = transpose(covers, full)
-        assert [opts[e] for e in bits(full)] == [want[e] for e in bits(full)], (covers, full)
+        assert [opts[e] for e in bits(full)] == [want[e] for e in bits(full)], (amask, side)
 
 
 def test_symmetric4_resolvability_within_a_small_budget():

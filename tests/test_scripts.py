@@ -19,7 +19,7 @@ kappa  large thickG thickA  gap  small
     4     51     13      7    6      1
     5     57      7      7    0      1
     6     57      7      1    6      1
-nodes spent: 657
+nodes spent: 631
 """
 
 

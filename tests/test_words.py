@@ -136,6 +136,24 @@ def test_ball_size_limit():
         enumerate_ds_ball((2, 2), 6)
 
 
+def test_ball_letter_limit():
+    # a rank-1 ball within the word limit can hold far more letters than
+    # words: radius r holds r(r+1), refused from the running count
+    assert ball_size(1, 3999) == 7999
+    with pytest.raises(ValueError, match=r"radius 4000 has 16004000 letters \(limit 16000000\)"):
+        ball_size(1, 4000)
+    with pytest.raises(ValueError, match=r"radius 100000 has at least 16004000 letters"):
+        ball_size(1, 100000)
+    # every ball of rank >= 2 that the word limit admits is still admitted;
+    # past rank 707 only radius 1 is, whose 2m letters are fewer than its words
+    for m in range(2, 708):
+        radius, size, level = 0, 1, 2 * m
+        while size + level <= words_module.MAX_BALL_WORDS:
+            radius, size, level = radius + 1, size + level, level * (2 * m - 1)
+        assert ball_size(m, radius) == size, m
+    assert ball_size(2, 12) == 1062881
+
+
 def cap_memory():
     # a regression forms a huge power or letter set: cap the child's address
     # space so that it fails at 1 GiB instead of filling the machine
@@ -173,7 +191,7 @@ def test_huge_radius_or_rank_is_refused_from_a_bounded_count():
     huge = 10**20
     assert got.stdout.splitlines() == [
         f"ball of rank 2, radius {huge} has at least 3188645 words (limit 2000000)",
-        f"ball of rank 1, radius {huge} has at least 2000001 words (limit 2000000)",
+        f"ball of rank 1, radius {huge} has at least 16004000 letters (limit 16000000)",
         f"alphabet of rank {huge} has {2 * huge} signed letters (limit 2000000)",
         "alphabet of rank at least 1000001 has at least 2000002 signed letters (limit 2000000)",
         f"ball of rank 2, radius {huge} has at least 3188645 words (limit 2000000)",
