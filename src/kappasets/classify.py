@@ -83,12 +83,16 @@ search A itself. The two-sided numbers are not invariant in general
 entry is for A itself alone, and there is no two-sided lmax entry.
 
 All searches are deterministic; witnesses are minimal in (size, lex) order
-and re-verified against the raw definitions before they are returned. A
-thick=True verdict is re-checked on every maximal test set by the same
-walk at size kappa-1 over the one thickness table, _thick_walk (the rows
-t[f^-1] on one side, the two-sided thickness table otherwise), which must
-find no failing F; the entries it shows are re-checked against the
-multiplication table itself.
+and re-verified against the raw definitions before they are returned, by
+one routine per definition. _verified_cover re-checks a minimal cover F
+by forming F*A (A*F, F*A*F) with product_set; is_large's witness and
+is_small's failing L both pass through it. _least_translating reads the
+least x that translates F into A off the multiplication table; a failing
+F must have none, and each entry a thick=True witness shows must have its
+element as the least. A thick=True verdict is re-checked on every maximal
+test set by the same walk at size kappa-1 over the one thickness table,
+_thick_walk (the rows t[f^-1] on one side, the two-sided thickness table
+otherwise), which must find no failing F.
 """
 
 from __future__ import annotations
@@ -419,7 +423,10 @@ def _sweep_translates(
 def _first_empty(
     sizes: range, inter: int, walk: tuple, counter: NodeCounter
 ) -> tuple[int, ...] | None:
-    """The first F by size, then lex, whose walk mask is empty."""
+    """The first F by size, then lex, whose walk mask is empty: the empty F
+    when inter is."""
+    if not inter:
+        return ()
     shown: list = []
     for s in sizes:
         got = _sweep_translates((), s, inter, *walk, shown, counter)
@@ -552,9 +559,10 @@ def _thick_profile(
     hitting set of the candidates by the masks candidates minus that
     translate, found by _min_hitting. Two-sided: F fails when no candidate
     lies in f1^-1*A*f2^-1 for every pair of F, so fail_F is the first F,
-    walked by size from 1, that leaves no candidate. A finished one-sided
-    search enters its lmax for every dom(x) = A*x^-1 (x^-1*A) in the lmax
-    table.
+    walked by size from 1, that leaves no candidate. With no candidate
+    (witness-in-A, A empty) both routes return the empty F, so lmax is -1,
+    at no node cost. A finished one-sided search enters its lmax for every
+    dom(x) = A*x^-1 (x^-1*A) in the lmax table.
     """
     tables = _cache(G)
     cache = tables["profile"]
@@ -562,10 +570,6 @@ def _thick_profile(
     if key in cache:
         return cache[key]
     n = G.order
-    if variant == "witness-in-A" and amask == 0:
-        # even the empty test set has no translating element to pick
-        cache[key] = (-1, ())
-        return cache[key]
     cand = amask if variant == "witness-in-A" else G.full_mask
     walk = _thick_walk(G, amask, side)
     if side == "two-sided":
@@ -617,6 +621,22 @@ def _translate_into(G: GroupTable, fmask: int, x: int, amask: int, side: str) ->
     )
 
 
+def _least_translating(G: GroupTable, fmask: int, cand: int, amask: int, side: str) -> int | None:
+    """The least x in cand that translates F into A by the raw definition:
+    F*x (x*F, F*x*F) lies in A. None when no candidate does."""
+    return next((x for x in bits(cand) if _translate_into(G, fmask, x, amask, side)), None)
+
+
+def _verified_cover(G: GroupTable, amask: int, side: str, counter: NodeCounter) -> Subset:
+    """_min_cover's F for a nonempty A, re-checked against the
+    multiplication table: F*A = G (left), A*F = G (right) or F*A*F = G."""
+    F = Subset.from_indices(G.order, _min_cover(G, amask, side, counter)[1])
+    shape = {"left": "FA", "right": "AF", "two-sided": "FAF"}[side]
+    if product_set(G, F, Subset(G.order, amask), shape).mask != G.full_mask:  # pragma: no cover
+        raise RuntimeError("minimal cover failed re-verification")
+    return F
+
+
 # -- public classifiers ----------------------------------------------------------
 
 
@@ -632,16 +652,11 @@ def is_large(
     check_side(side)
     counter = NodeCounter(node_budget)
     try:
-        got = cover_within(G, A.mask, side, kappa - 1, counter) and _min_cover(G, A.mask, side, counter)
+        large = cover_within(G, A.mask, side, kappa - 1, counter)
+        F = _verified_cover(G, A.mask, side, counter) if large else None
     except BudgetExceeded:
         return SizeVerdict("large", side, kappa, None, nodes=counter.spent)
-    if not got:
-        return SizeVerdict("large", side, kappa, False, nodes=counter.spent)
-    F = Subset.from_indices(G.order, got[1])
-    shape = {"left": "FA", "right": "AF", "two-sided": "FAF"}[side]
-    if product_set(G, F, A, shape).mask != G.full_mask:  # pragma: no cover
-        raise RuntimeError("large witness failed re-verification")
-    return SizeVerdict("large", side, kappa, True, witness=F, nodes=counter.spent)
+    return SizeVerdict("large", side, kappa, large, witness=F, nodes=counter.spent)
 
 
 def is_thick(
@@ -677,11 +692,10 @@ def is_thick(
         else:
             if fail is None or len(fail) > kappa - 1:  # pragma: no cover
                 raise RuntimeError("thick counterexample contradicts the profile")
-            F = Subset.from_indices(G.order, fail)
-            candidates = A.indices() if variant == "witness-in-A" else range(G.order)
-            if any(_translate_into(G, F.mask, x, A.mask, side) for x in candidates):
+            witness = Subset.from_indices(G.order, fail)
+            cand = A.mask if variant == "witness-in-A" else G.full_mask
+            if _least_translating(G, witness.mask, cand, A.mask, side) is not None:
                 raise RuntimeError("thick counterexample failed re-verification")  # pragma: no cover
-            witness = F
     except BudgetExceeded:
         return SizeVerdict("thick", side, kappa, None, variant=variant, nodes=counter.spent)
     return SizeVerdict(
@@ -694,8 +708,8 @@ def _thick_witness_map(
 ) -> ThickWitness:
     """Check every maximal F (|F| = fsize) for a translating element by a
     walk of the _thick_walk table at that one size, which must find no F
-    that fails. The shown entries' least elements are then re-verified
-    raw, smaller candidates included."""
+    that fails. Each shown entry's element must then be the one
+    _least_translating finds."""
     n = G.order
     cand = amask if variant == "witness-in-A" else G.full_mask
     shown: list = []
@@ -706,9 +720,7 @@ def _thick_witness_map(
     for combo, m in shown:
         x = (m & -m).bit_length() - 1
         fmask = mask_of(combo)
-        if not _translate_into(G, fmask, x, amask, side) or any(
-            _translate_into(G, fmask, y, amask, side) for y in bits(cand & ((1 << x) - 1))
-        ):  # pragma: no cover
+        if _least_translating(G, fmask, cand, amask, side) != x:  # pragma: no cover
             raise RuntimeError("thick witness map failed re-verification")
         entries.append((Subset(n, fmask), x))
     return ThickWitness(tuple(entries), math.comb(n, fsize))
@@ -732,8 +744,8 @@ def is_small(
     it has size m and is the (size, lex)-minimal failing L. A two-sided
     claim is decided by its left scan, which fails for every nonempty A.
     Each L, and L minus A, is tested by the decision cover_within at
-    kappa-1; only the failing L's minimal cover is searched, to re-verify L
-    against the multiplication table.
+    kappa-1; only the failing L's minimal cover is searched, and
+    _verified_cover re-checks it against the multiplication table.
     """
     check_subset(G, A)
     check_kappa(G, kappa)
@@ -753,13 +765,9 @@ def is_small(
                 if lmask & A.mask and cover_within(G, lmask, side, limit, counter):
                     if cover_within(G, lmask & ~A.mask, side, limit, counter):  # pragma: no cover
                         raise RuntimeError("small counterexample is still large without A")
-                    L = Subset(n, lmask)
-                    F = Subset.from_indices(n, _min_cover(G, lmask, side, counter)[1])
-                    shape = "FA" if side == "left" else "AF"
-                    if product_set(G, F, L, shape).mask != G.full_mask:  # pragma: no cover
-                        raise RuntimeError("small counterexample failed re-verification")
+                    _verified_cover(G, lmask, side, counter)
                     return SizeVerdict(
-                        "small", side, kappa, False, witness=L, nodes=counter.spent
+                        "small", side, kappa, False, witness=Subset(n, lmask), nodes=counter.spent
                     )
     except BudgetExceeded:
         return SizeVerdict("small", side, kappa, None, nodes=counter.spent)
@@ -818,12 +826,10 @@ def thick_to_large_witness(
     n = G.order
     picks = []
     for i, cell in enumerate(cover.cells):
-        for g in range(n):
-            if _translate_into(G, cell.mask, g, A.mask, "left"):
-                picks.append(g)
-                break
-        else:
+        g = _least_translating(G, cell.mask, G.full_mask, A.mask, "left")
+        if g is None:
             raise CoverCellError(i, cell)
+        picks.append(g)
     F = Subset.from_indices(n, (G.inv[g] for g in picks))
     if product_set(G, A, F, "AF").mask != G.full_mask:  # pragma: no cover
         raise RuntimeError("thick-to-large witness failed re-verification")

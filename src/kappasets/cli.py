@@ -2,7 +2,8 @@
 
 Every run prints a structured text report and writes text + JSON twins to
 an output directory. Exit codes: 0 all pass, 1 claim failure, 2 usage
-error, 3 inconclusive (node budget).
+error (an --out-dir the report cannot be written under among them), 3
+inconclusive (node budget).
 
 A valid command builds only its own subparser, and that parser also prints
 the help and usage errors: its command metavar names every command, so its
@@ -488,7 +489,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:  # UsageError, GroupSpecError and WordSyntaxError among them
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    out_dir, text = write_report(rep, args.out_dir)
+    try:
+        out_dir, text = write_report(rep, args.out_dir)
+    except OSError as e:  # the claims have run, but the report has nowhere to go
+        print(f"error: cannot write the report under {args.out_dir!r}: {e}", file=sys.stderr)
+        return USAGE_ERROR
     sys.stdout.write(text)
     print(f"report written to {out_dir}")
     return rep.exit_status()

@@ -7,9 +7,10 @@ element indices, so all set algebra is integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 DEFAULT_MAX_ORDER = 64
 
@@ -213,30 +214,20 @@ def _generators(mul: list[list[int]]) -> list[int]:
     return gens
 
 
-def _finish(spec: str, mul: list[list[int]], labels: list[str], max_order: int) -> GroupTable:
-    n = len(mul)
-    if n == 0:
-        raise GroupSpecError("empty group table")
-    if n > max_order:
-        raise GroupSpecError(f"order {n} exceeds the configured maximum {max_order}")
-    inv = _check_table(mul)
-    return GroupTable(
-        spec=spec,
-        order=n,
-        mul=tuple(tuple(r) for r in mul),
-        inv=tuple(inv),
-        labels=tuple(labels),
+#: What a family returns: the group's order, and a function that builds its
+#: table and labels, called only once the order is within the cap.
+_Family = tuple[int, Callable[[], tuple[list[list[int]], list[str]]]]
+
+
+def _cyclic(n: int) -> _Family:
+    if n < 1:
+        raise GroupSpecError("cyclic:n needs n >= 1")
+    return n, lambda: (
+        [[(i + j) % n for j in range(n)] for i in range(n)], [str(i) for i in range(n)]
     )
 
 
-def _cyclic(n: int) -> tuple[list[list[int]], list[str]]:
-    if n < 1:
-        raise GroupSpecError("cyclic:n needs n >= 1")
-    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return mul, [str(i) for i in range(n)]
-
-
-def _dihedral(n: int) -> tuple[list[list[int]], list[str]]:
+def _dihedral(n: int) -> _Family:
     # order 2n; index f*n + k encodes s^f r^k with s r s = r^-1
     if n < 1:
         raise GroupSpecError("dihedral:n needs n >= 1")
@@ -249,42 +240,44 @@ def _dihedral(n: int) -> tuple[list[list[int]], list[str]]:
         k = ((-k1 if f2 else k1) + k2) % n
         return f * n + k
 
-    mul = [[prod(i, j) for j in range(order)] for i in range(order)]
-    labels = [f"r{k}" for k in range(n)] + [f"sr{k}" for k in range(n)]
-    return mul, labels
+    def make():
+        mul = [[prod(i, j) for j in range(order)] for i in range(order)]
+        return mul, [f"r{k}" for k in range(n)] + [f"sr{k}" for k in range(n)]
+
+    return order, make
 
 
-def _symmetric(n: int) -> tuple[list[list[int]], list[str]]:
+def _symmetric(n: int) -> _Family:
     if not 1 <= n <= 5:
         raise GroupSpecError("symmetric:n supports 1 <= n <= 5")
-    perms = list(itertools.permutations(range(n)))  # lex order; identity first
-    index = {p: i for i, p in enumerate(perms)}
 
-    def prod(i: int, j: int) -> int:
-        p, q = perms[i], perms[j]
-        return index[tuple(p[q[x]] for x in range(n))]
+    def make():
+        perms = list(itertools.permutations(range(n)))  # lex order; identity first
+        index = {p: i for i, p in enumerate(perms)}
+        mul = [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
+        return mul, ["".join(map(str, p)) for p in perms]
 
-    order = len(perms)
-    mul = [[prod(i, j) for j in range(order)] for i in range(order)]
-    labels = ["".join(map(str, p)) for p in perms]
-    return mul, labels
+    return math.factorial(n), make
 
 
-def _product(g1: GroupTable, g2: GroupTable) -> tuple[list[list[int]], list[str]]:
+def _product(g1: GroupTable, g2: GroupTable) -> _Family:
     n1, n2 = g1.order, g2.order
+    order = n1 * n2
 
     def prod(i: int, j: int) -> int:
         a1, b1 = divmod(i, n2)
         a2, b2 = divmod(j, n2)
         return g1.mul[a1][a2] * n2 + g2.mul[b1][b2]
 
-    order = n1 * n2
-    mul = [[prod(i, j) for j in range(order)] for i in range(order)]
-    labels = [f"({g1.labels[i // n2]},{g2.labels[i % n2]})" for i in range(order)]
-    return mul, labels
+    def make():
+        mul = [[prod(i, j) for j in range(order)] for i in range(order)]
+        labels = [f"({g1.labels[i // n2]},{g2.labels[i % n2]})" for i in range(order)]
+        return mul, labels
+
+    return order, make
 
 
-def _from_file(path: str) -> tuple[list[list[int]], list[str]]:
+def _from_file(path: str) -> _Family:
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -301,8 +294,9 @@ def _from_file(path: str) -> tuple[list[list[int]], list[str]]:
         raise GroupSpecError(f"group file {path!r}: expected {n}x{n} table entries")
     if any(not 0 <= e < n for e in entries):
         raise GroupSpecError(f"group file {path!r}: entries must lie in 0..{n - 1}")
-    mul = [entries[i * n : (i + 1) * n] for i in range(n)]
-    return mul, [f"g{i}" for i in range(n)]
+    return n, lambda: (
+        [entries[i * n : (i + 1) * n] for i in range(n)], [f"g{i}" for i in range(n)]
+    )
 
 
 def _split_product_body(body: str) -> tuple[str, str]:
@@ -334,32 +328,36 @@ def build_group(spec: str, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
 
     Grammar: cyclic:n | dihedral:n (order 2n) | symmetric:n (n <= 5) |
     product:spec+spec | file:path. Orders above 64 need an explicit
-    max_order. Every table is checked exactly against the group axioms.
+    max_order; the order is checked before any table or label list is
+    built (a product's factors first, each on its own). Every table is
+    checked exactly against the group axioms.
     """
     spec = spec.strip()
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise GroupSpecError(f"group spec needs a kind prefix: {spec!r}")
     if kind == "cyclic":
-        mul, labels = _cyclic(_int_arg(spec, arg))
+        order, make = _cyclic(_int_arg(spec, arg))
     elif kind == "dihedral":
-        mul, labels = _dihedral(_int_arg(spec, arg))
+        order, make = _dihedral(_int_arg(spec, arg))
     elif kind == "symmetric":
-        mul, labels = _symmetric(_int_arg(spec, arg))
+        order, make = _symmetric(_int_arg(spec, arg))
     elif kind == "product":
         left, right = _split_product_body(arg)
-        g1 = build_group(left, max_order=max_order)
-        g2 = build_group(right, max_order=max_order)
-        if g1.order * g2.order > max_order:
-            raise GroupSpecError(
-                f"order {g1.order * g2.order} exceeds the configured maximum {max_order}"
-            )
-        mul, labels = _product(g1, g2)
+        order, make = _product(
+            build_group(left, max_order=max_order), build_group(right, max_order=max_order)
+        )
     elif kind == "file":
-        mul, labels = _from_file(arg)
+        order, make = _from_file(arg)
     else:
         raise GroupSpecError(f"unknown group kind {kind!r}")
-    return _finish(spec, mul, labels, max_order)
+    if order > max_order:  # before any table or label list is built
+        raise GroupSpecError(f"order {order} exceeds the configured maximum {max_order}")
+    mul, labels = make()
+    return GroupTable(
+        spec=spec, order=order, mul=tuple(map(tuple, mul)), inv=tuple(_check_table(mul)),
+        labels=tuple(labels),
+    )
 
 
 # -- subset algebra ------------------------------------------------------------

@@ -1,7 +1,6 @@
 import argparse
 import json
 import math
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -710,12 +709,6 @@ def test_console_entry_point_subprocess(tmp_path):
     assert "kappasets report" in got.stdout
 
 
-def cap_memory():
-    # a regression forms a huge power or letter set: cap the child's address
-    # space so that it fails at 1 GiB instead of filling the machine
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
 HUGE = "99999999999999999999"
 
 
@@ -742,7 +735,7 @@ HUGE = "99999999999999999999"
         "rank1-letters",
     ],
 )
-def test_huge_rank_or_radius_is_refused_before_the_build(argv, message, tmp_path):
+def test_huge_rank_or_radius_is_refused_before_the_build(argv, message, tmp_path, cap_memory):
     # each of these once ran until killed; the rank and the word and letter
     # counts are now checked before any letter set or ball is built, and a
     # child with a timeout and a capped address space turns a regression
@@ -757,6 +750,56 @@ def test_huge_rank_or_radius_is_refused_before_the_build(argv, message, tmp_path
     )
     assert got.returncode == 2
     assert f"error: {message}" in got.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["classify", "--group", f"cyclic:{HUGE}", "--subset", "0", "--kappa", "2"], int(HUGE)),
+        (["search", "--group", f"dihedral:{HUGE}", "--kappa", "2", "--mode", "res-left"],
+         2 * int(HUGE)),
+        (["classify", "--group", f"product:cyclic:{HUGE}+cyclic:2", "--subset", "0",
+          "--kappa", "2"], int(HUGE)),
+        (["classify", "--group", "product:cyclic:8+cyclic:9", "--subset", "0", "--kappa", "2"],
+         72),
+    ],
+    ids=["cyclic", "dihedral", "product-factor", "product"],
+)
+def test_huge_group_order_is_refused_before_the_table(argv, order, tmp_path, cap_memory):
+    # the order is bounded before any table or label list is built; a child
+    # with a timeout and a capped address space turns a regression into a
+    # failure rather than a hang or a MemoryError
+    got = subprocess.run(
+        [sys.executable, "-m", "kappasets", *argv, "--out-dir", str(tmp_path / "runs")],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=cap_memory,
+    )
+    assert got.returncode == 2
+    assert got.stderr.splitlines() == [
+        f"error: order {order} exceeds the configured maximum 64"
+    ]
+    assert got.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "--group", "cyclic:4", "--subset", "0", "--kappa", "2"],
+     ["verify", "--suite", "thm3"]],
+    ids=["classify", "verify"],
+)
+def test_an_unwritable_out_dir_is_a_usage_error(argv, tmp_path, capsys):
+    # the claims run, but a regular file cannot hold the report directory:
+    # one error line and exit 2, not a traceback and the claim-failure code
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main([*argv, "--out-dir", str(afile)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write the report under {str(afile)!r}: ")
+    assert len(err.splitlines()) == 1
+    assert afile.read_text() == ""
 
 
 #: Runs the command in its argv in a child and prints the child's peak RSS

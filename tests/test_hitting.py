@@ -18,6 +18,7 @@ from kappasets.classify import (
     BudgetExceeded,
     NodeCounter,
     _caches,
+    _least_translating,
     _min_cover,
     _min_hitting,
     _thick_profile,
@@ -30,7 +31,7 @@ from kappasets.classify import (
     min_cover_size,
     thick_lmax,
 )
-from kappasets.groups import Subset, bits, build_group, mask_of
+from kappasets.groups import Subset, bits, build_group, mask_of, product_set
 from kappasets.resolvability import res_search
 from kappasets.suites import GRID_SPECS
 
@@ -295,6 +296,73 @@ def test_witness_sweep_matches_the_raw_map(spec):
                         ) == spent_until_exhausted(
                             lambda c: oracle_witness_map(G, amask, fsize, side, variant, c), budget
                         ) == budget + 1, (*case, budget)
+
+
+#: The product shape of F*x (x*F, F*x*F) per side.
+TRANSLATE_SHAPES = {"left": "FA", "right": "AF", "two-sided": "FAF"}
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS)
+def test_least_translating_matches_the_product_sets(spec):
+    G = build_group(spec)
+    n = G.order
+    rng = random.Random(f"least-translating {spec}")
+    amasks = [0, G.full_mask, *(rng.randint(0, G.full_mask) for _ in range(6))]
+    fmasks = [mask_of(c) for size in range(3) for c in itertools.combinations(range(n), size)]
+    for side, shape in TRANSLATE_SHAPES.items():
+        for amask in amasks:
+            for cand in (amask, G.full_mask):
+                for fmask in fmasks:
+                    F = Subset(n, fmask)
+                    want = next((
+                        x for x in bits(cand)
+                        if not product_set(G, F, Subset(n, 1 << x), shape).mask & ~amask
+                    ), None)
+                    got = _least_translating(G, fmask, cand, amask, side)
+                    assert got == want, (side, amask, cand, fmask)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_the_empty_set_has_no_witness_in_a(side):
+    # no candidate: the empty F already fails, at no node cost, on every side
+    G = build_group("cyclic:6")
+    got = is_thick(G, Subset.empty(6), 2, side, "witness-in-A")
+    assert (got.verdict, got.witness, got.nodes) == (False, Subset.empty(6), 0)
+    assert thick_lmax(G, 0, side, "witness-in-A", NodeCounter(0)) == -1
+    assert _thick_profile(G, 0, side, "witness-in-A", NodeCounter(0)) == (-1, ())
+
+
+def test_a_cover_that_is_no_cover_fails_re_verification(monkeypatch):
+    # {0,1} is 3-large in cyclic:4 and {0} is not 3-small, so each claim
+    # re-checks a minimal cover; F = {0} covers neither {0,1} nor its failing L
+    monkeypatch.setattr(classify, "_min_cover", lambda G, amask, side, counter: (1, (0,)))
+    for side in SIDES:
+        G = build_group("cyclic:4")
+        with pytest.raises(RuntimeError, match="re-verification"):
+            is_large(G, Subset.from_indices(4, (0, 1)), 3, side)
+        with pytest.raises(RuntimeError, match="re-verification"):
+            is_small(G, Subset.from_indices(4, (0,)), 3, side)
+
+
+def test_an_off_by_one_translating_element_fails_re_verification(monkeypatch):
+    least = classify._least_translating
+
+    def off_by_one(*args):
+        got = least(*args)
+        return 0 if got is None else got + 1
+
+    monkeypatch.setattr(classify, "_least_translating", off_by_one)
+    for side in SIDES:
+        for variant in VARIANTS:
+            G = build_group("cyclic:4")
+            # {0} is not 3-thick: its failing F must admit no element
+            with pytest.raises(RuntimeError, match="re-verification"):
+                is_thick(G, Subset.from_indices(4, (0,)), 3, side, variant)
+            # {0,1,2} is 2-thick: each shown F's element must be the least
+            with pytest.raises(RuntimeError, match="re-verification"):
+                is_thick(G, Subset.from_indices(4, (0, 1, 2)), 2, side, variant)
+            with pytest.raises(RuntimeError, match="re-verification"):
+                _thick_witness_map(G, 0b0111, 1, side, variant, NodeCounter(10**6))
 
 
 def cover_size(G, side, amask, counter=None):

@@ -1,4 +1,3 @@
-import resource
 import subprocess
 import sys
 
@@ -154,12 +153,6 @@ def test_ball_letter_limit():
     assert ball_size(2, 12) == 1062881
 
 
-def cap_memory():
-    # a regression forms a huge power or letter set: cap the child's address
-    # space so that it fails at 1 GiB instead of filling the machine
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-
 #: Prints the error of each builder call at a radius or rank of 10**20.
 HUGE_CALLS = """
 from kappasets.words import ball_size, enumerate_ball, words_over
@@ -177,7 +170,7 @@ for call in (
 """
 
 
-def test_huge_radius_or_rank_is_refused_from_a_bounded_count():
+def test_huge_radius_or_rank_is_refused_from_a_bounded_count(cap_memory):
     # the count stops at the first length past the limit, before any power
     # of 2m-1 to the radius is formed, the 2m signed letters are bounded
     # before range(m) becomes a letter set, and words_over counts distinct
