@@ -32,8 +32,10 @@ mask per F: the cover walk starts from G and removes f1*A*f2 for every
 pair of F, so the first F that leaves nothing covers G; the thickness
 walk starts from the candidates and keeps f1^-1*A*f2^-1, since f1*x*f2
 lies in A iff x lies there, so the first F that leaves nothing fails.
-Each scan walks the sizes upward; the walk's last index is one loop that
-spends one node per F, so a budget stops it at the same F every time. For
+Each scan walks the sizes upward from its counting floor, _cover_floor:
+below it no F can cover G, or exclude every candidate. The walk's last
+index is one loop that spends one node per F, so a budget stops it at the
+same F every time. For
 the any-translate thickness variant the two routes are cross-checked
 against each other on every call: A is left thick exactly when its
 complement is not left large, and likewise per side. The witness-in-G
@@ -90,9 +92,13 @@ is_small's failing L both pass through it. _least_translating reads the
 least x that translates F into A off the multiplication table; a failing
 F must have none, and each entry a thick=True witness shows must have its
 element as the least. A thick=True verdict is re-checked on every maximal
-test set by the same walk at size kappa-1 over the one thickness table,
-_thick_walk (the rows t[f^-1] on one side, the two-sided thickness table
-otherwise), which must find no failing F.
+test set of size kappa-1. One-sided, when there are more of them than
+elements and no kappa-1 elements f can exclude every candidate by the
+pigeonhole count, each f's count of excluded candidates is read from the
+multiplication table and must equal the thickness table's. Otherwise the
+same walk at size kappa-1 over the one thickness table, _thick_walk (the
+rows t[f^-1] on one side, the two-sided thickness table otherwise), must
+find no failing F.
 """
 
 from __future__ import annotations
@@ -187,8 +193,9 @@ SHOWN_TRANSLATES = 4
 @dataclass(frozen=True)
 class ThickWitness:
     """Witness of thick=True: every maximal test set F was checked against
-    the table. shown holds the first SHOWN_TRANSLATES of them in lex order,
-    each with its least translating element; len() is the number checked."""
+    the table, by a walk or by the pigeonhole count. shown holds the first
+    SHOWN_TRANSLATES of them in lex order, each with its least translating
+    element; len() is the number checked."""
 
     shown: tuple[tuple[Subset, int], ...]
     total: int
@@ -435,13 +442,35 @@ def _first_empty(
     return None
 
 
-def _cover_floor(n: int, count: int, side: str) -> int:
-    """Least |F| the counting bound leaves for an A of count elements:
-    |F*A| <= |F|*|A| and |F*A*F| <= |F|^2*|A|; |G| + 1 when A is empty."""
-    if not count:
-        return n + 1
-    least = -(-n // count)
-    return least if side != "two-sided" else math.isqrt(least - 1) + 1
+def _abelian(G: GroupTable) -> bool:
+    """Whether G is abelian, read from its table once per group."""
+    c = _cache(G)
+    if "abelian" not in c:
+        c["abelian"] = G.is_abelian()
+    return c["abelian"]
+
+
+def _cover_floor(G: GroupTable, per: int, need: int, side: str) -> int:
+    """Least s >= 1 with pairs(s)*per >= need, |G| + 1 when no s has (per
+    is 0 and need is not): the least |F| whose sets, per elements each, can
+    together hold need elements. pairs(s) counts the sets an F of s elements
+    gives: s one-sided, and s^2 pairs (f1, f2) two-sided, or s(s+1)/2 in an
+    abelian group, where f1*A*f2 = f1*f2*A depends on f1*f2 alone.
+
+    The cover floor takes per = |A| and need = |G|, since |F*A| <= |F|*|A|
+    and |F*A*F| <= pairs(|F|)*|A|. The two-sided thickness floor takes
+    per = |G| - |A| and need = |candidates|: a pair excludes the |G| - |A|
+    candidates x with f1*x*f2 outside A, as x -> f1*x*f2 is a bijection, and
+    F fails only when its pairs exclude every candidate."""
+    if need and not per:
+        return G.order + 1
+    least = max(1, -(-need // per))
+    if side != "two-sided":
+        return least
+    if _abelian(G):
+        s = (math.isqrt(8 * least + 1) - 1) // 2  # the largest s with s(s+1)/2 <= least
+        return s if s * (s + 1) // 2 == least else s + 1
+    return math.isqrt(least - 1) + 1
 
 
 def _cover_bounds(
@@ -463,7 +492,7 @@ def _cover_bounds(
     """
     n, count, tables = G.order, amask.bit_count(), _cache(G)
     lo, hi = tables["cover_size"].get((side, amask), (0, n + 1))
-    lo = max(lo, _cover_floor(n, count, side))
+    lo = max(lo, _cover_floor(G, count, n, side))
     masks, opts = None, []
 
     def options():
@@ -530,7 +559,7 @@ def cover_within(G: GroupTable, amask: int, side: str, k: int, counter: NodeCoun
     with no table built and nothing entered; else _cover_bounds decides k.
     """
     lo, hi = _cache(G)["cover_size"].get((side, amask), (0, G.order + 1))
-    if lo <= k < hi and _cover_floor(G.order, amask.bit_count(), side) <= k:
+    if lo <= k < hi and _cover_floor(G, amask.bit_count(), G.order, side) <= k:
         hi = _cover_bounds(G, amask, side, (k,), counter)[1]
     return hi <= k
 
@@ -559,7 +588,8 @@ def _thick_profile(
     hitting set of the candidates by the masks candidates minus that
     translate, found by _min_hitting. Two-sided: F fails when no candidate
     lies in f1^-1*A*f2^-1 for every pair of F, so fail_F is the first F,
-    walked by size from 1, that leaves no candidate. With no candidate
+    walked by size from the thickness floor of _cover_floor, that leaves no
+    candidate; for A = G no size is walked. With no candidate
     (witness-in-A, A empty) both routes return the empty F, so lmax is -1,
     at no node cost. A finished one-sided search enters its lmax for every
     dom(x) = A*x^-1 (x^-1*A) in the lmax table.
@@ -573,7 +603,8 @@ def _thick_profile(
     cand = amask if variant == "witness-in-A" else G.full_mask
     walk = _thick_walk(G, amask, side)
     if side == "two-sided":
-        fail = _first_empty(range(1, n), cand, walk, counter)
+        floor = _cover_floor(G, n - amask.bit_count(), cand.bit_count(), side)
+        fail = _first_empty(range(floor, n), cand, walk, counter)
         doms = []
     else:
         # dom(x), the f with f*x (x*f) in A, is the mirror translate at x^-1;
@@ -619,6 +650,15 @@ def _translate_into(G: GroupTable, fmask: int, x: int, amask: int, side: str) ->
     return all(
         amask >> mul[mul[f1][x]][f2] & 1 for f1 in bits(fmask) for f2 in bits(fmask)
     )
+
+
+def _excluded(G: GroupTable, f: int, cand: int, amask: int, side: str) -> int:
+    """How many x in cand f excludes by the raw definition (one side):
+    f*x (x*f) lies outside A."""
+    mul = G.mul
+    if side == "left":
+        return sum(not amask >> mul[f][x] & 1 for x in bits(cand))
+    return sum(not amask >> mul[x][f] & 1 for x in bits(cand))
 
 
 def _least_translating(G: GroupTable, fmask: int, cand: int, amask: int, side: str) -> int | None:
@@ -706,16 +746,35 @@ def is_thick(
 def _thick_witness_map(
     G: GroupTable, amask: int, fsize: int, side: str, variant: str, counter: NodeCounter
 ) -> ThickWitness:
-    """Check every maximal F (|F| = fsize) for a translating element by a
-    walk of the _thick_walk table at that one size, which must find no F
-    that fails. Each shown entry's element must then be the one
-    _least_translating finds."""
+    """Check every maximal F (|F| = fsize) for a translating element, and
+    show the first SHOWN_TRANSLATES F in lex order with their least one.
+
+    One-sided, when there are more maximal F than elements, the count may
+    decide: if each f excludes at most m candidates (x with f*x, x*f,
+    outside A) and fsize*m < |candidates|, no F of fsize elements excludes
+    them all. The route is chosen from the popcounts of the _thick_walk
+    table at no node cost; each f's count is then read once more from the
+    multiplication table, one node per f, and must equal the table's.
+    Otherwise a walk of the _thick_walk table at that one size must find no
+    F that fails. Each shown entry's element, read from the table, must
+    then be the one _least_translating finds."""
     n = G.order
     cand = amask if variant == "witness-in-A" else G.full_mask
-    shown: list = []
-    walk = _thick_walk(G, amask, side)
-    if _sweep_translates((), fsize, cand, *walk, shown, counter) is not None:  # pragma: no cover
-        raise RuntimeError("thick witness map failed re-verification")
+    cols, pairs = _thick_walk(G, amask, side)
+    counted = pairs is None and math.comb(n, fsize) > n
+    excluded = [(cand & ~col).bit_count() for col in cols] if counted else ()
+    if counted and fsize * max(excluded) < cand.bit_count():
+        for f, count in enumerate(excluded):
+            counter.spend()
+            if _excluded(G, f, cand, amask, side) != count:
+                raise RuntimeError("thick witness map failed re-verification")
+        combos = itertools.islice(itertools.combinations(range(n), fsize), SHOWN_TRANSLATES)
+        shown = [(c, functools.reduce(int.__and__, map(cols.__getitem__, c), cand)) for c in combos]
+    else:
+        shown = []
+        failed = _sweep_translates((), fsize, cand, cols, pairs, shown, counter)
+        if failed is not None:  # pragma: no cover
+            raise RuntimeError("thick witness map failed re-verification")
     entries = []
     for combo, m in shown:
         x = (m & -m).bit_length() - 1

@@ -2,8 +2,9 @@
 
 Every run prints a structured text report and writes text + JSON twins to
 an output directory. Exit codes: 0 all pass, 1 claim failure, 2 usage
-error (an --out-dir the report cannot be written under among them), 3
-inconclusive (node budget).
+error (an --out-dir the report cannot be written under among them, found
+before any claim runs), 3 inconclusive (node budget). Every integer is
+read in one grammar, groups.read_int: ASCII digits after at most one "-".
 
 A valid command builds only its own subparser, and that parser also prints
 the help and usage errors: its command metavar names every command, so its
@@ -28,8 +29,8 @@ from .constructions import (
     split3_partition,
     thm3_partition,
 )
-from .groups import DEFAULT_MAX_ORDER, GroupTable, Subset, build_group
-from .report import ClaimRecord, RunReport, write_report
+from .groups import DEFAULT_MAX_ORDER, GroupTable, Subset, build_group, read_int
+from .report import ClaimRecord, RunReport, check_out_root, write_report
 from .resolvability import THICK_PROBE_NOTE, partition_search, res_search
 from .suites import SUITES, run_suite
 from .words import (
@@ -51,8 +52,8 @@ class UsageError(ValueError):
 
 def _parse_subset(G: GroupTable, text: str) -> Subset:
     """Comma-separated element indices or labels. Only a comma outside
-    parentheses separates, so a product label such as (0,1) is one item. A
-    digit string in range is an index; any other item must be a label."""
+    parentheses separates, so a product label such as (0,1) is one item. An
+    integer in range is an index; any other item must be a label."""
     items, depth, start = [], 0, 0
     for j, ch in enumerate(text + ","):
         depth += (ch == "(") - (ch == ")")
@@ -62,15 +63,18 @@ def _parse_subset(G: GroupTable, text: str) -> Subset:
     indices = []
     label_index = {lab: i for i, lab in enumerate(G.labels)}
     for item in filter(None, items):
-        is_index = item.lstrip("-").isdigit()
-        if is_index and 0 <= int(item) < G.order:
-            i = int(item)
+        try:
+            index = read_int(item)
+        except ValueError:
+            index = None
+        if index is not None and 0 <= index < G.order:
+            i = index
         elif item in label_index:
             i = label_index[item]
-        elif is_index:
-            raise UsageError(f"element index {int(item)} out of range for order {G.order}")
+        elif index is not None:
+            raise UsageError(f"element index {index} in --subset out of range for order {G.order}")
         else:
-            raise UsageError(f"unknown element {item!r}")
+            raise UsageError(f"unknown element {item!r} in --subset")
         indices.append(i)
     return Subset.from_indices(G.order, indices)
 
@@ -96,9 +100,17 @@ def _read_pairs(pairs: list[str], defaults: dict, name: str) -> dict:
 def _int_arg(value: str, name: str) -> int:
     """value as an integer; anything else is a usage error naming name."""
     try:
-        return int(value)
+        return read_int(value)
     except ValueError:
         raise UsageError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _int_option(value: str) -> int:
+    """An integer option's value; argparse names the option in the error."""
+    try:
+        return read_int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
 
 
 def _rank_arg(value: str, name: str) -> int:
@@ -385,12 +397,12 @@ def _add_common(sp, *options) -> None:
     sp.add_argument("--out-dir", default="runs", help="report output root (default: runs)")
     if "node-budget" in options:
         sp.add_argument(
-            "--node-budget", type=int, default=cl.DEFAULT_NODE_BUDGET,
+            "--node-budget", type=_int_option, default=cl.DEFAULT_NODE_BUDGET,
             help="nodes per claim, nested searches included (default: %(default)s)",
         )
     if "max-order" in options:
         sp.add_argument(
-            "--max-order", type=int, default=DEFAULT_MAX_ORDER,
+            "--max-order", type=_int_option, default=DEFAULT_MAX_ORDER,
             help="largest allowed group order",
         )
 
@@ -399,7 +411,7 @@ def _add_classify(sub) -> None:
     sp = sub.add_parser("classify", help="full size-verdict battery for one subset")
     sp.add_argument("--group", required=True, help="group spec, e.g. cyclic:6")
     sp.add_argument("--subset", required=True, help="comma-separated element indices or labels")
-    sp.add_argument("--kappa", type=int, required=True)
+    sp.add_argument("--kappa", type=_int_option, required=True)
     sp.add_argument("--sides", default=None, help="comma list from left,right,two-sided")
     sp.add_argument("--variant", default="both", choices=(*cl.VARIANTS, "both"))
     _add_common(sp, "node-budget", "max-order")
@@ -410,7 +422,7 @@ def _add_construct(sub) -> None:
     sp = sub.add_parser("construct", help="emit a construction plus witness checks")
     sp.add_argument("--construction", required=True, choices=_CONSTRUCTIONS)
     sp.add_argument("--params", nargs="*", default=[], help=_params_help())
-    sp.add_argument("--radius", type=int, default=None, help="verification ball radius")
+    sp.add_argument("--radius", type=_int_option, default=None, help="verification ball radius")
     sp.add_argument(
         "--adversary", default=None, help='e.g. "letters=a,b;radius=2" or "words=ab\',b"'
     )
@@ -421,12 +433,12 @@ def _add_construct(sub) -> None:
 def _add_search(sub) -> None:
     sp = sub.add_parser("search", help="resolvability and partition probes")
     sp.add_argument("--group", required=True)
-    sp.add_argument("--kappa", type=int, required=True)
+    sp.add_argument("--kappa", type=_int_option, required=True)
     sp.add_argument(
         "--mode", required=True, choices=("res-left", "res-both", "two-thick", "non-large")
     )
     sp.add_argument(
-        "--cells", type=int, default=None,
+        "--cells", type=_int_option, default=None,
         help="cell count for the two-thick and non-large probes (default 2)",
     )
     sp.add_argument("--variant", choices=cl.VARIANTS, help="two-thick only (default witness-in-G)")
@@ -477,12 +489,21 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
 
 
+def _unwritable(out_dir: str, e: OSError) -> int:
+    print(f"error: cannot write the report under {out_dir!r}: {e}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
+    try:
+        check_out_root(args.out_dir)  # before any claim runs
+    except OSError as e:
+        return _unwritable(args.out_dir, e)
     rep = RunReport(command=" ".join(["kappasets", *argv]))
     try:
         args.fn(args, rep)
@@ -491,9 +512,8 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     try:
         out_dir, text = write_report(rep, args.out_dir)
-    except OSError as e:  # the claims have run, but the report has nowhere to go
-        print(f"error: cannot write the report under {args.out_dir!r}: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    except OSError as e:  # the root passed the check, but the write failed
+        return _unwritable(args.out_dir, e)
     sys.stdout.write(text)
     print(f"report written to {out_dir}")
     return rep.exit_status()

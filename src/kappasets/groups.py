@@ -35,6 +35,17 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def read_int(text: str) -> int:
+    """text as an integer: ASCII digits after at most one leading "-", the
+    one integer grammar of group specs, group files and command options.
+    int() alone also takes "1_0", "+3", " 4" and other scripts' digits;
+    ValueError for anything else."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def mask_of(indices: Iterable[int]) -> int:
     out = 0
     for i in indices:
@@ -286,8 +297,8 @@ def _from_file(path: str) -> _Family:
     if not tokens:
         raise GroupSpecError(f"group file {path!r} is empty")
     try:
-        n = int(tokens[0])
-        entries = [int(t) for t in tokens[1:]]
+        n = read_int(tokens[0])
+        entries = [read_int(t) for t in tokens[1:]]
     except ValueError as e:
         raise GroupSpecError(f"group file {path!r} has non-integer entries") from e
     if n < 1 or len(entries) != n * n:
@@ -318,7 +329,7 @@ def _split_product_body(body: str) -> tuple[str, str]:
 
 def _int_arg(spec: str, arg: str) -> int:
     try:
-        return int(arg)
+        return read_int(arg)
     except ValueError:
         raise GroupSpecError(f"bad integer in group spec {spec!r}") from None
 

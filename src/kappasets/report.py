@@ -9,9 +9,11 @@ body content hash.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -103,6 +105,19 @@ def _text_body(report: RunReport, digest: str) -> str:
         lines.append(f"nodes: {c.nodes}")
         lines.append("")
     return "\n".join(lines)
+
+
+def check_out_root(out_root: str | Path) -> None:
+    """Raise OSError unless write_report can make its directory under
+    out_root: the nearest of out_root and its ancestors that exists must be
+    a writable directory. Nothing is created."""
+    path = Path(out_root).absolute()
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
 
 def write_report(report: RunReport, out_root: str | Path) -> tuple[Path, str]:

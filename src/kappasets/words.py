@@ -206,7 +206,7 @@ def words_over(letters: Iterable[int], radius: int) -> list[Word]:
     return words
 
 
-_XN_TOKEN = re.compile(r"(x\d+)(')?")
+_XN_TOKEN = re.compile(r"(x[0-9]+)(')?")
 _LETTER_TOKEN = re.compile(r"([a-z])(')?")
 
 
@@ -218,7 +218,7 @@ def parse_word(text: str, alphabet_size: int) -> Word:
     s = text.strip()
     if s in ("", "1"):
         return IDENTITY
-    if re.fullmatch(r"(x\d+'?)+", s):
+    if re.fullmatch(r"(x[0-9]+'?)+", s):
         token_re = _XN_TOKEN
 
         def idx(tok: str) -> int:

@@ -311,7 +311,7 @@ def test_verify_honours_the_node_budget(budget, code, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("budget,code", [(175, 3), (176, 0)])
+@pytest.mark.parametrize("budget,code", [(121, 3), (122, 0)])
 def test_search_recheck_spends_from_the_budget(budget, code, tmp_path, capsys):
     # the found partition's re-check through is_thick is charged to the
     # claim: the search finds it within 44 nodes, the re-check spends the rest
@@ -319,7 +319,7 @@ def test_search_recheck_spends_from_the_budget(budget, code, tmp_path, capsys):
             "--node-budget", str(budget)]
     got_code, claims = claim_outcomes(tmp_path, argv)
     assert got_code == code
-    assert claims == [("search.two-thick", "pass" if code == 0 else "inconclusive", 176)]
+    assert claims == [("search.two-thick", "pass" if code == 0 else "inconclusive", 122)]
     capsys.readouterr()
 
 
@@ -802,6 +802,93 @@ def test_an_unwritable_out_dir_is_a_usage_error(argv, tmp_path, capsys):
     assert afile.read_text() == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "--group", "dihedral:12", "--subset", "1,2,5,6,8,13,14,15,18,20,21,22",
+      "--kappa", "4"],
+     ["verify", "--suite", "all"]],
+    ids=["classify", "verify"],
+)
+@pytest.mark.parametrize("under", ["", "deeper/still"])
+def test_an_unwritable_out_dir_is_refused_before_any_claim(argv, under, tmp_path, capsys,
+                                                            monkeypatch):
+    # a regular file, or a path under one, is refused right after parsing:
+    # no classifier and no suite runs
+    def no_claim(*args, **kwargs):
+        raise AssertionError("a claim ran")
+
+    for name in ("is_large", "is_thick", "is_small", "run_suite"):
+        monkeypatch.setattr(cli, name, no_claim)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    root = str(afile / under) if under else str(afile)
+    assert main([*argv, "--out-dir", root]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: cannot write the report under {root!r}: [Errno 20] Not a directory: "
+        f"{str(afile)!r}\n"
+    )
+
+
+def test_a_root_to_be_made_is_not_made_by_a_usage_error(tmp_path, capsys):
+    root = tmp_path / "new" / "runs"
+    assert main(["classify", "--group", "cyclic:x", "--subset", "0", "--kappa", "2",
+                 "--out-dir", str(root)]) == 2
+    assert capsys.readouterr().err == "error: bad integer in group spec 'cyclic:x'\n"
+    assert list(tmp_path.iterdir()) == []
+    assert main(["classify", "--group", "cyclic:4", "--subset", "0", "--kappa", "2",
+                 "--out-dir", str(root)]) == 0
+    assert len(list(root.iterdir())) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # int() reads each of these; the one grammar is ASCII digits after at most one "-"
+        (["classify", "--group", "cyclic:1_0", "--subset", "0", "--kappa", "2"],
+         "error: bad integer in group spec 'cyclic:1_0'"),
+        (["classify", "--group", "dihedral:+3", "--subset", "0", "--kappa", "2"],
+         "error: bad integer in group spec 'dihedral:+3'"),
+        (["classify", "--group", "cyclic:4", "--subset", "\u0663", "--kappa", "2"],
+         "error: unknown element '\u0663' in --subset"),
+        (["classify", "--group", "cyclic:4", "--subset", "\u00b2", "--kappa", "2"],
+         "error: unknown element '\u00b2' in --subset"),
+        (["classify", "--group", "cyclic:4", "--subset", "0", "--kappa", "\u0663"],
+         "argument --kappa: invalid int value: '\u0663'"),
+        (["classify", "--group", "cyclic:4", "--subset", "0", "--kappa", " 2"],
+         "argument --kappa: invalid int value: ' 2'"),
+        (["classify", "--group", "cyclic:4", "--subset", "0", "--kappa", "2",
+          "--node-budget", "1_000"], "argument --node-budget: invalid int value: '1_000'"),
+        (["search", "--group", "cyclic:8", "--kappa", "3", "--mode", "two-thick",
+          "--cells", "+2"], "argument --cells: invalid int value: '+2'"),
+        (["construct", "--construction", "thm3", "--radius", "\u0663"],
+         "argument --radius: invalid int value: '\u0663'"),
+        (["construct", "--construction", "s-set", "--params", "m=1_0"],
+         "error: s-set parameter m must be an integer, got '1_0'"),
+        (["construct", "--construction", "thm3", "--params", "a1=x\u0663"],
+         "error: cannot parse word literal 'x\u0663'"),
+    ],
+)
+def test_integers_are_ascii_digits(argv, message, tmp_path, capsys):
+    assert run_cli(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(message), err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_group_file_holds_ascii_integers(tmp_path, capsys):
+    table = tmp_path / "c2.txt"
+    table.write_text("2\n0 1\n1 0\n")
+    assert run_cli(["classify", "--group", f"file:{table}", "--subset", "0", "--kappa", "2"],
+                   tmp_path) == 0
+    table.write_text("2\n0 1\n1 0_0\n")
+    assert run_cli(["classify", "--group", f"file:{table}", "--subset", "0", "--kappa", "2"],
+                   tmp_path) == 2
+    assert capsys.readouterr().err.endswith(f"group file {str(table)!r} has non-integer entries\n")
+
+
 #: Runs the command in its argv in a child and prints the child's peak RSS
 #: in kB, then its standard output; this process starts no other child.
 PEAK_RSS_CHILD = """
@@ -829,6 +916,27 @@ def test_thick_sweep_memory_stays_bounded(tmp_path):
         line for line in out.split("[claim ")[2].splitlines() if line.startswith("detail: ")
     ]
     assert detail.endswith(f"(+{math.comb(24, 9) - 4} more)")
+
+
+def test_two_sided_thick_sweep_memory_stays_bounded(tmp_path):
+    # one-sided, the count above decides; two-sided, the full set's
+    # C(24, 9) maximal test sets are walked, and four are kept
+    argv = [
+        sys.executable, "-m", "kappasets", "classify", "--group", "symmetric:4",
+        "--subset", ",".join(map(str, range(24))), "--kappa", "10", "--sides", "two-sided",
+        "--variant", "witness-in-G", "--out-dir", str(tmp_path / "runs"),
+    ]
+    got = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, *argv], capture_output=True, text=True
+    )
+    assert got.returncode == 0, got.stderr
+    peak_kb, out = got.stdout.split("\n", 1)
+    assert int(peak_kb) < 64 * 1024, out
+    thick = out.split("[claim ")[2].splitlines()
+    assert f"nodes: {math.comb(24, 9)}" in thick
+    assert [line for line in thick if line.startswith("detail: ")][0].endswith(
+        f"(+{math.comb(24, 9) - 4} more)"
+    )
 
 
 def test_search_reverifies_under_optimize_flag(tmp_path):

@@ -7,6 +7,7 @@ regressions that an enumerating search cannot meet."""
 import ast
 import functools
 import itertools
+import math
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -106,16 +107,26 @@ def pair_mask(n, combo):
     return pm
 
 
-def oracle_pair_cover(G, amask, counter):
-    """(size, lex)-least F with F*A*F = G, one node per F tried."""
+def commutes(G):
+    """Every a*b equals b*a in the table."""
+    return all(G.mul[a][b] == G.mul[b][a] for a in range(G.order) for b in range(G.order))
+
+
+def least_pairs(G, per, need):
+    """Least s >= 1 whose pairs (f1, f2), s^2 of them or s(s+1)/2 when G
+    commutes, times per reach need; |G| + 1 when no s up to |G| does."""
+    pairs = (lambda s: s * (s + 1) // 2) if commutes(G) else (lambda s: s * s)
+    return next((s for s in range(1, G.order + 1) if pairs(s) * per >= need), G.order + 1)
+
+
+def oracle_pair_cover(G, amask, counter, start=1):
+    """(size, lex)-least F with F*A*F = G, one node per F tried from size
+    start up."""
     if amask == 0:
         return None
     n = G.order
     pair = pair_cover_table(G, amask)
-    smin = 1
-    while smin * smin * amask.bit_count() < n:
-        smin += 1
-    for s in range(smin, n + 1):
+    for s in range(start, n + 1):
         for combo in itertools.combinations(range(n), s):
             counter.spend()
             pm = pair_mask(n, combo)
@@ -124,15 +135,16 @@ def oracle_pair_cover(G, amask, counter):
     raise AssertionError("no two-sided cover of a nonempty subset")
 
 
-def oracle_pair_profile(G, amask, variant, counter):
-    """Two-sided (lmax, least failing F), one node per F tried."""
+def oracle_pair_profile(G, amask, variant, counter, start=1):
+    """Two-sided (lmax, least failing F), one node per F tried from size
+    start up."""
     n = G.order
     if variant == "witness-in-A" and amask == 0:
         return (-1, ())
     candidates = list(bits(amask)) if variant == "witness-in-A" else list(range(n))
     table = pair_thick_table(G, amask)
     negs = [~table[x] for x in candidates]
-    for size in range(1, n):
+    for size in range(start, n):
         for combo in itertools.combinations(range(n), size):
             counter.spend()
             pm = pair_mask(n, combo)
@@ -197,39 +209,45 @@ def test_every_grid_subset_matches_enumeration(spec):
         assert_matches_oracle(G, amask)
 
 
-def two_sided_searches(amask):
+def two_sided_searches(G, amask):
     """(name, search, oracle) for the two-sided cover and thickness scans of
-    A, each called as f(G, counter)."""
+    A, each called as f(G, counter); each oracle starts at its counting
+    floor: pairs(s)*|A| >= |G| for the cover, pairs(s)*(|G| - |A|) >=
+    |candidates| for the thickness."""
+    n, count = G.order, amask.bit_count()
     yield (
         "cover",
         lambda G, c: _min_cover(G, amask, "two-sided", c),
-        lambda G, c: oracle_pair_cover(G, amask, c),
+        lambda G, c: oracle_pair_cover(G, amask, c, least_pairs(G, count, n)),
     )
     for variant in VARIANTS:
+        start = least_pairs(G, n - count, count if variant == "witness-in-A" else n)
         yield (
             variant,
             lambda G, c, v=variant: _thick_profile(G, amask, "two-sided", v, c),
-            lambda G, c, v=variant: oracle_pair_profile(G, amask, v, c),
+            lambda G, c, v=variant, s=start: oracle_pair_profile(G, amask, v, c, s),
         )
 
 
 def test_two_sided_scans_spend_one_node_per_set_tried():
-    # a fresh group per search, so that none is answered from a cache
-    spec = "dihedral:4"
-    G = build_group(spec)
-    for amask in range(G.full_mask + 1):
-        for name, search, oracle in two_sided_searches(amask):
-            got, want = NodeCounter(10**9), NodeCounter(10**9)
-            search(build_group(spec), got)
-            oracle(G, want)
-            assert got.spent == want.spent, (amask, name)
-            # one node short, or half the nodes, runs out at the same F
-            for budget in {want.spent - 1, want.spent // 2} if want.spent else ():
-                assert spent_until_exhausted(
-                    lambda c: search(build_group(spec), c), budget
-                ) == spent_until_exhausted(lambda c: oracle(G, c), budget) == budget + 1, (
-                    amask, name, budget
-                )
+    # a fresh group per search, so that none is answered from a cache; one
+    # group of order 8 that commutes and one that does not
+    for spec in ("dihedral:4", "product:cyclic:2+cyclic:4"):
+        G = build_group(spec)
+        for amask in range(G.full_mask + 1):
+            for name, search, oracle in two_sided_searches(G, amask):
+                got, want = NodeCounter(10**9), NodeCounter(10**9)
+                search(build_group(spec), got)
+                oracle(G, want)
+                case = (spec, amask, name)
+                assert got.spent == want.spent, case
+                # one node short, or half the nodes, runs out at the same F
+                for budget in {want.spent - 1, want.spent // 2} if want.spent else ():
+                    assert spent_until_exhausted(
+                        lambda c: search(build_group(spec), c), budget
+                    ) == spent_until_exhausted(lambda c: oracle(G, c), budget) == budget + 1, (
+                        *case, budget
+                    )
 
 
 def test_sampled_larger_subsets_match_enumeration():
@@ -273,10 +291,25 @@ def spent_until_exhausted(search, budget):
     return counter.spent
 
 
+def pigeonhole_holds(G, amask, fsize, side, variant):
+    """One-sided, with more maximal F than elements: fsize times the most
+    candidates one f excludes (f*x, x*f, outside A) is below the number of
+    candidates, so no F of fsize elements excludes them all."""
+    n = G.order
+    if side == "two-sided" or math.comb(n, fsize) <= n:
+        return False
+    candidates = list(bits(amask)) if variant == "witness-in-A" else list(range(n))
+    doms = dom_masks(G, amask, side, candidates)
+    most = max(sum(not d >> f & 1 for d in doms) for f in range(n))
+    return fsize * most < len(candidates)
+
+
 @pytest.mark.parametrize("spec", GRID_SPECS)
 def test_witness_sweep_matches_the_raw_map(spec):
+    # the count route spends one node per element, the walk one per F
     G = build_group(spec)
     n = G.order
+    routes = set()
     for amask in range(G.full_mask + 1):
         for side in SIDES:
             for variant in VARIANTS:
@@ -288,14 +321,20 @@ def test_witness_sweep_matches_the_raw_map(spec):
                     got = _thick_witness_map(G, amask, fsize, side, variant, got_counter)
                     assert got.shown == want[:4], case
                     assert got.total == len(got) == len(want), case
-                    assert got_counter.spent == want_counter.spent, case
-                    # one node short, or half the nodes, runs out at the same F
-                    for budget in (want_counter.spent - 1, want_counter.spent // 2):
+                    counted = pigeonhole_holds(G, amask, fsize, side, variant)
+                    routes.add(counted)
+                    spent = n if counted else want_counter.spent
+                    assert got_counter.spent == spent, case
+                    # one node short, or half the nodes, runs out at the same
+                    # f or F as the oracle
+                    for budget in (spent - 1, spent // 2):
                         assert spent_until_exhausted(
                             lambda c: _thick_witness_map(G, amask, fsize, side, variant, c), budget
-                        ) == spent_until_exhausted(
+                        ) == budget + 1, (*case, budget)
+                        assert counted or spent_until_exhausted(
                             lambda c: oracle_witness_map(G, amask, fsize, side, variant, c), budget
                         ) == budget + 1, (*case, budget)
+    assert routes == {False, True}
 
 
 #: The product shape of F*x (x*F, F*x*F) per side.
@@ -363,6 +402,124 @@ def test_an_off_by_one_translating_element_fails_re_verification(monkeypatch):
                 is_thick(G, Subset.from_indices(4, (0, 1, 2)), 2, side, variant)
             with pytest.raises(RuntimeError, match="re-verification"):
                 _thick_witness_map(G, 0b0111, 1, side, variant, NodeCounter(10**6))
+
+
+def test_the_abelian_flag_is_read_from_the_table():
+    for spec, abelian in (
+        ("symmetric:3", False), ("dihedral:4", False), ("product:cyclic:2+cyclic:4", True),
+        ("cyclic:8", True),
+    ):
+        G = build_group(spec)
+        assert classify._abelian(G) is abelian is commutes(G), spec
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "cyclic:24"])
+def test_the_full_set_is_thick_two_sided_with_no_profile_node(spec):
+    # no pair excludes a candidate, so no F can fail: the profile walks no
+    # size, and the claim spends only the re-check's one node per element
+    G = build_group(spec)
+    for variant in VARIANTS:
+        assert _thick_profile(G, G.full_mask, "two-sided", variant, NodeCounter(0)) == (23, None)
+        got = is_thick(build_group(spec), Subset.full(24), 2, "two-sided", variant)
+        assert (got.verdict, got.nodes, len(got.witness)) == (True, 24, 24), variant
+
+
+def test_a_floor_one_too_high_fails_the_two_sided_oracle(monkeypatch):
+    floor = classify._cover_floor
+    monkeypatch.setattr(
+        classify, "_cover_floor",
+        lambda G, per, need, side: floor(G, per, need, side) + (side == "two-sided"),
+    )
+    for spec in ("dihedral:4", "product:cyclic:2+cyclic:4"):
+        G = build_group(spec)
+        missed = set()
+        for amask in range(1, G.full_mask + 1):
+            counter = NodeCounter(10**9)
+            if _min_cover(G, amask, "two-sided", counter) != oracle_pair_cover(G, amask, counter):
+                missed.add("cover")
+            for v in VARIANTS:
+                if _thick_profile(G, amask, "two-sided", v, counter) != oracle_pair_profile(
+                    G, amask, v, counter
+                ):
+                    missed.add(v)
+        assert missed == {"cover", *VARIANTS}, spec
+
+
+def test_a_count_one_too_small_fails_re_verification(monkeypatch):
+    # A = G minus the identity in cyclic:6 at kappa 3: each f excludes one
+    # candidate, and 2 * 1 < |candidates|, so the count decides
+    G, A = build_group("cyclic:6"), Subset.from_indices(6, range(1, 6))
+    for side in ONE_SIDES:
+        for variant in VARIANTS:
+            assert pigeonhole_holds(G, A.mask, 2, side, variant)
+            got = _thick_witness_map(G, A.mask, 2, side, variant, NodeCounter(6))
+            assert len(got) == 15
+    excluded = classify._excluded
+    monkeypatch.setattr(classify, "_excluded", lambda *args: excluded(*args) - 1)
+    for side in ONE_SIDES:
+        for variant in VARIANTS:
+            with pytest.raises(RuntimeError, match="re-verification"):
+                is_thick(build_group("cyclic:6"), A, 3, side, variant)
+
+
+#: Groups of order 9-24, for the brute force at small sizes.
+BRUTE_SPECS = (
+    *LARGER_SPECS, "cyclic:16", "product:cyclic:4+cyclic:4", "dihedral:8", "cyclic:20",
+    "dihedral:10", "symmetric:4", "cyclic:24", "dihedral:12",
+)
+
+
+def small_numbers(G, amask, side, kmax):
+    """The least |F| <= kmax with F*A = G (A*F, F*A*F), then per variant the
+    least |F| <= kmax with no translating candidate, each kmax + 1 when
+    there is none: every F of up to kmax elements, the empty F included,
+    tried on the multiplication table."""
+    n, mul = G.order, G.mul
+    image = {
+        "left": lambda f1, f2, x: mul[f1][x],
+        "right": lambda f1, f2, x: mul[x][f1],
+        "two-sided": lambda f1, f2, x: mul[mul[f1][x]][f2],
+    }[side]
+
+    def pairs_of(F):
+        return itertools.product(F, F) if side == "two-sided" else zip(F, F)
+
+    every = list(pairs_of(range(n)))
+    cover = {p: mask_of(image(*p, a) for a in bits(amask)) for p in every}
+    keep = {p: mask_of(x for x in range(n) if amask >> image(*p, x) & 1) for p in every}
+    cands = {"witness-in-A": amask, "witness-in-G": G.full_mask}
+    least_cover, least_fail = kmax + 1, dict.fromkeys(VARIANTS, kmax + 1)
+    for size in range(kmax, -1, -1):
+        for combo in itertools.combinations(range(n), size):
+            ps = list(pairs_of(combo))
+            if functools.reduce(int.__or__, map(cover.get, ps), 0) == G.full_mask:
+                least_cover = size
+            kept = functools.reduce(int.__and__, map(keep.get, ps), G.full_mask)
+            for variant, cand in cands.items():
+                if not kept & cand:
+                    least_fail[variant] = size
+    return least_cover, least_fail
+
+
+def test_small_sizes_match_a_brute_force_on_the_table():
+    # the floors at orders 9-24, on random and near-full subsets: the cover
+    # decision and the thickness number up to 3, every side and variant
+    rng = random.Random(20141107)
+    groups = [build_group(spec) for spec in BRUTE_SPECS]
+    for i in range(len(groups) * 4):
+        G = groups[i % len(groups)]
+        n = G.order
+        drop = rng.randint(0, 3) if i // len(groups) % 2 else rng.randint(0, n)
+        amask = G.full_mask ^ mask_of(rng.sample(range(n), drop))
+        counter = NodeCounter(10**9)
+        for side in SIDES:
+            cover, fails = small_numbers(G, amask, side, 3)
+            for k in range(1, 4):
+                case = (G.spec, amask, side, k)
+                assert cover_within(G, amask, side, k, counter) == (cover <= k), case
+            for variant, fail in fails.items():
+                case = (G.spec, amask, side, variant)
+                assert min(thick_lmax(G, amask, side, variant, counter), 3) == fail - 1, case
 
 
 def cover_size(G, side, amask, counter=None):
