@@ -1,7 +1,7 @@
 """Size combinatorics of group subsets, made executable.
 
-Exact classifiers for the kappa-indexed size notions (large, thick, small,
-normal) on finite groups, reduced-word machinery and constructed cells on
+Exact classifiers for the kappa-indexed size notions (large, thick, small)
+on finite groups, reduced-word machinery and constructed cells on
 free-group truncations, partition constructions with witness checks, and
 exact resolvability search.
 
@@ -18,7 +18,6 @@ _EXPORTS = {
         "CoverDecomposition",
         "SizeVerdict",
         "ball_uncovered_witness",
-        "find_large_cell",
         "is_large",
         "is_small",
         "is_thick",
@@ -38,16 +37,10 @@ _EXPORTS = {
         "GroupAxiomError",
         "GroupSpecError",
         "GroupTable",
-        "NormalityVerdict",
         "PartitionError",
         "Subset",
         "build_group",
-        "conjugacy_class",
-        "is_kappa_normal",
-        "normal_closure",
         "product_set",
-        "subset_inverse",
-        "translate",
     ),
     "resolvability": ("ProbeOutcome", "SearchOutcome", "partition_search", "res_search"),
     "words": (
@@ -59,7 +52,6 @@ _EXPORTS = {
         "conjugate",
         "ds_concat",
         "ds_conjugate",
-        "ds_identity",
         "ds_inverse",
         "ds_rho",
         "ds_support",

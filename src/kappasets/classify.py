@@ -895,23 +895,6 @@ def thick_to_large_witness(
     return F
 
 
-def find_large_cell(G: GroupTable, cells, kappa: int):
-    """Least index whose cell is two-sided kappa-large, with minimal witness.
-
-    cells may be a constructions.Partition or any sequence of Subsets that
-    partitions G; returns (index, witness F) or None when no cell
-    qualifies (possible at finite scale).
-    """
-    check_kappa(G, kappa)
-    cells = getattr(cells, "cells", cells)
-    check_partition(G, cells, "find_large_cell")
-    for i, cell in enumerate(cells):
-        got = is_large(G, cell, kappa, "two-sided")
-        if got.verdict:
-            return i, got.witness
-    return None
-
-
 # -- predicate-level verification on balls ---------------------------------------
 
 

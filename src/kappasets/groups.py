@@ -68,10 +68,6 @@ class GroupTable:
     def full_mask(self) -> int:
         return (1 << self.order) - 1
 
-    def conj(self, g: int, x: int) -> int:
-        """g^-1 * x * g."""
-        return self.mul[self.mul[self.inv[g]][x]][g]
-
     def is_abelian(self) -> bool:
         m = self.mul
         return all(
@@ -378,19 +374,6 @@ def inverse_mask(G: GroupTable, amask: int) -> int:
     return mask_of(G.inv[a] for a in bits(amask))
 
 
-def subset_inverse(G: GroupTable, A: Subset) -> Subset:
-    check_subset(G, A)
-    return Subset(G.order, inverse_mask(G, A.mask))
-
-
-def translate(G: GroupTable, g: int, A: Subset, side: str = "left") -> Subset:
-    """g*A (left) or A*g (right)."""
-    shape = {"left": "FA", "right": "AF"}.get(side)
-    if shape is None:
-        raise ValueError(f"unknown side {side!r}")
-    return product_set(G, Subset(G.order, 1 << g), A, shape)
-
-
 def product_set(G: GroupTable, F: Subset, A: Subset, shape: str) -> Subset:
     """Exact pointwise product set: shape FA, AF, or FAF (= (FA)F)."""
     check_subset(G, F)
@@ -405,66 +388,3 @@ def product_set(G: GroupTable, F: Subset, A: Subset, shape: str) -> Subset:
     if shape != "FA":  # times F on the right: A*F, or (F*A)*F
         left = mask_of(mul[a][f] for a in bits(left) for f in fs)
     return Subset(G.order, left)
-
-
-# -- conjugation and normality -------------------------------------------------
-
-def conjugacy_class(G: GroupTable, x: int) -> Subset:
-    """The full conjugacy class {g^-1 x g : g in G}."""
-    if not 0 <= x < G.order:
-        raise ValueError(f"element {x} out of range")
-    return Subset(G.order, mask_of(G.conj(g, x) for g in range(G.order)))
-
-
-def normal_closure_mask(G: GroupTable, fmask: int) -> int:
-    """Mask of the least normal subgroup containing fmask: every conjugate of
-    every element of it, closed under right multiplication from the identity.
-
-    No inverses are adjoined. In a finite group every x has finite order, so
-    x^-1 is a power of x, and the products of a set already form the subgroup
-    it generates.
-    """
-    gens = list(bits(mask_of(G.conj(g, x) for x in bits(fmask) for g in range(G.order))))
-    mul = G.mul
-    elems = 1 << G.identity
-    stack = [G.identity]
-    while stack:
-        row = mul[stack.pop()]
-        for g in gens:
-            y = row[g]
-            if not elems >> y & 1:
-                elems |= 1 << y
-                stack.append(y)
-    return elems
-
-
-def normal_closure(G: GroupTable, F: Subset) -> Subset:
-    """Smallest normal subgroup containing F (closure of all conjugates)."""
-    check_subset(G, F)
-    return Subset(G.order, normal_closure_mask(G, F.mask))
-
-
-@dataclass(frozen=True)
-class NormalityVerdict:
-    is_normal: bool
-    counterexample: Subset | None = None
-    closure: Subset | None = None
-
-
-def is_kappa_normal(G: GroupTable, kappa: int) -> NormalityVerdict:
-    """Whether every subset of size < kappa sits inside a normal subgroup of
-    size < kappa.
-
-    Checked exhaustively per kappa (no monotonicity in kappa is assumed):
-    the counterexample is the first F in (size, lex) order whose normal
-    closure has kappa or more elements. Cost grows like C(n, kappa-1) in the
-    worst case; fine at the supported orders.
-    """
-    check_kappa(G, kappa)
-    n = G.order
-    for size in range(1, kappa):
-        for F in itertools.combinations(range(n), size):
-            closure = normal_closure_mask(G, mask_of(F))
-            if closure.bit_count() >= kappa:
-                return NormalityVerdict(False, Subset.from_indices(n, F), Subset(n, closure))
-    return NormalityVerdict(True)

@@ -77,16 +77,6 @@ def first_last2(w: Word) -> tuple[Word, Word]:
     return w[:2], w[-2:]
 
 
-def letter_rank(x: int) -> int:
-    # canonical letter order: a < a^-1 < b < b^-1 < ...
-    return 2 * (abs(x) - 1) + (1 if x < 0 else 0)
-
-
-def word_sort_key(w: Word) -> tuple:
-    """(length, lexicographic) sort key matching ball index order."""
-    return (len(w), tuple(letter_rank(x) for x in w))
-
-
 def signed_letters(letters: Sequence[int]) -> list[int]:
     """Signed codes of the given 0-based letters in canonical order."""
     out: list[int] = []
@@ -145,9 +135,6 @@ class Ball:
 
     def __iter__(self):
         return iter(self.words)
-
-    def word_at(self, i: int) -> Word:
-        return self.words[i]
 
     def index_of(self, w: Word) -> int:
         if self._index is None:
@@ -270,10 +257,6 @@ class WordSetPredicate:
 
 
 # -- direct sums of free groups ------------------------------------------------
-
-
-def ds_identity(summands: int) -> DSWord:
-    return (IDENTITY,) * summands
 
 
 def ds_concat(g: DSWord, h: DSWord) -> DSWord:

@@ -7,14 +7,13 @@ from kappasets.classify import (
     CoverCellError,
     CoverDecomposition,
     ball_uncovered_witness,
-    find_large_cell,
     is_large,
     is_small,
     is_thick,
     thick_to_large_witness,
 )
 from kappasets.constructions import s_set
-from kappasets.groups import Subset, build_group, product_set, subset_inverse
+from kappasets.groups import Subset, build_group, inverse_mask, product_set
 from kappasets.words import enumerate_ball
 
 Z2 = build_group("cyclic:2")
@@ -46,6 +45,21 @@ class TestIsLarge:
         # {2,4,5} is two-sided 3-large via the lex-least pair {0,1}
         v = is_large(Z6, sub(Z6, 2, 4, 5), 3, "two-sided")
         assert v.verdict is True and v.witness == sub(Z6, 0, 1)
+
+    def test_two_sided_faf_witness(self):
+        v = is_large(Z6, sub(Z6, 0, 1, 2), 3, "two-sided")
+        assert v.verdict is True and v.witness == sub(Z6, 0, 2)
+        assert product_set(Z6, v.witness, sub(Z6, 0, 1, 2), "FAF") == Subset.full(6)
+
+    def test_two_sided_large_without_being_left_large(self):
+        # {0,1,3} and its complement both fail left largeness at kappa=3,
+        # yet {0,1,3} is two-sided large: the witness pair may straddle it
+        A = sub(Z6, 0, 1, 3)
+        assert not is_large(Z6, A, 3, "left").verdict
+        assert not is_large(Z6, A.complement(), 3, "left").verdict
+        v = is_large(Z6, A, 3, "two-sided")
+        assert v.verdict is True
+        assert product_set(Z6, v.witness, A, "FAF") == Subset.full(6)
 
     @given(SMALL_GROUPS, st.data())
     @settings(max_examples=80, deadline=None)
@@ -126,7 +140,7 @@ class TestIsThick:
         A = Subset(G.order, data.draw(st.integers(0, G.full_mask)))
         kappa = data.draw(st.integers(2, G.order))
         variant = data.draw(st.sampled_from(("witness-in-A", "witness-in-G")))
-        inv_a = subset_inverse(G, A)
+        inv_a = Subset(G.order, inverse_mask(G, A.mask))
         assert (
             is_thick(G, A, kappa, "left", variant).verdict
             == is_thick(G, inv_a, kappa, "right", variant).verdict
@@ -186,38 +200,6 @@ class TestThickToLarge:
         bad = CoverDecomposition((sub(Z6, 0, 1), sub(Z6, 1, 2)))
         with pytest.raises(ValueError):
             bad.validate(Z6, 3)
-
-
-class TestFindLargeCell:
-    def test_two_cell_partition(self):
-        got = find_large_cell(Z6, [sub(Z6, 0, 1, 2), sub(Z6, 3, 4, 5)], 3)
-        assert got is not None
-        i, F = got
-        assert i == 0 and F == sub(Z6, 0, 2)
-        assert product_set(Z6, F, sub(Z6, 0, 1, 2), "FAF") == Subset.full(6)
-
-    def test_cells_can_be_two_sided_large_without_being_left_large(self):
-        # both cells fail one-sided largeness at kappa=3, yet the first is
-        # two-sided large: the witness pair may straddle the cell
-        cells = [sub(Z6, 0, 1, 3), sub(Z6, 2, 4, 5)]
-        assert not is_large(Z6, cells[0], 3, "left").verdict
-        assert not is_large(Z6, cells[1], 3, "left").verdict
-        got = find_large_cell(Z6, cells, 3)
-        assert got is not None
-        i, F = got
-        assert i == 0
-        assert product_set(Z6, F, cells[0], "FAF") == Subset.full(6)
-
-    def test_whole_group_cell(self):
-        assert find_large_cell(Z6, [Subset.full(6)], 2) == (0, sub(Z6, 0))
-
-    def test_none_when_no_cell_qualifies(self):
-        cells = [sub(Z4, 0), sub(Z4, 1), sub(Z4, 2), sub(Z4, 3)]
-        assert find_large_cell(Z4, cells, 2) is None
-
-    def test_rejects_non_partition(self):
-        with pytest.raises(ValueError):
-            find_large_cell(Z6, [sub(Z6, 0, 1), sub(Z6, 1, 2, 3, 4, 5)], 3)
 
 
 class TestBallUncoveredWitness:

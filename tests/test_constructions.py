@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kappasets.classify import CoverDecomposition, find_large_cell
+from kappasets.classify import CoverDecomposition
 from kappasets.constructions import (
     Partition,
     PartitionError,
@@ -144,8 +144,6 @@ class TestPartitionVerification:
         cells = (Subset(4, 0b1111), Subset(6, 0b110000))
         with pytest.raises(PartitionError, match="lies over order 4"):
             Partition(cells, "mixed", group=G).verify_on_group()
-        with pytest.raises(PartitionError, match="lies over order 4"):
-            find_large_cell(G, cells, 3)
         with pytest.raises(PartitionError, match="lies over order 4"):
             CoverDecomposition(cells).validate(G, 5)
 

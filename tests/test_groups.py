@@ -1,5 +1,4 @@
 import importlib.util
-import itertools
 from pathlib import Path
 
 import pytest
@@ -9,17 +8,11 @@ from hypothesis import strategies as st
 from kappasets.groups import (
     GroupAxiomError,
     GroupSpecError,
-    NormalityVerdict,
     Subset,
     build_group,
     check_kappa,
-    conjugacy_class,
-    is_kappa_normal,
-    mask_of,
-    normal_closure,
+    inverse_mask,
     product_set,
-    subset_inverse,
-    translate,
 )
 from kappasets.suites import GRID_SPECS, ORACLE_SPECS
 
@@ -216,7 +209,7 @@ def test_product_is_union_of_translates(spec, data):
     fa = product_set(G, F, A, "FA")
     union = Subset.empty(G.order)
     for f in F:
-        union = union | translate(G, f, A, "left")
+        union = union | product_set(G, Subset(G.order, 1 << f), A, "FA")
     assert fa == union
     assert fa.size <= F.size * A.size
     # FAF is (FA)F
@@ -228,37 +221,8 @@ def test_product_is_union_of_translates(spec, data):
 def test_inverse_involution(spec, data):
     G = build_group(spec)
     A = data.draw(subsets_of(G))
-    assert subset_inverse(G, subset_inverse(G, A)) == A
-
-
-def test_conjugacy_classes():
-    Z6 = build_group("cyclic:6")
-    assert conjugacy_class(Z6, 2) == Subset.from_indices(6, [2])
-    S3 = build_group("symmetric:3")
-    assert conjugacy_class(S3, 0) == Subset.from_indices(6, [0])
-    transpositions = [i for i, lab in enumerate(S3.labels) if lab in ("021", "102", "210")]
-    assert conjugacy_class(S3, transpositions[0]) == Subset.from_indices(6, transpositions)
-
-
-def test_normal_closure_examples():
-    S3 = build_group("symmetric:3")
-    t = S3.labels.index("021")
-    assert normal_closure(S3, Subset.from_indices(6, [t])) == Subset.full(6)
-    assert normal_closure(S3, Subset.from_indices(6, [0])) == Subset.from_indices(6, [0])
-    Z6 = build_group("cyclic:6")
-    assert normal_closure(Z6, Subset.from_indices(6, [2])) == Subset.from_indices(6, [0, 2, 4])
-
-
-@given(SPECS, st.data())
-@settings(max_examples=40, deadline=None)
-def test_normal_closure_idempotent_and_monotone(spec, data):
-    G = build_group(spec)
-    F = data.draw(subsets_of(G))
-    bigger = data.draw(subsets_of(G))
-    clo = normal_closure(G, F)
-    assert normal_closure(G, clo) == clo
-    assert (clo.mask & ~normal_closure(G, F | bigger).mask) == 0
-    assert (F.mask & ~clo.mask) == 0
+    inv = Subset(G.order, inverse_mask(G, A.mask))
+    assert Subset(G.order, inverse_mask(G, inv.mask)) == A
 
 
 def test_kappa_validation():
@@ -274,88 +238,3 @@ def test_kappa_validation():
     for bad in (1, 2):
         with pytest.raises(ValueError, match=r"^no kappa is admissible for a group of order 1 "):
             check_kappa(build_group("cyclic:1"), bad)
-
-
-def test_is_kappa_normal_counterexamples():
-    S3 = build_group("symmetric:3")
-    got = is_kappa_normal(S3, 3)
-    assert not got.is_normal
-    assert got.counterexample == Subset.from_indices(6, [1])  # first transposition
-    assert got.closure.size >= 3
-    Z6 = build_group("cyclic:6")
-    got = is_kappa_normal(Z6, 3)
-    assert not got.is_normal
-    assert got.counterexample == Subset.from_indices(6, [1])
-
-
-def test_is_kappa_normal_always_fails_at_finite_scale():
-    # kappa-1 non-identity elements close to at least kappa elements (the
-    # closure adjoins the identity), so the verdict is false for every
-    # finite group and every valid kappa; the checker must find this.
-    for spec in ("cyclic:4", "product:cyclic:2+cyclic:2", "symmetric:3"):
-        G = build_group(spec)
-        for kappa in range(2, G.order + 1):
-            got = is_kappa_normal(G, kappa)
-            assert not got.is_normal
-            assert got.counterexample.size <= kappa - 1
-
-
-def test_is_kappa_normal_minimal_counterexample():
-    got = is_kappa_normal(build_group("product:cyclic:2+cyclic:2"), 3)
-    # all singleton closures have size 2 < 3; the first lex pair fails
-    assert got.counterexample == Subset.from_indices(4, [1, 2])
-    assert got.closure.size == 4
-
-
-@given(SPECS, st.integers(min_value=2, max_value=6))
-@settings(max_examples=30, deadline=None)
-def test_kappa_normal_verdict_is_verified(spec, kappa):
-    G = build_group(spec)
-    if kappa > G.order:
-        kappa = G.order
-    got = is_kappa_normal(G, kappa)
-    if not got.is_normal:
-        assert got.counterexample.size <= kappa - 1
-        assert normal_closure(G, got.counterexample).size >= kappa
-
-
-def normal_subgroups(G):
-    """Every nonempty subset closed under products and conjugation, by plain
-    enumeration (in a finite group such a set is a normal subgroup)."""
-    n = G.order
-    out = []
-    for m in range(1, 1 << n):
-        S = Subset(n, m)
-        if all(G.mul[a][b] in S for a in S for b in S) and all(
-            G.conj(g, x) in S for g in range(n) for x in S
-        ):
-            out.append(m)
-    return out
-
-
-@pytest.mark.parametrize("spec", GRID_SPECS)
-def test_normal_closure_and_kappa_normality_by_the_definitions(spec):
-    G = build_group(spec)
-    n = G.order
-    normals = normal_subgroups(G)
-    for m in range(1 << n):
-        over = [N for N in normals if m & ~N == 0]
-        least = normal_closure(G, Subset(n, m)).mask
-        assert least in over and all(least & ~N == 0 for N in over)
-    for kappa in range(2, n + 1):
-        small = [N for N in normals if N.bit_count() < kappa]
-        first = next(
-            (
-                F
-                for size in range(1, kappa)
-                for F in itertools.combinations(range(n), size)
-                if not any(mask_of(F) & ~N == 0 for N in small)
-            ),
-            None,
-        )
-        got = is_kappa_normal(G, kappa)
-        if first is None:
-            assert got == NormalityVerdict(True)
-        else:
-            F = Subset.from_indices(n, first)
-            assert got == NormalityVerdict(False, F, normal_closure(G, F))

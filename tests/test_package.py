@@ -1,8 +1,10 @@
 """The package namespace: public names load their submodule on first use
 (PEP 562), and importing one submodule loads only it and what it imports."""
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,16 +17,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 EXPORTS = (
     "Ball", "CoverCellError", "CoverDecomposition", "GroupAxiomError", "GroupSpecError",
-    "GroupTable", "NormalityVerdict", "Partition", "PartitionError", "ProbeOutcome",
-    "SearchOutcome", "SizeVerdict", "Subset", "WordSetPredicate", "WordSyntaxError",
-    "ball_size", "ball_uncovered_witness", "build_group", "comment2_bset", "concat",
-    "conjugacy_class", "conjugate", "ds_concat", "ds_conjugate", "ds_identity", "ds_inverse",
-    "ds_rho", "ds_support", "enumerate_ball", "enumerate_ds_ball", "find_large_cell",
-    "first_last", "first_last2", "format_word", "inverse", "is_kappa_normal", "is_large",
-    "is_small", "is_thick", "meet_partition", "normal_closure", "parse_word",
-    "partition_search", "product_set", "rank1_partition", "rank2_partition", "reduce_word",
-    "res_search", "s_set", "split3_partition", "subset_inverse", "thick_to_large_witness",
-    "thm3_partition", "translate", "words_over",
+    "GroupTable", "Partition", "PartitionError", "ProbeOutcome", "SearchOutcome", "SizeVerdict",
+    "Subset", "WordSetPredicate", "WordSyntaxError", "ball_size", "ball_uncovered_witness",
+    "build_group", "comment2_bset", "concat", "conjugate", "ds_concat", "ds_conjugate",
+    "ds_inverse", "ds_rho", "ds_support", "enumerate_ball", "enumerate_ds_ball", "first_last",
+    "first_last2", "format_word", "inverse", "is_large", "is_small", "is_thick", "meet_partition",
+    "parse_word", "partition_search", "product_set", "rank1_partition", "rank2_partition",
+    "reduce_word", "res_search", "s_set", "split3_partition", "thick_to_large_witness",
+    "thm3_partition", "words_over",
 )
 SUBMODULES = ("classify", "constructions", "groups", "resolvability", "words")
 
@@ -75,3 +75,19 @@ def test_dir_lists_the_exports():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match=r"^module 'kappasets' has no attribute 'nope'$"):
         kappasets.nope  # noqa: B018
+
+
+def test_readme_library_layout_names_only_what_exists():
+    # each "- `kappasets.X` — ..." bullet names attributes of kappasets.X
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    checked = 0
+    for bullet in re.findall(r"^- (.*(?:\n  .*)*)", section, re.M):
+        got = re.match(r"`kappasets\.(\w+)` — (.*)", " ".join(bullet.split()))
+        if got is None:
+            continue
+        module = importlib.import_module(f"kappasets.{got[1]}")
+        for name in re.findall(r"`([A-Za-z_]\w*)`", got[2]):
+            assert hasattr(module, name), f"README names kappasets.{got[1]}.{name}"
+            checked += 1
+    assert checked >= 10

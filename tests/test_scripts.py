@@ -105,6 +105,11 @@ def test_res_tables_refuses_a_negative_budget():
     err = run_script("res_tables.py", ["--groups", "cyclic:4", "--node-budget", "-1"], returncode=2)
     assert "error: node budget must be >= 0, got -1" in err
     assert "Traceback" not in err
+    # the budget is read in the CLI's one integer grammar, which int() is not
+    for bad in ("1_0", " \u0663", "+3", ""):
+        err = run_script("res_tables.py", ["--groups", "cyclic:2", "--node-budget", bad], returncode=2)
+        assert f"error: argument --node-budget: invalid int value: {bad!r}" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
