@@ -10,7 +10,8 @@ result are left out: "command:" (it echoes the output directory),
 "content-hash:" (it hashes that echo) and "report written to". With
 --ignore-nodes the claims' "nodes:" lines are left out too, so a change
 that moves only node counts compares equal, and each tree's node total per
-workload is printed.
+workload is printed, with how many claims' node counts rose and how many
+fell from the old tree to the new.
 
     python scripts/compare_outputs.py OLD_TREE NEW_TREE [--workloads search,verify] [--ignore-nodes]
 
@@ -69,13 +70,28 @@ def report(stdout: str, ignore_nodes: bool = False) -> list[str]:
     return [line for line in stdout.splitlines() if not line.startswith(ignored)]
 
 
+def claim_nodes(stdout: str) -> list[int]:
+    """The node count of each claim in one report, in order."""
+    return [int(line[len(NODES):]) for line in stdout.splitlines() if line.startswith(NODES)]
+
+
 def node_totals(runs: list) -> dict[str, int]:
     """The nodes the claims of each workload's commands report, summed."""
     totals: dict[str, int] = {}
     for workload, _, _, stdout in runs:
-        nodes = [int(line[len(NODES):]) for line in stdout.splitlines() if line.startswith(NODES)]
-        totals[workload] = totals.get(workload, 0) + sum(nodes)
+        totals[workload] = totals.get(workload, 0) + sum(claim_nodes(stdout))
     return totals
+
+
+def node_moves(old: list, new: list) -> dict[str, tuple[int, int]]:
+    """Per workload, how many claims report more nodes in new than in old,
+    and how many fewer, the claims of each command taken in order."""
+    moves: dict[str, tuple[int, int]] = {}
+    for (workload, _, _, out_a), (_, _, _, out_b) in zip(old, new):
+        pairs = list(zip(claim_nodes(out_a), claim_nodes(out_b)))
+        rose, fell = moves.get(workload, (0, 0))
+        moves[workload] = (rose + sum(b > a for a, b in pairs), fell + sum(b < a for a, b in pairs))
+    return moves
 
 
 def differences(old: list, new: list, ignore_nodes: bool = False) -> list[str]:
@@ -117,6 +133,8 @@ def main(argv: list[str] | None = None) -> int:
         for tree, runs in zip(trees, (old, new)):
             totals = ", ".join(f"{w} {n}" for w, n in node_totals(runs).items())
             print(f"nodes in {tree}: {totals}")
+        for workload, (rose, fell) in node_moves(old, new).items():
+            print(f"claims' nodes in {workload}: {rose} rose, {fell} fell")
     print(f"{len(old)} commands compared, {len(found)} differ")
     return 1 if found else 0
 

@@ -14,7 +14,7 @@ it proves k by the greedy pass stopped once it passes k, and else decides
 k by branch and bound on the uncovered element with the fewest options
 (the column rule of Knuth's Algorithm X). Once the bounds meet,
 _lex_least finds the lex-least cover of that size by one index-order
-search.
+search; the one F of 0 or |G| elements is answered without it.
 
 A translate is the sum of A's entries in one of the per-group bit rows
 rows[g][a] = 1 << g*a (left) or 1 << a*g (right), built once per group and
@@ -23,7 +23,7 @@ holds it, are read off the group too, never transposed from the sets: e
 lies in f*A iff f lies in e*A^-1 (A*f: A^-1*e), so a cover's options are
 the translates of A^-1; a candidate x lies outside t[f^-1] iff f lies
 outside dom(x) = A*x^-1 (x^-1*A), so a thickness search's options are the
-complements of the dom masks it enters in the lmax table.
+complements of the dom masks it enters in the size table.
 
 The two-sided notions read the per-pair rows f1*A*f2, from which
 _pair_walks builds two walk tables once per subset and caches them. One
@@ -54,16 +54,16 @@ cover_within at k = kappa-1: is_large, which searches a witness only for
 a large A, the partition searches' cell tests, is_small's scan and
 re-check, and is_thick's duality cross-check.
 
-Every cover query runs one bounds step, _cover_bounds. It reads a (lower,
-upper) pair for the cover number, raises the lower end to the counting
-bound at no node cost, and decides the sizes it is asked: one side by
-_tighten, two-sided by walking the sizes from the lower bound up. A
-two-sided hit is the exact number, and the walk records its F, the
-(size, lex)-least cover, in the "cover" cache. cover_within asks it for k
-alone; min_cover_size asks it for each size from the lower bound up,
-until the pair is exact. _min_cover, the minimal cover, takes its size
-from min_cover_size; one side then runs only the lex phase, and
-two-sided reads the F the walk recorded.
+Both numbers run one size step, _cover_bounds. It reads a (lower, upper)
+pair for the least number of sets that hold its target, raises the lower
+end to the counting floor at no node cost, and decides the sizes it is
+asked: one side by _tighten, two-sided by walking the sizes from the
+lower bound up, where a hit is the exact number and its F the (size,
+lex)-least. With its lex phase it also returns that F. It has two
+callers. _cover_step asks it for the cover number: cover_within for k
+alone, min_cover_size for each size until the pair is exact, and
+_min_cover with the lex phase. _thick_profile asks it, with the lex
+phase, for the least failing test set.
 
 Both one-sided numbers are translation invariant: F*(g*A) = (F*g)*A and
 (A*g)*F = A*(g*F) keep the cover number, and since F*x lands in A*h iff
@@ -71,18 +71,18 @@ F*(x*h^-1) lands in A, and x lies in A*h iff x*h^-1 lies in A (mirrored
 on the right), thick_lmax keeps in both variants. A one-sided search
 already holds translates of A: the cover masks f*A (A*f), and the sets
 dom(x) = A*x^-1 (x^-1*A) of the f that take a candidate x into A, which
-are the mirror-side translates at x^-1. When it finishes it enters what
-it found for each of them in one of two per-group size tables.
-"lmax", keyed (side, variant, mask), holds the number. "cover_size",
-keyed (side, mask), holds what is known of the cover number as a (lower,
-upper) pair, exact when the two are equal; _cover_bounds is its one
-writer. Both tables are read before any search, at no node cost. A search
-cut off by its budget enters nothing. Witnesses are not translated: the
-lex-least cover of g*A is not g times that of A, so _min_cover and
-_thick_profile, with their exact-key "cover" and "profile" caches, still
-search A itself. The two-sided numbers are not invariant in general
-(F*(g*A)*F translates only the inner factor): a two-sided cover_size
-entry is for A itself alone, and there is no two-sided lmax entry.
+are the mirror-side translates at x^-1. When it finishes it enters its
+pair for each of them in one per-group size table, "cover_size", keyed
+(side, mask) for the cover number and (side, variant, mask) for the
+least failing size; _cover_bounds is its one writer. A pair is exact
+when its two ends are equal, and the table is read before any search,
+at no node cost. A search cut off by its budget enters nothing.
+Witnesses are not translated: the lex-least cover of g*A is not g times
+that of A, so _min_cover and _thick_profile, with their exact-key
+"cover" and "profile" caches, still search A itself. The two-sided
+numbers are not invariant in general (F*(g*A)*F translates only the
+inner factor): a two-sided cover pair is entered for A itself alone, and
+a two-sided thickness number lives in the "profile" cache alone.
 
 All searches are deterministic; witnesses are minimal in (size, lex) order
 and re-verified against the raw definitions before they are returned, by
@@ -213,8 +213,7 @@ def _cache(G: GroupTable) -> dict:
     c = _caches.get(G)
     if c is None:
         c = {
-            "cover": {}, "profile": {}, "pair": {},
-            "cover_size": {}, "lmax": {}, "bit_rows": {},
+            "cover": {}, "profile": {}, "pair": {}, "cover_size": {}, "bit_rows": {},
         }
         _caches[G] = c
     return c
@@ -242,29 +241,6 @@ def _translates(G: GroupTable, amask: int, side: str, at=None) -> list[int]:
     elems = list(bits(amask))
     at = range(G.order) if at is None else at
     return [sum(map(rows[g].__getitem__, elems)) for g in at]
-
-
-def _min_hitting(
-    covers: list[int], opts: list[int], full: int, counter: NodeCounter
-) -> tuple[int, ...] | None:
-    """(size, lex)-minimal tuple of indices f whose covers[f] (each a subset
-    of full) together contain full, or None when all of them together do
-    not. opts[e], for each element e of full, is the mask of the f whose
-    covers[f] holds e; the caller reads it off the group (all f outside
-    dom(x) for a candidate x of the thickness family). The size lies
-    between the counting bound and len(covers); _tighten raises the lower
-    bound until the two meet, and _lex_least finds the cover of that size.
-    One node is spent per search-tree node of either phase.
-    """
-    if full == 0:
-        return ()
-    if full & ~functools.reduce(int.__or__, covers):
-        return None
-    maxcover = max(c.bit_count() for c in covers)
-    lo, hi = -(-full.bit_count() // maxcover), len(covers)
-    while lo < hi:
-        lo, hi = _tighten(covers, lambda: opts, full, maxcover, lo, (lo, hi), counter)
-    return _lex_least(covers, full, lo, maxcover, counter)
 
 
 def _tighten(
@@ -451,20 +427,24 @@ def _abelian(G: GroupTable) -> bool:
 
 
 def _cover_floor(G: GroupTable, per: int, need: int, side: str) -> int:
-    """Least s >= 1 with pairs(s)*per >= need, |G| + 1 when no s has (per
+    """Least s >= 0 with pairs(s)*per >= need, |G| + 1 when no s has (per
     is 0 and need is not): the least |F| whose sets, per elements each, can
     together hold need elements. pairs(s) counts the sets an F of s elements
     gives: s one-sided, and s^2 pairs (f1, f2) two-sided, or s(s+1)/2 in an
-    abelian group, where f1*A*f2 = f1*f2*A depends on f1*f2 alone.
+    abelian group, where f1*A*f2 = f1*f2*A depends on f1*f2 alone. An empty
+    target (witness-in-A, A empty) needs no set, so its floor is 0.
 
     The cover floor takes per = |A| and need = |G|, since |F*A| <= |F|*|A|
-    and |F*A*F| <= pairs(|F|)*|A|. The two-sided thickness floor takes
-    per = |G| - |A| and need = |candidates|: a pair excludes the |G| - |A|
+    and |F*A*F| <= pairs(|F|)*|A|. The one-sided thickness floor takes the
+    most candidates one f excludes as per, and need = |candidates|. The
+    two-sided one takes per = |G| - |A|: a pair excludes the |G| - |A|
     candidates x with f1*x*f2 outside A, as x -> f1*x*f2 is a bijection, and
     F fails only when its pairs exclude every candidate."""
-    if need and not per:
+    if not need:
+        return 0
+    if not per:
         return G.order + 1
-    least = max(1, -(-need // per))
+    least = -(-need // per)
     if side != "two-sided":
         return least
     if _abelian(G):
@@ -474,70 +454,95 @@ def _cover_floor(G: GroupTable, per: int, need: int, side: str) -> int:
 
 
 def _cover_bounds(
-    G: GroupTable, amask: int, side: str, ks, counter: NodeCounter
-) -> tuple[int, int]:
-    """What is known of A's cover number, a (lower, upper) pair, once each
-    k of ks in turn that the pair leaves open has been decided.
+    G: GroupTable, key: tuple, target: int, per: int, build, ks, counter: NodeCounter,
+    lex: bool = False,
+) -> tuple[int, int, tuple[int, ...] | None]:
+    """What is known of the least number of sets that hold target, a
+    (lower, upper) pair, once each k of ks in turn that the pair leaves open
+    has been decided (ks None: each size from the lower bound up, until the
+    pair is exact); and with lex, the (size, lex)-least F of that number,
+    None when no F holds target.
 
-    The pair is read from the size table, and the counting bound raises its
-    lower end, both at no node cost and with no table built. One side then
-    decides k by _tighten over the translates of A, built once, with the
-    translates of A^-1 as options: e lies in f*A (A*f) iff f lies in
-    e*A^-1 (A^-1*e). The options are built at the first exact search, since
-    a greedy proof needs none. Two-sided walks the sizes from the lower
-    bound up to k; a hit is the exact number, and its F, the (size,
-    lex)-least cover, is recorded in the "cover" cache. Once every k is
-    decided the pair is entered for each translate of A (A itself
-    two-sided), so a search cut off by its budget enters nothing.
+    key is (side, mask) for a cover number and (side, variant, mask) for a
+    least failing test set; per is the most elements one set holds. The
+    pair is read from the size table, and _cover_floor raises its lower end,
+    both at no node cost; once some set holds an element, all n of them
+    hold the target, so n bounds the upper end. build() returns the sets
+    (the walk table two-sided), a callable that returns the option lists,
+    and an iterable of the keys to enter; it runs once, when a size is to
+    be decided or a lex phase needs the sets. One side decides k by
+    _tighten. Two-sided walks the sizes from the lower bound up to k, and a
+    hit is the exact number with its (size, lex)-least F. The lex phase runs
+    _lex_least one side, but the one F of 0 or n elements is answered
+    without search. Only then, when some size was decided, is the pair
+    entered for every key, one tuple shared by all of them, and a two-sided
+    F recorded in the "cover" cache under them, so a search cut off by its
+    budget enters nothing. A two-sided pair is exact below n only after a
+    hit, whose F a cover key has recorded, and a two-sided thickness key
+    enters nothing, so two-sided never reaches _lex_least.
     """
-    n, count, tables = G.order, amask.bit_count(), _cache(G)
-    lo, hi = tables["cover_size"].get((side, amask), (0, n + 1))
-    lo = max(lo, _cover_floor(G, count, n, side))
-    masks, opts = None, []
+    n, side, tables = G.order, key[0], _cache(G)
+    lo, hi = tables["cover_size"].get(key, (0, n + 1))
+    lo = max(lo, _cover_floor(G, per, target.bit_count(), side))
+    hi = min(hi, max(lo, n))
+    built, keys, combo = None, (), None
+    for k in range(lo, hi) if ks is None else ks:
+        if not lo <= k < hi:
+            continue
+        sets, options, keys = built = built or build()
+        if side == "two-sided":
+            combo = _first_empty(range(lo, k + 1), target, sets, counter)
+            lo, hi = (k + 1, hi) if combo is None else (len(combo),) * 2
+        else:
+            lo, hi = _tighten(sets, options, target, per, k, (lo, hi), counter)
+    if lex and combo is None and lo <= n:
+        if lo in (0, n):
+            combo = tuple(range(lo))
+        else:  # one side: two-sided, only a hit makes a pair exact below n
+            combo = _lex_least((built or build())[0], target, lo, per, counter)
+    tables["cover_size"].update(dict.fromkeys(keys, (lo, hi)))
+    if side == "two-sided" and combo is not None:
+        tables["cover"].update(dict.fromkeys(keys, (lo, combo)))
+    return lo, hi, combo
+
+
+def _cover_step(
+    G: GroupTable, amask: int, side: str, ks, counter: NodeCounter, lex: bool = False
+) -> tuple[int, int, tuple[int, ...] | None]:
+    """_cover_bounds for A's cover number: the target is G and each set, a
+    translate f*A (A*f) or a pair's f1*A*f2, holds |A| elements. One side
+    reads the translates of A^-1 as options, built at the first exact
+    search, since a greedy proof needs none: e lies in f*A (A*f) iff f lies
+    in e*A^-1 (A^-1*e). The pair is entered for each translate of A, A
+    itself two-sided."""
+    opts: list[int] = []
 
     def options():
         if not opts:
             opts.extend(_translates(G, inverse_mask(G, amask), side))
         return opts
 
-    for k in ks:
-        if not lo <= k < hi:
-            continue
+    def build():
         if side == "two-sided":
-            masks = [amask]
-            combo = _first_empty(range(lo, k + 1), G.full_mask, _pair_walks(G, amask)[0], counter)
-            if combo is None:
-                lo = k + 1
-            else:
-                lo = hi = len(combo)
-                tables["cover"][side, amask] = (lo, combo)
-        else:
-            masks = masks or _translates(G, amask, side)
-            lo, hi = _tighten(masks, options, G.full_mask, count, k, (lo, hi), counter)
-    for m in masks or ():
-        tables["cover_size"][side, m] = (lo, hi)
-    return lo, hi
+            return _pair_walks(G, amask)[0], None, [(side, amask)]
+        masks = _translates(G, amask, side)
+        return masks, options, ((side, m) for m in masks)
+
+    return _cover_bounds(G, (side, amask), G.full_mask, amask.bit_count(), build, ks, counter, lex)
 
 
 def _min_cover(
     G: GroupTable, amask: int, side: str, counter: NodeCounter
 ) -> tuple[int, tuple[int, ...]] | None:
     """Minimal (size, lex) F with F*A = G (left), A*F = G (right) or
-    F*A*F = G (two-sided); None when A is empty.
-
-    The size is min_cover_size's. One side then runs only the lex phase at
-    that size over the translates f*A (A*f); two-sided, the walk that found
-    the size has recorded F in the "cover" cache.
-    """
+    F*A*F = G (two-sided); None when A is empty. _cover_step with its lex
+    phase finds it; a two-sided walk that found the size has already
+    recorded F in the "cover" cache."""
     cache = _cache(G)["cover"]
     key = (side, amask)
     if key not in cache:
-        size = min_cover_size(G, amask, side, counter)
-        if not amask:
-            cache[key] = None
-        elif key not in cache:  # one side; a two-sided walk has recorded its F
-            covers = _translates(G, amask, side)
-            cache[key] = (size, _lex_least(covers, G.full_mask, size, amask.bit_count(), counter))
+        size, _, combo = _cover_step(G, amask, side, None, counter, lex=True)
+        cache[key] = None if combo is None else (size, combo)
     return cache[key]
 
 
@@ -547,7 +552,7 @@ def min_cover_size(G: GroupTable, amask: int, side: str, counter: NodeCounter) -
     until the pair is exact; an exact pair in the size table, found for A
     or a translate, is read at no node cost."""
     lo, hi = _cache(G)["cover_size"].get((side, amask), (0, G.order + 1))
-    return lo if lo == hi else _cover_bounds(G, amask, side, range(lo, hi), counter)[0]
+    return lo if lo == hi else _cover_step(G, amask, side, None, counter)[0]
 
 
 def cover_within(G: GroupTable, amask: int, side: str, k: int, counter: NodeCounter) -> bool:
@@ -556,11 +561,11 @@ def cover_within(G: GroupTable, amask: int, side: str, k: int, counter: NodeCoun
 
     What the size table holds for A decides first, and then the counting
     bound refutes (as it does for the empty set), both at no node cost,
-    with no table built and nothing entered; else _cover_bounds decides k.
+    with no table built and nothing entered; else _cover_step decides k.
     """
     lo, hi = _cache(G)["cover_size"].get((side, amask), (0, G.order + 1))
     if lo <= k < hi and _cover_floor(G, amask.bit_count(), G.order, side) <= k:
-        hi = _cover_bounds(G, amask, side, (k,), counter)[1]
+        hi = _cover_step(G, amask, side, (k,), counter)[1]
     return hi <= k
 
 
@@ -582,49 +587,41 @@ def _thick_profile(
     """Return (lmax, fail_F): thickness holds at kappa iff kappa-1 <= lmax.
 
     fail_F is the (size, lex)-minimal F admitting no translating element;
-    it has size lmax+1, or is None when every F up to size n-1 passes.
-    One-sided: F fails exactly when every candidate x lies outside the
-    translate f^-1*A (A*f^-1) of some f in F, so fail_F is the minimal
-    hitting set of the candidates by the masks candidates minus that
-    translate, found by _min_hitting. Two-sided: F fails when no candidate
-    lies in f1^-1*A*f2^-1 for every pair of F, so fail_F is the first F,
-    walked by size from the thickness floor of _cover_floor, that leaves no
-    candidate; for A = G no size is walked. With no candidate
-    (witness-in-A, A empty) both routes return the empty F, so lmax is -1,
-    at no node cost. A finished one-sided search enters its lmax for every
-    dom(x) = A*x^-1 (x^-1*A) in the lmax table.
+    it has size lmax+1, or is None when every F up to size n-1 passes. It
+    is the least cover of the candidates that _cover_bounds finds with its
+    lex phase. One-sided: F fails exactly when every candidate x lies
+    outside the translate f^-1*A (A*f^-1) of some f in F, so the sets are
+    the candidates minus that translate, and the options of x are the f
+    outside dom(x) = A*x^-1 (x^-1*A). Its number is entered for every
+    dom(x) in the size table, under (side, variant, dom(x)). Two-sided: F
+    fails when no candidate lies in f1^-1*A*f2^-1 for every pair of F, the
+    sets are walked, and nothing is entered; for A = G no size is walked.
+    With no candidate (witness-in-A, A empty) the empty F fails, so lmax
+    is -1, at no node cost.
     """
-    tables = _cache(G)
-    cache = tables["profile"]
+    cache = _cache(G)["profile"]
     key = (side, variant, amask)
-    if key in cache:
-        return cache[key]
-    n = G.order
-    cand = amask if variant == "witness-in-A" else G.full_mask
-    walk = _thick_walk(G, amask, side)
-    if side == "two-sided":
-        floor = _cover_floor(G, n - amask.bit_count(), cand.bit_count(), side)
-        fail = _first_empty(range(floor, n), cand, walk, counter)
-        doms = []
-    else:
-        # dom(x), the f with f*x (x*f) in A, is the mirror translate at x^-1;
-        # x lies in cand minus t[f^-1] iff f lies outside dom(x)
-        mirror = "right" if side == "left" else "left"
-        xs = list(bits(cand))
-        doms = _translates(G, amask, mirror, [G.inv[x] for x in xs])
-        opts = [0] * n
-        for x, dom in zip(xs, doms):
-            opts[x] = G.full_mask ^ dom
-        fail = _min_hitting([cand & ~row for row in walk[0]], opts, cand, counter)
-    if fail is None or len(fail) >= n:
-        result = (n - 1, None)
-    else:
-        result = (len(fail) - 1, fail)
-    cache[key] = result
-    lmaxes = tables["lmax"]
-    for m in doms:
-        lmaxes[side, variant, m] = result[0]
-    return result
+    if key not in cache:
+        n = G.order
+        cand = amask if variant == "witness-in-A" else G.full_mask
+        walk = _thick_walk(G, amask, side)
+        if side == "two-sided":
+            per, built = n - amask.bit_count(), (walk, None, ())
+        else:
+            # dom(x), the f with f*x (x*f) in A, is the mirror translate at x^-1;
+            # x lies in cand minus t[f^-1] iff f lies outside dom(x)
+            mirror = "right" if side == "left" else "left"
+            xs = list(bits(cand))
+            doms = _translates(G, amask, mirror, [G.inv[x] for x in xs])
+            opts = [0] * n
+            for x, dom in zip(xs, doms):
+                opts[x] = G.full_mask ^ dom
+            sets = [cand & ~col for col in walk[0]]
+            per = max(map(int.bit_count, sets))
+            built = (sets, lambda: opts, ((side, variant, m) for m in doms))
+        lo, _, fail = _cover_bounds(G, key, cand, per, lambda: built, None, counter, lex=True)
+        cache[key] = (n - 1, None) if lo >= n else (lo - 1, fail)
+    return cache[key]
 
 
 def thick_lmax(G: GroupTable, amask: int, side: str, variant: str, counter: NodeCounter) -> int:
@@ -632,12 +629,11 @@ def thick_lmax(G: GroupTable, amask: int, side: str, variant: str, counter: Node
     (by an element of A for witness-in-A, of G for witness-in-G): A is
     kappa-thick iff kappa-1 <= thick_lmax. It is -1 for witness-in-A and
     the empty set, and |G| - 1 when every proper F passes. A one-sided
-    number already found for a translate of A is read from the lmax table
-    at no node cost."""
-    got = _cache(G)["lmax"].get((side, variant, amask))
-    if got is not None:
-        return got
-    return _thick_profile(G, amask, side, variant, counter)[0]
+    number already found for a translate of A is read from the size table
+    at no node cost: the table holds the least failing size, |G| + 1 when
+    no F fails, and thick_lmax is the lesser of it and |G|, minus one."""
+    lo, hi = _cache(G)["cover_size"].get((side, variant, amask), (0, G.order + 1))
+    return min(lo, G.order) - 1 if lo == hi else _thick_profile(G, amask, side, variant, counter)[0]
 
 
 def _translate_into(G: GroupTable, fmask: int, x: int, amask: int, side: str) -> bool:

@@ -19,9 +19,9 @@ from kappasets.classify import (
     BudgetExceeded,
     NodeCounter,
     _caches,
+    _cover_bounds,
     _least_translating,
     _min_cover,
-    _min_hitting,
     _thick_profile,
     _thick_witness_map,
     _translate_into,
@@ -550,16 +550,14 @@ def on_fresh_group(spec, query, *args):
 
 
 def table_entries(G):
-    """The filled (query, key) -> number entries of G's two size tables; a
-    cover_size entry is a (lower, upper) pair, read as its number when
-    exact."""
-    tables = _caches.get(G, {})
+    """The filled (query, key) -> number entries of G's size table. A
+    (side, mask) entry is a (lower, upper) pair for the cover number, read
+    as its number when exact; a (side, variant, mask) entry is the least
+    failing size, |G| + 1 when no F fails, read as lmax = min(lo, |G|) - 1."""
     return {
-        **{
-            (cover_size, key): lo if lo == hi else (lo, hi)
-            for key, (lo, hi) in tables.get("cover_size", {}).items()
-        },
-        **{(lmax, key): size for key, size in tables.get("lmax", {}).items()},
+        (cover_size, key) if len(key) == 2 else (lmax, key):
+            (lo if lo == hi else (lo, hi)) if len(key) == 2 else min(lo, G.order) - 1
+        for key, (lo, hi) in _caches.get(G, {}).get("cover_size", {}).items()
     }
 
 
@@ -705,6 +703,37 @@ def test_a_two_sided_large_claim_after_its_decision_walks_once():
     assert got.witness == Subset.from_indices(8, oracle_cover(G, A.mask, "two-sided")[1])
 
 
+@pytest.mark.parametrize("side", ONE_SIDES)
+def test_a_minimal_cover_builds_the_translates_once(side, monkeypatch):
+    # the size step builds f*A (A*f) once, and its lex phase reuses them;
+    # A = {1, 2} in cyclic:12 is not its own inverse, so the options, the
+    # translates of A^-1, are not counted
+    calls = []
+    translates = classify._translates
+    monkeypatch.setattr(
+        classify, "_translates", lambda G, amask, *rest: calls.append(amask) or translates(G, amask, *rest)
+    )
+    G, amask = build_group("cyclic:12"), 0b110
+    assert _min_cover(G, amask, side, NodeCounter(10**9)) == oracle_cover(G, amask, side)
+    assert calls.count(amask) == 1
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "product:cyclic:2+cyclic:4"])
+def test_a_two_sided_profile_enters_no_size(spec):
+    # its result lives in the profile cache alone: the cover and size tables
+    # stay as they were, whatever cover queries filled them before
+    G = build_group(spec)
+    counter = NodeCounter(10**9)
+    for amask in range(0, G.full_mask + 1, 7):
+        min_cover_size(G, amask, "two-sided", counter)
+        _min_cover(G, amask, "left", counter)
+    before = {name: dict(_caches[G][name]) for name in ("cover", "cover_size")}
+    for amask in range(G.full_mask + 1):
+        for variant in VARIANTS:
+            _thick_profile(G, amask, "two-sided", variant, counter)
+    assert {name: _caches[G][name] for name in before} == before
+
+
 @pytest.mark.parametrize("spec,amask,k", DEEP_REFUTATIONS)
 def test_deep_refutations_need_the_exact_search(spec, amask, k):
     counter = NodeCounter(10**9)
@@ -722,14 +751,21 @@ def transpose(covers, full):
 
 
 def hitting(covers, full, counter):
-    """The kernel on options transposed from the covers."""
-    return _min_hitting(covers, transpose(covers, full), full, counter)
+    """The size step's lex phase on options transposed from the covers, on
+    a fresh group of order len(covers), entering nothing."""
+    G = build_group(f"cyclic:{len(covers)}")
+    per = max(c.bit_count() for c in covers)
+    build = lambda: (covers, lambda: transpose(covers, full), ())  # noqa: E731
+    return _cover_bounds(G, ("left", "hitting", 0), full, per, build, None, counter, lex=True)[2]
 
 
 def test_kernel_edge_cases():
     counter = NodeCounter(10**6)
     assert hitting([0b01, 0b10, 0b11], 0, counter) == ()
-    assert hitting([0b01, 0b01], 0b11, counter) is None
+    # no set holds an element: the floor is |G| + 1, and no F covers
+    assert hitting([0, 0], 0b11, counter) is None
+    # the one F of all the sets is answered without a search
+    assert hitting([0b001, 0b010, 0b100], 0b111, NodeCounter(0)) == (0, 1, 2)
     # greedy takes {2} first and needs three sets; two suffice
     covers = [0b000111, 0b111000, 0b011110, 0b100000, 0b000001]
     assert hitting(covers, 0b111111, counter) == (0, 1)

@@ -19,7 +19,7 @@ kappa  large thickG thickA  gap  small
     4     51     13      7    6      1
     5     57      7      7    0      1
     6     57      7      1    6      1
-nodes spent: 631
+nodes spent: 625
 """
 
 
@@ -53,9 +53,12 @@ def test_size_census_table_is_pinned():
 
 
 def test_compare_outputs_finds_a_tree_equal_to_itself():
-    out = run_script("compare_outputs.py", [str(ROOT), str(ROOT), "--workloads", "search"])
-    compared, _, differ = out.splitlines()[-1].partition(" commands compared, ")
-    assert int(compared) > 0 and differ == "0 differ"
+    for flags in ([], ["--ignore-nodes"]):
+        out = run_script("compare_outputs.py", [str(ROOT), str(ROOT), "--workloads", "search", *flags])
+        compared, _, differ = out.splitlines()[-1].partition(" commands compared, ")
+        assert int(compared) > 0 and differ == "0 differ"
+        if flags:
+            assert "claims' nodes in search: 0 rose, 0 fell" in out.splitlines()
 
 
 SEARCH_REPORT = """\
@@ -99,6 +102,10 @@ def test_compare_outputs_can_leave_the_node_counts_out():
     assert len(compare.differences(runs(SEARCH_REPORT), runs(other), ignore_nodes=True)) == 1
     verify = ["verify", ["verify"], 0, "nodes: 3\nnodes: 4\n"]
     assert compare.node_totals([*runs(SEARCH_REPORT, fewer), verify]) == {"search": 19, "verify": 7}
+    more = ["verify", ["verify"], 0, "nodes: 3\nnodes: 5\n"]
+    assert compare.node_moves(
+        [*runs(SEARCH_REPORT, SEARCH_REPORT), verify], [*runs(fewer, SEARCH_REPORT), more]
+    ) == {"search": (0, 1), "verify": (1, 0)}
 
 
 def test_res_tables_refuses_a_negative_budget():
