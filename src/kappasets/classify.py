@@ -57,9 +57,10 @@ re-check, and is_thick's duality cross-check.
 Both numbers run one size step, _cover_bounds. It reads a (lower, upper)
 pair for the least number of sets that hold its target, raises the lower
 end to the counting floor at no node cost, and decides the sizes it is
-asked: one side by _tighten, two-sided by walking the sizes from the
-lower bound up, where a hit is the exact number and its F the (size,
-lex)-least. With its lex phase it also returns that F. It has two
+asked: size n without search, since the one F of n elements holds the
+target or no F does; below n, one side by _tighten, two-sided by walking
+the sizes from the lower bound up, where a hit is the exact number and
+its F the (size, lex)-least. With its lex phase it also returns that F. It has two
 callers. _cover_step asks it for the cover number: cover_within for k
 alone, min_cover_size for each size until the pair is exact, and
 _min_cover with the lex phase. _thick_profile asks it, with the lex
@@ -466,31 +467,34 @@ def _cover_bounds(
     key is (side, mask) for a cover number and (side, variant, mask) for a
     least failing test set; per is the most elements one set holds. The
     pair is read from the size table, and _cover_floor raises its lower end,
-    both at no node cost; once some set holds an element, all n of them
-    hold the target, so n bounds the upper end. build() returns the sets
-    (the walk table two-sided), a callable that returns the option lists,
-    and an iterable of the keys to enter; it runs once, when a size is to
-    be decided or a lex phase needs the sets. One side decides k by
-    _tighten. Two-sided walks the sizes from the lower bound up to k, and a
-    hit is the exact number with its (size, lex)-least F. The lex phase runs
-    _lex_least one side, but the one F of 0 or n elements is answered
-    without search. Only then, when some size was decided, is the pair
-    entered for every key, one tuple shared by all of them, and a two-sided
-    F recorded in the "cover" cache under them, so a search cut off by its
-    budget enters nothing. A two-sided pair is exact below n only after a
-    hit, whose F a cover key has recorded, and a two-sided thickness key
-    enters nothing, so two-sided never reaches _lex_least.
+    both at no node cost. build() returns the sets (the walk table
+    two-sided), a callable that returns the option lists, and an iterable
+    of the keys to enter; it runs once, when a size is to be decided or a
+    lex phase needs the sets. k = n is decided without search: the one F
+    of n elements holds the target, or no F does and the pair is n + 1.
+    Below n, one side decides k by _tighten. Two-sided walks the sizes from
+    the lower bound up to k, and a hit is the exact number with its (size,
+    lex)-least F. The lex phase runs _lex_least one side, but the one F of
+    0 or n elements is answered without search. Only then, when
+    some size was decided, is the pair entered for every key, one tuple
+    shared by all of them, so a search cut off by its budget enters
+    nothing. A two-sided pair is exact below n only after a hit, whose F
+    _cover_step records, and a two-sided thickness key enters nothing, so
+    two-sided never reaches _lex_least.
     """
     n, side, tables = G.order, key[0], _cache(G)
     lo, hi = tables["cover_size"].get(key, (0, n + 1))
     lo = max(lo, _cover_floor(G, per, target.bit_count(), side))
-    hi = min(hi, max(lo, n))
     built, keys, combo = None, (), None
     for k in range(lo, hi) if ks is None else ks:
         if not lo <= k < hi:
             continue
         sets, options, keys = built = built or build()
-        if side == "two-sided":
+        if k == n:  # the one F of n elements: what it leaves of the target lies
+            # outside every set, or two-sided in every pair's walk mask
+            kept = itertools.chain(*sets[1]) if side == "two-sided" else (~s for s in sets)
+            lo, hi = (n + 1, n + 1) if functools.reduce(int.__and__, kept, target) else (lo, n)
+        elif side == "two-sided":
             combo = _first_empty(range(lo, k + 1), target, sets, counter)
             lo, hi = (k + 1, hi) if combo is None else (len(combo),) * 2
         else:
@@ -501,8 +505,6 @@ def _cover_bounds(
         else:  # one side: two-sided, only a hit makes a pair exact below n
             combo = _lex_least((built or build())[0], target, lo, per, counter)
     tables["cover_size"].update(dict.fromkeys(keys, (lo, hi)))
-    if side == "two-sided" and combo is not None:
-        tables["cover"].update(dict.fromkeys(keys, (lo, combo)))
     return lo, hi, combo
 
 
@@ -514,7 +516,7 @@ def _cover_step(
     reads the translates of A^-1 as options, built at the first exact
     search, since a greedy proof needs none: e lies in f*A (A*f) iff f lies
     in e*A^-1 (A^-1*e). The pair is entered for each translate of A, A
-    itself two-sided."""
+    itself two-sided, where an F found is recorded in the "cover" cache."""
     opts: list[int] = []
 
     def options():
@@ -528,7 +530,10 @@ def _cover_step(
         masks = _translates(G, amask, side)
         return masks, options, ((side, m) for m in masks)
 
-    return _cover_bounds(G, (side, amask), G.full_mask, amask.bit_count(), build, ks, counter, lex)
+    lo, hi, combo = _cover_bounds(G, (side, amask), G.full_mask, amask.bit_count(), build, ks, counter, lex)
+    if side == "two-sided" and combo is not None:
+        _cache(G)["cover"][side, amask] = (lo, combo)
+    return lo, hi, combo
 
 
 def _min_cover(

@@ -762,6 +762,9 @@ def hitting(covers, full, counter):
 def test_kernel_edge_cases():
     counter = NodeCounter(10**6)
     assert hitting([0b01, 0b10, 0b11], 0, counter) == ()
+    # the sets together miss an element of the target: no F covers, though
+    # the floor allows all of them
+    assert hitting([0b01, 0b01], 0b11, counter) is None
     # no set holds an element: the floor is |G| + 1, and no F covers
     assert hitting([0, 0], 0b11, counter) is None
     # the one F of all the sets is answered without a search
@@ -771,6 +774,17 @@ def test_kernel_edge_cases():
     assert hitting(covers, 0b111111, counter) == (0, 1)
     # the lex-least of several optimal covers
     assert hitting([0b0011, 0b1100, 0b0110, 0b1001], 0b1111, counter) == (0, 1)
+
+
+def test_a_two_sided_walk_that_keeps_an_element_has_no_f():
+    # every pair of cyclic:2 keeps element 1, so no F empties the walk,
+    # though the floor allows both elements
+    G = build_group("cyclic:2")
+    walk = ([0b10, 0b10], [[0b10, 0b10], [0b10, 0b10]])
+    got = _cover_bounds(
+        G, ("two-sided", "hitting", 0), 0b11, 1, lambda: (walk, None, ()), None, NodeCounter(10**6), lex=True
+    )
+    assert got == (3, 3, None)
 
 
 def test_kernel_spends_budget():
