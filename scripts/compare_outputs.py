@@ -119,7 +119,8 @@ def main(argv: list[str] | None = None) -> int:
     bad = [w for w in workloads if w not in WORKLOADS]
     if bad:
         p.error(f"unknown workload {bad[0]!r}; choose from {', '.join(WORKLOADS)}")
-    trees = (args.old, args.new)
+    # absolute, since each run's interpreter starts in its tree
+    trees = (args.old.resolve(), args.new.resolve())
     procs = [start(tree, workloads) for tree in trees]
     outs = [proc.communicate()[0] for proc in procs]
     for proc, tree in zip(procs, trees):

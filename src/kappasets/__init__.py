@@ -57,8 +57,6 @@ _EXPORTS = {
         "ds_support",
         "enumerate_ball",
         "enumerate_ds_ball",
-        "first_last",
-        "first_last2",
         "format_word",
         "inverse",
         "parse_word",

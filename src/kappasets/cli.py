@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import classify as cl
-from .classify import ball_uncovered_witness, is_large, is_small, is_thick
+from .classify import ball_uncovered_witness, covered, is_large, is_small, is_thick
 from .constructions import (
     Partition,
     comment2_bset,
@@ -33,15 +33,7 @@ from .groups import DEFAULT_MAX_ORDER, GroupTable, Subset, build_group, read_int
 from .report import ClaimRecord, RunReport, check_out_root, write_report
 from .resolvability import THICK_PROBE_NOTE, partition_search, res_search
 from .suites import SUITES, run_suite
-from .words import (
-    ball_size,
-    concat,
-    enumerate_ball,
-    format_word,
-    inverse,
-    parse_word,
-    words_over,
-)
+from .words import ball_size, enumerate_ball, format_word, parse_word, words_over
 
 USAGE_ERROR = 2
 
@@ -312,7 +304,7 @@ def _scan_adversary(ball, H: list, cell) -> tuple[str, str, int]:
     w = ball_uncovered_witness(ball, H, cell)
     if w is None:  # a finite ball can show a witness, never that none exists
         return "inconclusive", "every ball word is covered", 0
-    if any(cell(concat(inverse(h), w)) for h in H):
+    if covered(H, cell, w):
         return "fail", "witness failed re-verification", 0
     return "pass", f"uncovered witness {format_word(w)}", 0
 

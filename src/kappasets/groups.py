@@ -62,7 +62,6 @@ class GroupTable:
     mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     labels: tuple[str, ...]
-    identity: int = 0
 
     @property
     def full_mask(self) -> int:

@@ -25,6 +25,7 @@ from .classify import (
     NodeCounter,
     ball_uncovered_witness,
     charged,
+    covered,
     is_thick,
     thick_to_large_witness,
 )
@@ -43,6 +44,7 @@ from .groups import GroupTable, Subset, build_group, inverse_mask
 from .report import ClaimRecord
 from .resolvability import THICK_PROBE_NOTE, partition_search, res_search
 from .words import (
+    Ball,
     DSWord,
     Word,
     concat,
@@ -51,8 +53,6 @@ from .words import (
     ds_inverse,
     enumerate_ball,
     enumerate_ds_ball,
-    first_last,
-    first_last2,
     format_word,
     inverse,
     reduce_word,
@@ -267,11 +267,11 @@ def _check_s_power_witness(counter: NodeCounter) -> tuple[bool, str]:
     S = s_set(2, 0)
     H = enumerate_ball(2, 3).words
     b4 = (2, 2, 2, 2)
-    if any(S(concat(inverse(h), b4)) for h in H):
+    if covered(H, S, b4):
         return False, "b^4 is covered by H*S for H the radius-3 ball"
     ball = enumerate_ball(2, 8)
     w = ball_uncovered_witness(ball, list(H), S)
-    if w is None or any(S(concat(inverse(h), w)) for h in H):
+    if w is None or covered(H, S, w):
         return False, "scan returned no verifiable uncovered word"
     if ball.index_of(w) > ball.index_of(b4):
         return False, "scan missed b^4"
@@ -282,7 +282,7 @@ def _check_s_fresh_letter_witness(counter: NodeCounter) -> tuple[bool, str]:
     S = s_set(4, 0)
     H = words_over([0, 1], 2)
     c = (3,)
-    if any(S(concat(inverse(h), c)) for h in H):
+    if covered(H, S, c):
         return False, "c is covered by H*S"
     w = ball_uncovered_witness(enumerate_ball(4, 2), H, S)
     if w != c:
@@ -308,33 +308,40 @@ def _check_thm3_partition(counter: NodeCounter) -> tuple[bool, str]:
 
 
 def _check_thm3_witnesses(counter: NodeCounter) -> tuple[bool, str]:
-    part = thm3_partition(4, [0, 1], check_radius=3)
-    b1, b2 = part.cells
+    cells = thm3_partition(4, [0, 1], check_radius=3).cells
     ball = enumerate_ball(4, 2)
-    h1 = words_over([0, 1, 2], 2)
-    w1 = ball_uncovered_witness(ball, h1, b1)
-    if w1 != (4,):
-        return False, f"cell-0 witness is {None if w1 is None else format_word(w1)}, expected s"
-    if any(b1(concat(inverse(h), (4,))) for h in h1):
-        return False, "cell-0 witness failed raw re-verification"
-    h2 = words_over([0, 2, 3], 2)
-    w2 = ball_uncovered_witness(ball, h2, b2)
-    if w2 != (2,):
-        return False, f"cell-1 witness is {None if w2 is None else format_word(w2)}, expected q"
-    if any(b2(concat(inverse(h), (2,))) for h in h2):
-        return False, "cell-1 witness failed raw re-verification"
+    # per cell: the adversary's letters, the word that escapes, its name
+    escapes = (([0, 1, 2], (4,), "s"), ([0, 2, 3], (2,), "q"))
+    for i, (cell, (letters, expected, name)) in enumerate(zip(cells, escapes)):
+        H = words_over(letters, 2)
+        w = ball_uncovered_witness(ball, H, cell)
+        if w != expected:
+            return False, f"cell-{i} witness is {None if w is None else format_word(w)}, expected {name}"
+        if covered(H, cell, expected):
+            return False, f"cell-{i} witness failed raw re-verification"
     return True, "witnesses: s escapes H1*B1 (H1 over {p,q,r}); q escapes H2*B2 (H2 over {p,r,s})"
 
 
+#: A membership test on words: a cell, or the rule that should decide it.
+WordTest = Callable[[Word], bool]
+
+
+def _end_rule_sweep(cell: WordTest, rule: WordTest, ball: Ball, what: str, holds: str) -> tuple[bool, str]:
+    """Whether w lies in cell exactly when rule(w), for every ball word w;
+    a failure names the first word, in ball order, where they differ, and
+    what the rule reads of it."""
+    for w in ball.words:
+        if cell(w) != rule(w):
+            return False, f"membership not a function of the {what} at {format_word(w)}"
+    return True, holds
+
+
 def _check_thm3_suffix_stability(counter: NodeCounter) -> tuple[bool, str]:
-    part = thm3_partition(4, [0, 1], check_radius=3)
-    b1 = part.cells[0]
-    for w in enumerate_ball(4, 4).words:
-        direct = b1(w)
-        from_data = bool(w) and abs(first_last(w)[1]) - 1 in (0, 1) if w else False
-        if direct != from_data:
-            return False, f"membership not a function of the last letter at {format_word(w)}"
-    return True, "cell membership depends only on the last letter, radius-4 sweep"
+    b1 = thm3_partition(4, [0, 1], check_radius=3).cells[0]
+    return _end_rule_sweep(
+        b1, lambda w: bool(w) and abs(w[-1]) in (1, 2), enumerate_ball(4, 4), "last letter",
+        "cell membership depends only on the last letter, radius-4 sweep",
+    )
 
 
 # -- three-cell constructions and the meet property ----------------------------------
@@ -359,25 +366,25 @@ def _check_c1_rank2_witnesses(counter: NodeCounter) -> tuple[bool, str]:
     a6 = (1,) * 6
     ab6 = reduce_word([1, 2] * 6)
     for target, cell, name in ((b6, b1, "b^6 vs cell 0"), (a6, b2, "a^6 vs cell 1"), (ab6, b3, "(ab)^6 vs cell 2")):
-        if any(cell(concat(inverse(h), target)) for h in H):
+        if covered(H, cell, target):
             return False, f"covered: {name}"
     return True, "b^6, a^6 and (ab)^6 escape H times cell 0, 1, 2 for the radius-2 adversary"
 
 
 def _check_c1_rank2_factor_stability(counter: NodeCounter) -> tuple[bool, str]:
-    part = rank2_partition(check_radius=4)
-    b1 = part.cells[0]
+    b1 = rank2_partition(check_radius=4).cells[0]
     mixed = {(1, 2), (1, -2), (-1, 2), (-1, -2), (2, 1), (2, -1), (-2, 1), (-2, -1)}
     marked = mixed | {(1, 1), (-1, -1)}
-    for w in enumerate_ball(2, 6).words:
-        if len(w) < 2:
-            if b1(w):
-                return False, f"short word in cell 0: {format_word(w)}"
-            continue
-        lam2, rho2 = first_last2(w)
-        if b1(w) != (lam2 in marked and rho2 in marked):
-            return False, f"membership not a function of the end factors at {format_word(w)}"
-    return True, "cell-0 membership depends only on the length-2 end factors, radius-6 sweep"
+    # a word shorter than 2 has no end factor, so the rule puts it outside
+    # the cell; short words come first in ball order, so scanning them
+    # first keeps the first failing word
+    for w in enumerate_ball(2, 1).words:
+        if b1(w):
+            return False, f"short word in cell 0: {format_word(w)}"
+    return _end_rule_sweep(
+        b1, lambda w: w[:2] in marked and w[-2:] in marked, enumerate_ball(2, 6), "end factors",
+        "cell-0 membership depends only on the length-2 end factors, radius-6 sweep",
+    )
 
 
 def _check_c1_rank1_blocks(counter: NodeCounter) -> tuple[bool, str]:
@@ -407,18 +414,11 @@ def _check_c1_rank1_blocks(counter: NodeCounter) -> tuple[bool, str]:
 
 
 def _check_c1_split3_endpoint_stability(counter: NodeCounter) -> tuple[bool, str]:
-    part = split3_partition(3, [0], [1], [2], check_radius=3)
-    b1 = part.cells[0]
-    for w in enumerate_ball(3, 5).words:
-        direct = b1(w)
-        if not w:
-            from_data = False
-        else:
-            lam, rho = first_last(w)
-            from_data = abs(lam) - 1 in (1, 2) and abs(rho) - 1 in (1, 2)
-        if direct != from_data:
-            return False, f"membership not a function of the endpoints at {format_word(w)}"
-    return True, "cell-0 membership depends only on the endpoint letters, radius-5 sweep"
+    b1 = split3_partition(3, [0], [1], [2], check_radius=3).cells[0]
+    return _end_rule_sweep(
+        b1, lambda w: bool(w) and abs(w[0]) in (2, 3) and abs(w[-1]) in (2, 3), enumerate_ball(3, 5),
+        "endpoints", "cell-0 membership depends only on the endpoint letters, radius-5 sweep",
+    )
 
 
 def _check_c1_meet(counter: NodeCounter) -> tuple[bool, str]:

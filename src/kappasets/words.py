@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -63,29 +64,6 @@ def conjugate(x: Word, g: Word) -> Word:
     return concat(concat(inverse(g), x), g)
 
 
-def first_last(w: Word) -> tuple[int, int]:
-    """First and last signed letters of a nonempty reduced word."""
-    if not w:
-        raise ValueError("first/last letter undefined for the identity word")
-    return w[0], w[-1]
-
-
-def first_last2(w: Word) -> tuple[Word, Word]:
-    """Length-2 prefix and suffix; requires |w| >= 2."""
-    if len(w) < 2:
-        raise ValueError("length-2 prefix/suffix require a word of length >= 2")
-    return w[:2], w[-2:]
-
-
-def signed_letters(letters: Sequence[int]) -> list[int]:
-    """Signed codes of the given 0-based letters in canonical order."""
-    out: list[int] = []
-    for i in sorted(letters):
-        out.append(i + 1)
-        out.append(-(i + 1))
-    return out
-
-
 def ball_size(alphabet_size: int, radius: int) -> int:
     """Count of reduced words of length <= radius, one length at a time.
 
@@ -124,7 +102,6 @@ class Ball:
         self.alphabet_size = alphabet_size
         self.radius = radius
         self.words = words
-        self._index: dict[Word, int] | None = None
 
     @property
     def size(self) -> int:
@@ -136,14 +113,14 @@ class Ball:
     def __iter__(self):
         return iter(self.words)
 
+    @cached_property
+    def _index(self) -> dict[Word, int]:
+        return {u: i for i, u in enumerate(self.words)}
+
     def index_of(self, w: Word) -> int:
-        if self._index is None:
-            self._index = {u: i for i, u in enumerate(self.words)}
         return self._index[w]
 
     def __contains__(self, w: Word) -> bool:
-        if self._index is None:
-            self._index = {u: i for i, u in enumerate(self.words)}
         return w in self._index
 
     def __repr__(self) -> str:
@@ -176,7 +153,7 @@ def words_over(letters: Iterable[int], radius: int) -> list[Word]:
                 f"{2 * len(distinct)} signed letters (limit {MAX_BALL_WORDS})"
             )
     expected = ball_size(len(distinct), radius)
-    codes = signed_letters(distinct)
+    codes = [x for i in sorted(distinct) for x in (i + 1, -(i + 1))]
     words = [IDENTITY]
     frontier = words
     for _ in range(radius):

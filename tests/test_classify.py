@@ -7,14 +7,15 @@ from kappasets.classify import (
     CoverCellError,
     CoverDecomposition,
     ball_uncovered_witness,
+    covered,
     is_large,
     is_small,
     is_thick,
     thick_to_large_witness,
 )
-from kappasets.constructions import s_set
+from kappasets.constructions import rank2_partition, s_set, thm3_partition
 from kappasets.groups import Subset, build_group, inverse_mask, product_set
-from kappasets.words import enumerate_ball
+from kappasets.words import WordSetPredicate, enumerate_ball, words_over
 
 Z2 = build_group("cyclic:2")
 Z4 = build_group("cyclic:4")
@@ -205,16 +206,33 @@ class TestThickToLarge:
 class TestBallUncoveredWitness:
     def test_everything_covered(self):
         ball = enumerate_ball(2, 3)
-        everything = s_set(2, 0)
-        covered = type(everything)("all words", lambda w: True)
-        assert ball_uncovered_witness(ball, [()], covered) is None
+        everything = WordSetPredicate("all words", lambda w: True)
+        assert ball_uncovered_witness(ball, [()], everything) is None
+        assert all(covered([()], everything, w) for w in ball)
 
     def test_fresh_letter_witness(self):
-        from kappasets.words import words_over
-
         S = s_set(4, 0)
         H = words_over([0, 1], 2)
         assert ball_uncovered_witness(enumerate_ball(4, 2), H, S) == (3,)
+
+    @pytest.mark.parametrize(
+        "m,radius,H,A",
+        [
+            (2, 5, enumerate_ball(2, 3).words, s_set(2, 0)),
+            (2, 3, words_over([0], 1), s_set(2, 0)),
+            (4, 2, words_over([0, 1], 2), s_set(4, 0)),
+            (4, 3, words_over([0, 1, 2], 2), thm3_partition(4, [0, 1], 2).cells[0]),
+            (4, 3, words_over([0, 2, 3], 1), thm3_partition(4, [0, 1], 2).cells[1]),
+            (2, 4, enumerate_ball(2, 1).words, rank2_partition(3).cells[2]),
+            # not closed under inverses, so h and h^-1 cover different words
+            (2, 4, [(1,), (2, 1)], rank2_partition(3).cells[0]),
+        ],
+    )
+    def test_skipped_words_are_covered_and_the_witness_is_not(self, m, radius, H, A):
+        ball = enumerate_ball(m, radius)
+        w = ball_uncovered_witness(ball, H, A)
+        assert w is not None and not covered(H, A, w)
+        assert all(covered(H, A, u) for u in ball.words[: ball.index_of(w)])
 
 
 class TestBudget:

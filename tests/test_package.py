@@ -20,8 +20,8 @@ EXPORTS = (
     "GroupTable", "Partition", "PartitionError", "ProbeOutcome", "SearchOutcome", "SizeVerdict",
     "Subset", "WordSetPredicate", "WordSyntaxError", "ball_size", "ball_uncovered_witness",
     "build_group", "comment2_bset", "concat", "conjugate", "ds_concat", "ds_conjugate",
-    "ds_inverse", "ds_rho", "ds_support", "enumerate_ball", "enumerate_ds_ball", "first_last",
-    "first_last2", "format_word", "inverse", "is_large", "is_small", "is_thick", "meet_partition",
+    "ds_inverse", "ds_rho", "ds_support", "enumerate_ball", "enumerate_ds_ball", "format_word",
+    "inverse", "is_large", "is_small", "is_thick", "meet_partition",
     "parse_word", "partition_search", "product_set", "rank1_partition", "rank2_partition",
     "reduce_word", "res_search", "s_set", "split3_partition", "thick_to_large_witness",
     "thm3_partition", "words_over",

@@ -23,7 +23,7 @@ nodes spent: 625
 """
 
 
-def spawn_script(script, args):
+def spawn_script(script, args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -31,11 +31,12 @@ def spawn_script(script, args):
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
     )
 
 
-def run_script(script, args, returncode=0):
-    got = spawn_script(script, args)
+def run_script(script, args, returncode=0, cwd=None):
+    got = spawn_script(script, args, cwd)
     assert got.returncode == returncode, got.stderr
     return got.stdout if returncode == 0 else got.stderr
 
@@ -59,6 +60,14 @@ def test_compare_outputs_finds_a_tree_equal_to_itself():
         assert int(compared) > 0 and differ == "0 differ"
         if flags:
             assert "claims' nodes in search: 0 rose, 0 fell" in out.splitlines()
+
+
+def test_compare_outputs_takes_tree_paths_relative_to_the_working_directory():
+    # each run's interpreter starts in its tree, so a relative tree path
+    # must be resolved before it is handed down
+    args = [ROOT.name, ROOT.name, "--workloads", "search"]
+    out = run_script("compare_outputs.py", args, cwd=ROOT.parent)
+    assert out.splitlines()[-1].endswith(" commands compared, 0 differ")
 
 
 SEARCH_REPORT = """\

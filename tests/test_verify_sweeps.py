@@ -1,14 +1,15 @@
 """The tabulated word sweeps of the verify suites against their direct loops.
 
 The oracles below are the direct sweeps the tabulated checks replaced: one
-ds_conjugate per (g, x) pair, and one rank1_cell_of_int call per window
-cell. Each tabulated check must agree with its oracle on the outcome, the
-first counterexample, and the nodes spent. The tests at the end hold the
-suites to one node budget per claim.
+ds_conjugate per (g, x) pair, one rank1_cell_of_int call per window cell,
+and one end-letter test per ball word. Each check must agree with its
+oracle on the outcome, the first counterexample, and the nodes spent. The
+tests at the end hold the suites to one node budget per claim.
 """
 
 import subprocess
 import sys
+from dataclasses import replace
 from operator import getitem
 
 import pytest
@@ -21,7 +22,9 @@ from kappasets.words import (
     ds_conjugate,
     ds_inverse,
     ds_support,
+    enumerate_ball,
     enumerate_ds_ball,
+    format_word,
 )
 
 BIG = 10**9
@@ -57,6 +60,34 @@ def oracle_c1_rank1_blocks(counter, cell_of=rank1_cell_of_int):
                         return False, f"window at n={nval}, h={h} touches the other cell"
                 checked += 1
     return True, f"{checked} interior points have monochromatic translate windows"
+
+
+def oracle_thm3_suffix(b1):
+    for w in enumerate_ball(4, 4).words:
+        if b1(w) != (bool(w) and abs(w[-1]) - 1 in (0, 1)):
+            return False, f"membership not a function of the last letter at {format_word(w)}"
+    return True, "cell membership depends only on the last letter, radius-4 sweep"
+
+
+def oracle_split3_endpoints(b1):
+    for w in enumerate_ball(3, 5).words:
+        from_data = bool(w) and abs(w[0]) - 1 in (1, 2) and abs(w[-1]) - 1 in (1, 2)
+        if b1(w) != from_data:
+            return False, f"membership not a function of the endpoints at {format_word(w)}"
+    return True, "cell-0 membership depends only on the endpoint letters, radius-5 sweep"
+
+
+def oracle_rank2_factors(b1):
+    mixed = {(1, 2), (1, -2), (-1, 2), (-1, -2), (2, 1), (2, -1), (-2, 1), (-2, -1)}
+    marked = mixed | {(1, 1), (-1, -1)}
+    for w in enumerate_ball(2, 6).words:
+        if len(w) < 2:
+            if b1(w):
+                return False, f"short word in cell 0: {format_word(w)}"
+            continue
+        if b1(w) != (w[:2] in marked and w[-2:] in marked):
+            return False, f"membership not a function of the end factors at {format_word(w)}"
+    return True, "cell-0 membership depends only on the length-2 end factors, radius-6 sweep"
 
 
 def run(check, *args):
@@ -112,6 +143,56 @@ def test_c2_support_first_counterexample_is_pinned(monkeypatch):
     assert not ok
     assert detail == "support moved for x=((1,), ()) under g=((2,), ())"
     assert spent == 21 * 371 + 8
+
+
+def cell0_flipped_at(build, word, built):
+    """A partition builder whose cell 0 holds word exactly when the real
+    cell 0 does not, and agrees with it on every other word (word None
+    flips nothing); each partition it builds is appended to built."""
+
+    def flipped(*args, **kwargs):
+        part = build(*args, **kwargs)
+        real = part.cells[0]
+        built.append(replace(part, cells=(lambda w: real(w) != (w == word), *part.cells[1:])))
+        return built[-1]
+
+    return flipped
+
+
+#: (check, the builder it reads, the direct loop it replaced)
+END_RULE_SWEEPS = {
+    "thm3": (suites._check_thm3_suffix_stability, "thm3_partition", oracle_thm3_suffix),
+    "split3": (suites._check_c1_split3_endpoint_stability, "split3_partition", oracle_split3_endpoints),
+    "rank2": (suites._check_c1_rank2_factor_stability, "rank2_partition", oracle_rank2_factors),
+}
+
+
+@pytest.mark.parametrize(
+    "sweep,word,detail",
+    [
+        ("thm3", None, "cell membership depends only on the last letter, radius-4 sweep"),
+        ("thm3", (), "membership not a function of the last letter at 1"),
+        ("thm3", (3, -4, 1), "membership not a function of the last letter at cd'a"),
+        ("thm3", (1, 2, -3, -4), "membership not a function of the last letter at abc'd'"),
+        ("split3", None, "cell-0 membership depends only on the endpoint letters, radius-5 sweep"),
+        ("split3", (2,), "membership not a function of the endpoints at b"),
+        ("split3", (1, 3, 3, -2, 1), "membership not a function of the endpoints at accb'a"),
+        ("rank2", None, "cell-0 membership depends only on the length-2 end factors, radius-6 sweep"),
+        ("rank2", (), "short word in cell 0: 1"),
+        ("rank2", (-2,), "short word in cell 0: b'"),
+        ("rank2", (1, 2), "membership not a function of the end factors at ab"),
+        ("rank2", (2, 2, -1, -1, 2, 1), "membership not a function of the end factors at bba'a'ba"),
+    ],
+)
+def test_end_rule_sweeps_report_the_flipped_word(monkeypatch, sweep, word, detail):
+    # a cell 0 flipped at one word breaks the end-letter rule there and
+    # nowhere else, so the sweep and its direct loop both stop at that word
+    check, builder, oracle = END_RULE_SWEEPS[sweep]
+    built = []
+    monkeypatch.setattr(suites, builder, cell0_flipped_at(getattr(suites, builder), word, built))
+    got = run(check)
+    assert got == ((word is None, detail), 0)
+    assert got[0] == oracle(built[0].cells[0])
 
 
 def test_rank1_blocks_match_the_oracle():

@@ -18,8 +18,6 @@ from kappasets.words import (
     ds_support,
     enumerate_ball,
     enumerate_ds_ball,
-    first_last,
-    first_last2,
     format_word,
     inverse,
     parse_word,
@@ -70,27 +68,13 @@ def test_first_letter_stable_without_seam_cancellation(u, v):
     # if v does not begin with the inverse of u's last letter, u*v keeps u's
     # first letter
     if u and (not v or v[0] != -u[-1]):
-        assert first_last(concat(u, v))[0] == u[0]
+        assert concat(u, v)[0] == u[0]
 
 
 def test_concat_examples():
     assert concat((1, 2), (-2, 1)) == (1, 1)
     assert concat((1, 2, -1), (1, -2, -1)) == ()
     assert concat((1,), (2,)) == (1, 2)
-
-
-def test_first_last():
-    assert first_last((1, -2, 1)) == (1, 1)
-    assert first_last((-2,)) == (-2, -2)
-    with pytest.raises(ValueError):
-        first_last(())
-
-
-def test_first_last2():
-    assert first_last2((1, 2, -1)) == ((1, 2), (2, -1))
-    assert first_last2((1, 1)) == ((1, 1), (1, 1))
-    with pytest.raises(ValueError):
-        first_last2((1,))
 
 
 def test_ball_small_examples():
