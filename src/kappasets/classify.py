@@ -98,11 +98,12 @@ is_small's failing L both pass through it. _least_translating reads the
 least x that translates F into A off the multiplication table; a failing
 F must have none, and each entry a thick=True witness shows must have its
 element as the least. A thick=True verdict is re-checked on every maximal
-test set of size kappa-1. One-sided, when there are more of them than
-elements and no kappa-1 elements f can exclude every candidate by the
-pigeonhole count, each f's count of excluded candidates is read from the
-multiplication table and must equal the thickness table's. Otherwise the
-same walk at size kappa-1 over the one thickness table, _thick_walk (the
+test set of size kappa-1. When there are more of them than entries in the
+thickness table (one per f, and two-sided one per pair f1 < f2 as well)
+and the entries one F reads cannot exclude every candidate by the
+pigeonhole count, each entry's count of excluded candidates is read from
+the multiplication table and must equal the table's. Otherwise the same
+walk at size kappa-1 over the one thickness table, _thick_walk (the
 rows t[f^-1] on one side, the two-sided thickness table otherwise), must
 find no failing F.
 """
@@ -658,13 +659,19 @@ def _translate_into(G: GroupTable, fmask: int, x: int, amask: int, side: str) ->
     )
 
 
-def _excluded(G: GroupTable, f: int, cand: int, amask: int, side: str) -> int:
-    """How many x in cand f excludes by the raw definition (one side):
-    f*x (x*f) lies outside A."""
+def _excluded(G: GroupTable, entry: tuple[int, ...], cand: int, amask: int, side: str) -> int:
+    """How many x in cand a thickness table entry excludes by the raw
+    definition: for (f,) (one side), f*x (x*f) lies outside A; for (f1, f2)
+    (two-sided), f1*x*f2 or f2*x*f1 does, so (f, f) reads f*x*f alone."""
     mul = G.mul
     if side == "left":
-        return sum(not amask >> mul[f][x] & 1 for x in bits(cand))
-    return sum(not amask >> mul[x][f] & 1 for x in bits(cand))
+        return sum(not amask >> mul[entry[0]][x] & 1 for x in bits(cand))
+    if side == "right":
+        return sum(not amask >> mul[x][entry[0]] & 1 for x in bits(cand))
+    f1, f2 = entry
+    return sum(
+        not amask >> mul[mul[f1][x]][f2] & amask >> mul[mul[f2][x]][f1] & 1 for x in bits(cand)
+    )
 
 
 def _least_translating(G: GroupTable, fmask: int, cand: int, amask: int, side: str) -> int | None:
@@ -755,27 +762,44 @@ def _thick_witness_map(
     """Check every maximal F (|F| = fsize) for a translating element, and
     show the first SHOWN_TRANSLATES F in lex order with their least one.
 
-    One-sided, when there are more maximal F than elements, the count may
-    decide: if each f excludes at most m candidates (x with f*x, x*f,
-    outside A) and fsize*m < |candidates|, no F of fsize elements excludes
-    them all. The route is chosen from the popcounts of the _thick_walk
-    table at no node cost; each f's count is then read once more from the
-    multiplication table, one node per f, and must equal the table's.
-    Otherwise a walk of the _thick_walk table at that one size must find no
-    F that fails. Each shown entry's element, read from the table, must
-    then be the one _least_translating finds."""
+    An F reads the _thick_walk table at its entries: (f,) for each f in F
+    one-sided, and two-sided also (f1, f2) for each f1 < f2 in F, where (f,
+    f) is the diagonal cols[f] and (f1, f2) is pairs[f1][f2]. When there
+    are more maximal F than entries, the count may decide: if each entry
+    excludes at most m candidates (x outside it) and an F's entries times m
+    is below |candidates|, no F of fsize elements excludes them all. The
+    route is chosen from the table's popcounts at no node cost; each
+    entry's count is then read once more from the multiplication table, one
+    node per entry, and must equal the table's. Otherwise a walk of the
+    table at that one size must find no F that fails. Each shown entry's
+    element, read from the table, must then be the one _least_translating
+    finds."""
     n = G.order
     cand = amask if variant == "witness-in-A" else G.full_mask
     cols, pairs = _thick_walk(G, amask, side)
-    counted = pairs is None and math.comb(n, fsize) > n
-    excluded = [(cand & ~col).bit_count() for col in cols] if counted else ()
-    if counted and fsize * max(excluded) < cand.bit_count():
-        for f, count in enumerate(excluded):
+    # an entry is named by per_f elements; the table holds width entries,
+    # and one F reads `reads` of them
+    if pairs is None:
+        per_f, width, reads = 1, n, fsize
+    else:
+        per_f, width, reads = 2, n * (n + 1) // 2, fsize * (fsize + 1) // 2
+
+    def entries_of(F):
+        return itertools.combinations_with_replacement(F, per_f)
+
+    def entry(e):
+        return cols[e[0]] if e[0] == e[-1] else pairs[e[0]][e[1]]
+
+    excluded = {}
+    if math.comb(n, fsize) > width:
+        excluded = {e: (cand & ~entry(e)).bit_count() for e in entries_of(range(n))}
+    if excluded and reads * max(excluded.values()) < cand.bit_count():
+        for e, count in excluded.items():
             counter.spend()
-            if _excluded(G, f, cand, amask, side) != count:
+            if _excluded(G, e, cand, amask, side) != count:
                 raise RuntimeError("thick witness map failed re-verification")
         combos = itertools.islice(itertools.combinations(range(n), fsize), SHOWN_TRANSLATES)
-        shown = [(c, functools.reduce(int.__and__, map(cols.__getitem__, c), cand)) for c in combos]
+        shown = [(c, functools.reduce(int.__and__, map(entry, entries_of(c)), cand)) for c in combos]
     else:
         shown = []
         failed = _sweep_translates((), fsize, cand, cols, pairs, shown, counter)

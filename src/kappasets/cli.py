@@ -6,15 +6,16 @@ error (an --out-dir the report cannot be written under among them, found
 before any claim runs), 3 inconclusive (node budget). Every integer is
 read in one grammar, groups.read_int: ASCII digits after at most one "-".
 
-A valid command builds only its own subparser, and that parser also prints
-the help and usage errors: its command metavar names every command, so its
-usage lines are the full parser's. An unknown or missing command goes to the
-full parser.
+Each command's parser is built once per process and holds that command's
+subparser alone; it also prints the help and usage errors: its command
+metavar names every command, so its usage lines are the full parser's. An
+unknown or missing command goes to the full parser, also built once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -413,7 +414,7 @@ def _add_classify(sub) -> None:
 def _add_construct(sub) -> None:
     sp = sub.add_parser("construct", help="emit a construction plus witness checks")
     sp.add_argument("--construction", required=True, choices=_CONSTRUCTIONS)
-    sp.add_argument("--params", nargs="*", default=[], help=_params_help())
+    sp.add_argument("--params", nargs="*", help=_params_help())
     sp.add_argument("--radius", type=_int_option, default=None, help="verification ball radius")
     sp.add_argument(
         "--adversary", default=None, help='e.g. "letters=a,b;radius=2" or "words=ab\',b"'
@@ -454,8 +455,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser or, for a command, a parser with its subparser alone.
+    """The full parser or, for a command, a parser with its subparser alone,
+    built once per process: parsing leaves a parser as it was, and its help
+    formatter is made when it prints, so the help width follows the terminal.
 
     The one-subparser parser names every command in its metavar, so its
     usage lines, help and errors are the full parser's. The full parser

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from operator import getitem
 from typing import Callable, Iterator
 
 from . import classify as cl
@@ -452,9 +451,9 @@ def _check_c1_meet(counter: NodeCounter) -> tuple[bool, str]:
 def _component_conjugates(components: list[list[Word]], g: DSWord) -> list[dict[Word, Word]]:
     """Per summand i, the table w -> conjugate(w, g[i]) over components[i].
 
-    ds_conjugate works one component at a time, so
-    tuple(map(getitem, tables, x)) equals ds_conjugate(x, g) for every x
-    whose components lie in the tables.
+    ds_conjugate works one component at a time, so the tuple of
+    tables[i][x[i]] equals ds_conjugate(x, g) for every x whose components
+    lie in the tables.
     """
     return [{w: conjugate(w, h) for w in words} for words, h in zip(components, g)]
 
@@ -462,24 +461,29 @@ def _component_conjugates(components: list[list[Word]], g: DSWord) -> list[dict[
 def _check_c2_support(counter: NodeCounter) -> tuple[bool, str]:
     """Conjugation by every g in the ball keeps the support of every x.
 
-    For each g the conjugate of every distinct component word of the ball
-    (53 + 7 of them) is tabulated once, and each ds_conjugate(x, g) is
-    assembled from those tables instead of being recomputed per pair. A
-    support is the set of non-empty components, so each x's emptiness flags
-    are computed once and compared with the conjugate's. Every (g, x) pair
-    is still built, compared and charged one node, in the same order as a
-    direct sweep, so failures and budget outcomes match it.
+    A support is the set of non-empty components, and ds_conjugate works
+    one component at a time. So for each g the conjugate of every distinct
+    component word of the ball (53 + 7 of them) is tabulated once, and the
+    words whose emptiness the table flips are found: the first x of the row
+    that moves its support is the first x with such a component, and a row
+    with none passes. Each (g, x) pair is still charged one node, in the
+    order of a direct sweep: a row is charged up to its first failing x, or
+    whole, and a budget that runs out within it stops at the same pair, so
+    failures and budget outcomes match the direct sweep.
     """
     dsball = enumerate_ds_ball((2, 1), 3)
     components = [list(dict.fromkeys(column)) for column in zip(*dsball)]
-    flags = [tuple(map(bool, x)) for x in dsball]
     for g in dsball:
         tables = _component_conjugates(components, g)
-        for x, x_flags in zip(dsball, flags):
-            counter.spend()
-            conj = tuple(map(getitem, tables, x))
-            if tuple(map(bool, conj)) != x_flags:
-                return False, f"support moved for x={x} under g={g}"
+        flipped = [{w for w, c in table.items() if bool(c) != bool(w)} for table in tables]
+        first = None
+        if any(flipped):  # every component word is one of some x in the ball
+            first = next(j for j, x in enumerate(dsball) if any(map(set.__contains__, flipped, x)))
+        row = len(dsball) if first is None else first + 1
+        # one node per pair: past the budget, stop at the pair one-by-one charging would
+        counter.spend(min(row, counter.budget - counter.spent + 1))
+        if first is not None:
+            return False, f"support moved for x={dsball[first]} under g={g}"
     return True, f"conjugation preserves support on all {len(dsball)}^2 pairs (ranks 2+1, radius 3)"
 
 

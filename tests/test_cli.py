@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import math
 import subprocess
@@ -363,6 +364,9 @@ def test_verify_failing_claim_exits_one(tmp_path, capsys, monkeypatch):
     def runs_out(counter):
         counter.spend(counter.budget + 1)
 
+    # a verify parser cached earlier has copied the suite names into its
+    # --suite choices, so this test parses with a cache of its own
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser.__wrapped__))
     monkeypatch.setitem(suites.SUITES, "broken", (
         ("broken.runs-out", "spends past its budget", runs_out),
         ("broken.fails", "always fails", fails),
@@ -664,7 +668,7 @@ def test_lean_parse_of_a_valid_command_matches_the_full_parse(name):
     assert vars(cli._parse_args(argv)) == vars(cli._build_parser().parse_args(argv))
 
 
-def test_main_builds_only_the_named_subparser_per_call(tmp_path, capsys, monkeypatch):
+def test_main_builds_only_the_named_subparser_once(tmp_path, capsys, monkeypatch):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -673,15 +677,54 @@ def test_main_builds_only_the_named_subparser_per_call(tmp_path, capsys, monkeyp
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser.__wrapped__))
     argv = ["classify", "--group", "cyclic:6", "--subset", "0,1,2", "--kappa", "3"]
     assert run_cli(argv, tmp_path) == 0
     assert built == ["classify"]
-    assert run_cli(argv, tmp_path) == 0  # built again: no parser outlives a call
-    assert built == ["classify"] * 2
+    assert run_cli(argv, tmp_path) == 0  # the parser outlives the call
+    assert built == ["classify"]
     # help is printed by the same one-subparser parser
     assert main(["classify", "--h"]) == 0
-    assert built == ["classify"] * 3
+    assert built == ["classify"]
     capsys.readouterr()
+
+
+def reused_parser_outcomes(root, capsys, monkeypatch, fresh):
+    """Exit code, output and report body of a usage error, then search,
+    construct and classify commands, run in turn in one process, each on a
+    fresh parser cache or not; a construct with no --params runs before and
+    after one with them. The commands are the same strings either way: each
+    writes under a relative --out-dir in root."""
+    argvs = [
+        ["classify", "--group", "cyclic:6", "--subset", "0,1,2", "--kappa", "x"],
+        ["search", "--group", "dihedral:4", "--kappa", "3", "--mode", "res-left"],
+        ["construct", "--construction", "c2-ds"],
+        ["classify", "--group", "cyclic:6", "--subset", "0,1,2", "--kappa", "3"],
+        ["construct", "--construction", "c2-ds", "--params", "marks=b,a,a"],
+        ["construct", "--construction", "c2-ds"],
+    ]
+    root.mkdir()
+    monkeypatch.chdir(root)
+    got = []
+    for i, argv in enumerate(argvs):
+        if fresh:
+            cli._build_parser.cache_clear()
+        code = main([*argv, "--out-dir", f"runs{i}"])
+        out, err = capsys.readouterr()
+        body = None
+        if Path(f"runs{i}").exists():
+            (run,) = Path(f"runs{i}").iterdir()
+            body = json.loads((run / "report.json").read_text())["report"]
+            out = out.replace(str(run), "RUN")
+        got.append((code, out, err, body))
+    return got
+
+
+def test_reused_parsers_give_what_fresh_ones_give(tmp_path, capsys, monkeypatch):
+    reused = reused_parser_outcomes(tmp_path / "reused", capsys, monkeypatch, fresh=False)
+    fresh = reused_parser_outcomes(tmp_path / "fresh", capsys, monkeypatch, fresh=True)
+    assert [code for code, *_ in reused] == [2, 0, 0, 0, 0, 0]
+    assert reused == fresh
 
 
 def test_file_group_spec(tmp_path, capsys):
@@ -919,8 +962,8 @@ def test_thick_sweep_memory_stays_bounded(tmp_path):
 
 
 def test_two_sided_thick_sweep_memory_stays_bounded(tmp_path):
-    # one-sided, the count above decides; two-sided, the full set's
-    # C(24, 9) maximal test sets are walked, and four are kept
+    # the full set's C(24, 9) maximal test sets are decided by the count,
+    # one node per entry of the two-sided table, and four are kept
     argv = [
         sys.executable, "-m", "kappasets", "classify", "--group", "symmetric:4",
         "--subset", ",".join(map(str, range(24))), "--kappa", "10", "--sides", "two-sided",
@@ -933,7 +976,7 @@ def test_two_sided_thick_sweep_memory_stays_bounded(tmp_path):
     peak_kb, out = got.stdout.split("\n", 1)
     assert int(peak_kb) < 64 * 1024, out
     thick = out.split("[claim ")[2].splitlines()
-    assert f"nodes: {math.comb(24, 9)}" in thick
+    assert f"nodes: {24 * 25 // 2}" in thick
     assert [line for line in thick if line.startswith("detail: ")][0].endswith(
         f"(+{math.comb(24, 9) - 4} more)"
     )

@@ -292,21 +292,31 @@ def spent_until_exhausted(search, budget):
 
 
 def pigeonhole_holds(G, amask, fsize, side, variant):
-    """One-sided, with more maximal F than elements: fsize times the most
-    candidates one f excludes (f*x, x*f, outside A) is below the number of
-    candidates, so no F of fsize elements excludes them all."""
-    n = G.order
-    if side == "two-sided" or math.comb(n, fsize) <= n:
-        return False
+    """With more maximal F than entries in the thickness table, the entries
+    one F reads times the most candidates one entry excludes is below the
+    number of candidates, so no F of fsize elements excludes them all. One
+    side, an entry is an f, and it excludes the x with f*x (x*f) outside A;
+    two-sided, an entry is a pair f1 <= f2, and it excludes the x with
+    f1*x*f2 or f2*x*f1 outside A."""
+    n, mul = G.order, G.mul
     candidates = list(bits(amask)) if variant == "witness-in-A" else list(range(n))
-    doms = dom_masks(G, amask, side, candidates)
-    most = max(sum(not d >> f & 1 for d in doms) for f in range(n))
-    return fsize * most < len(candidates)
+    if side == "two-sided":
+        excluded = [
+            sum(not (amask >> mul[mul[f1][x]][f2] & 1 and amask >> mul[mul[f2][x]][f1] & 1)
+                for x in candidates)
+            for f1 in range(n) for f2 in range(f1, n)
+        ]
+        reads = fsize * (fsize + 1) // 2
+    else:
+        doms = dom_masks(G, amask, side, candidates)
+        excluded = [sum(not d >> f & 1 for d in doms) for f in range(n)]
+        reads = fsize
+    return math.comb(n, fsize) > len(excluded) and reads * max(excluded) < len(candidates)
 
 
 @pytest.mark.parametrize("spec", GRID_SPECS)
 def test_witness_sweep_matches_the_raw_map(spec):
-    # the count route spends one node per element, the walk one per F
+    # the count route spends one node per table entry, the walk one per F
     G = build_group(spec)
     n = G.order
     routes = set()
@@ -322,8 +332,9 @@ def test_witness_sweep_matches_the_raw_map(spec):
                     assert got.shown == want[:4], case
                     assert got.total == len(got) == len(want), case
                     counted = pigeonhole_holds(G, amask, fsize, side, variant)
-                    routes.add(counted)
-                    spent = n if counted else want_counter.spent
+                    routes.add((side == "two-sided", counted))
+                    entries = n * (n + 1) // 2 if side == "two-sided" else n
+                    spent = entries if counted else want_counter.spent
                     assert got_counter.spent == spent, case
                     # one node short, or half the nodes, runs out at the same
                     # f or F as the oracle
@@ -334,7 +345,9 @@ def test_witness_sweep_matches_the_raw_map(spec):
                         assert counted or spent_until_exhausted(
                             lambda c: oracle_witness_map(G, amask, fsize, side, variant, c), budget
                         ) == budget + 1, (*case, budget)
-    assert routes == {False, True}
+    # two-sided, the count can decide only once C(n, fsize) > n(n+1)/2
+    assert routes >= {(False, False), (False, True), (True, False)}
+    assert ((True, True) in routes) == (n == 8)
 
 
 #: The product shape of F*x (x*F, F*x*F) per side.
@@ -460,6 +473,22 @@ def test_a_count_one_too_small_fails_re_verification(monkeypatch):
         for variant in VARIANTS:
             with pytest.raises(RuntimeError, match="re-verification"):
                 is_thick(build_group("cyclic:6"), A, 3, side, variant)
+
+
+def test_a_two_sided_count_one_too_small_fails_re_verification(monkeypatch):
+    # A = G minus the identity in cyclic:8 at kappa 4: each entry of the
+    # two-sided table excludes one candidate, and 6 * 1 < |candidates|, so
+    # the count decides, at one node per entry
+    G, A = build_group("cyclic:8"), Subset.from_indices(8, range(1, 8))
+    for variant in VARIANTS:
+        assert pigeonhole_holds(G, A.mask, 3, "two-sided", variant)
+        got = _thick_witness_map(G, A.mask, 3, "two-sided", variant, NodeCounter(36))
+        assert len(got) == 56
+    excluded = classify._excluded
+    monkeypatch.setattr(classify, "_excluded", lambda *args: excluded(*args) - 1)
+    for variant in VARIANTS:
+        with pytest.raises(RuntimeError, match="re-verification"):
+            is_thick(build_group("cyclic:8"), A, 4, "two-sided", variant)
 
 
 #: Groups of order 9-24, for the brute force at small sizes.
