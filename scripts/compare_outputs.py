@@ -7,11 +7,14 @@ perfbench/workloads.py lists in command_space for the chosen workloads
 The two runs are compared command by command: the exit code and the report
 text, node counts included. The lines that name the run and not the
 result are left out: "command:" (it echoes the output directory),
-"content-hash:" (it hashes that echo) and "report written to". With
---ignore-nodes the claims' "nodes:" lines are left out too, so a change
-that moves only node counts compares equal, and each tree's node total per
-workload is printed, with how many claims' node counts rose and how many
-fell from the old tree to the new.
+"content-hash:" (it hashes that echo) and "report written to". The JSON
+twin is checked too: the "report" objects of the two report.json files
+must be equal, "command" left out, and each file must hold what
+json.dumps(..., indent=2, sort_keys=True) writes for its own object, plus
+a newline. With --ignore-nodes the claims' "nodes:" lines and "nodes"
+fields are left out too, so a change that moves only node counts compares
+equal, and each tree's node total per workload is printed, with how many
+claims' node counts rose and how many fell from the old tree to the new.
 
     python scripts/compare_outputs.py OLD_TREE NEW_TREE [--workloads search,verify] [--ignore-nodes]
 
@@ -35,9 +38,10 @@ NODES = "nodes:"
 SHOWN_DIFFS = 5
 
 #: Runs in a tree's own interpreter: argv is the tree and the workloads; it
-#: prints one JSON list of [workload, argv, exit code, stdout].
+#: prints one JSON list of [workload, argv, exit code, stdout, report.json
+#: text or None].
 CHILD = """
-import contextlib, io, json, shutil, sys, tempfile
+import contextlib, glob, io, json, shutil, sys, tempfile
 tree, workloads = sys.argv[1], sys.argv[2].split(",")
 sys.path[:0] = [tree + "/src", tree + "/perfbench"]
 import workloads as catalogue
@@ -50,8 +54,10 @@ try:
             text = io.StringIO()
             with contextlib.redirect_stdout(text):
                 code = cli.main([*argv, "--out-dir", scratch + "/out"])
+            found = glob.glob(scratch + "/out/*/report.json")
+            twin = open(found[0]).read() if len(found) == 1 else None
             shutil.rmtree(scratch + "/out", ignore_errors=True)
-            out.append([workload, argv, code, text.getvalue()])
+            out.append([workload, argv, code, text.getvalue(), twin])
 finally:
     shutil.rmtree(scratch, ignore_errors=True)
 json.dump(out, sys.stdout)
@@ -70,6 +76,24 @@ def report(stdout: str, ignore_nodes: bool = False) -> list[str]:
     return [line for line in stdout.splitlines() if not line.startswith(ignored)]
 
 
+def twin_report(twin: str | None, ignore_nodes: bool = False) -> dict | None:
+    """The "report" object of a report.json text, without the "command" echo
+    and, with ignore_nodes, without the claims' "nodes"."""
+    if twin is None:
+        return None
+    body = json.loads(twin)["report"]
+    body.pop("command", None)
+    if ignore_nodes:
+        for claim in body["claims"]:
+            claim.pop("nodes", None)
+    return body
+
+
+def canonical(twin: str | None) -> bool:
+    """Whether a report.json text is laid out as json.dumps lays out its object."""
+    return twin is None or twin == json.dumps(json.loads(twin), indent=2, sort_keys=True) + "\n"
+
+
 def claim_nodes(stdout: str) -> list[int]:
     """The node count of each claim in one report, in order."""
     return [int(line[len(NODES):]) for line in stdout.splitlines() if line.startswith(NODES)]
@@ -78,7 +102,7 @@ def claim_nodes(stdout: str) -> list[int]:
 def node_totals(runs: list) -> dict[str, int]:
     """The nodes the claims of each workload's commands report, summed."""
     totals: dict[str, int] = {}
-    for workload, _, _, stdout in runs:
+    for workload, _, _, stdout, _ in runs:
         totals[workload] = totals.get(workload, 0) + sum(claim_nodes(stdout))
     return totals
 
@@ -87,7 +111,7 @@ def node_moves(old: list, new: list) -> dict[str, tuple[int, int]]:
     """Per workload, how many claims report more nodes in new than in old,
     and how many fewer, the claims of each command taken in order."""
     moves: dict[str, tuple[int, int]] = {}
-    for (workload, _, _, out_a), (_, _, _, out_b) in zip(old, new):
+    for (workload, _, _, out_a, _), (_, _, _, out_b, _) in zip(old, new):
         pairs = list(zip(claim_nodes(out_a), claim_nodes(out_b)))
         rose, fell = moves.get(workload, (0, 0))
         moves[workload] = (rose + sum(b > a for a, b in pairs), fell + sum(b < a for a, b in pairs))
@@ -95,16 +119,23 @@ def node_moves(old: list, new: list) -> dict[str, tuple[int, int]]:
 
 
 def differences(old: list, new: list, ignore_nodes: bool = False) -> list[str]:
-    """One text block per command whose code or report differs."""
+    """One text block per command whose code, report text or report.json
+    differs, or whose report.json is not in the canonical layout."""
     if [r[:2] for r in old] != [r[:2] for r in new]:
         return ["the two trees list different commands"]
     found = []
-    for (workload, argv, code_a, out_a), (_, _, code_b, out_b) in zip(old, new):
+    for (workload, argv, code_a, out_a, twin_a), (_, _, code_b, out_b, twin_b) in zip(old, new):
         lines_a, lines_b = report(out_a, ignore_nodes), report(out_b, ignore_nodes)
+        block = []
         if (code_a, lines_a) != (code_b, lines_b):
-            head = f"{workload}: {' '.join(argv)} (exit {code_a} -> {code_b})"
-            diff = difflib.unified_diff(lines_a, lines_b, "old", "new", lineterm="", n=1)
-            found.append("\n".join([head, *diff]))
+            block.extend(difflib.unified_diff(lines_a, lines_b, "old", "new", lineterm="", n=1))
+        if twin_report(twin_a, ignore_nodes) != twin_report(twin_b, ignore_nodes):
+            block.append("report.json: the report objects differ")
+        for side, twin in (("old", twin_a), ("new", twin_b)):
+            if not canonical(twin):
+                block.append(f"report.json ({side}): not laid out as json.dumps(indent=2, sort_keys=True)")
+        if block:
+            found.append("\n".join([f"{workload}: {' '.join(argv)} (exit {code_a} -> {code_b})", *block]))
     return found
 
 

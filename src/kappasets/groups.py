@@ -329,14 +329,27 @@ def _int_arg(spec: str, arg: str) -> int:
         raise GroupSpecError(f"bad integer in group spec {spec!r}") from None
 
 
+#: Checked (order, mul, inv, labels) by spec, so that each spec's table is
+#: built and checked once per process. A spec that names a file is never
+#: kept, since the file can change, and neither is an order above the
+#: default cap, so the memo stays within about 40 KB per entry. The oldest
+#: entry goes first when full.
+_TABLES: dict[str, tuple] = {}
+_TABLES_KEPT = 32
+
+
 def build_group(spec: str, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     """Build a group from a spec string.
 
     Grammar: cyclic:n | dihedral:n (order 2n) | symmetric:n (n <= 5) |
     product:spec+spec | file:path. Orders above 64 need an explicit
     max_order; the order is checked before any table or label list is
-    built (a product's factors first, each on its own). Every table is
-    checked exactly against the group axioms.
+    built (a product's factors first, each on its own), and on every call.
+    Every table is checked exactly against the group axioms: once per spec
+    per process, or on every call when the spec names a file (which is read
+    again each time) or the order exceeds 64. Each call returns a new
+    GroupTable, so the results the classifiers cache on it belong to one
+    caller.
     """
     spec = spec.strip()
     kind, sep, arg = spec.partition(":")
@@ -359,11 +372,15 @@ def build_group(spec: str, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
         raise GroupSpecError(f"unknown group kind {kind!r}")
     if order > max_order:  # before any table or label list is built
         raise GroupSpecError(f"order {order} exceeds the configured maximum {max_order}")
-    mul, labels = make()
-    return GroupTable(
-        spec=spec, order=order, mul=tuple(map(tuple, mul)), inv=tuple(_check_table(mul)),
-        labels=tuple(labels),
-    )
+    table = _TABLES.get(spec)
+    if table is None:
+        mul, labels = make()
+        table = order, tuple(map(tuple, mul)), tuple(_check_table(mul)), tuple(labels)
+        if order <= DEFAULT_MAX_ORDER and "file:" not in spec:
+            if len(_TABLES) >= _TABLES_KEPT:
+                del _TABLES[next(iter(_TABLES))]
+            _TABLES[spec] = table
+    return GroupTable(spec, *table)
 
 
 # -- subset algebra ------------------------------------------------------------

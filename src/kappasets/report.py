@@ -13,10 +13,12 @@ import errno
 import hashlib
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 TOOL_NAME = "kappasets"
@@ -120,13 +122,37 @@ def check_out_root(out_root: str | Path) -> None:
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
 
+def _json(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) renders it, for
+    the dicts, lists, strings and numbers of a report. json.dumps itself
+    falls back to its pure-Python encoder whenever it indents."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)  # what json.dumps writes for these
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [f"{inner}{_escape(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + ",".join(items) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        return "[" + ",".join([inner + _json(v, inner) for v in value]) + indent + "]"
+    return json.dumps(value)  # other scalars: true, false, null, NaN, Infinity
+
+
 def write_report(report: RunReport, out_root: str | Path) -> tuple[Path, str]:
     """Write report.txt and report.json under <out_root>/<timestamp>-<hash>/.
 
     Returns the directory and the text body (report.txt without its timing
     block); the body is built, hashed and rendered once. A directory that
     already exists (the same content in the same second) gets the first
-    free suffix -1, -2, ...
+    free suffix -1, -2, ... report.json holds {"report": body, "run_meta":
+    meta} in the bytes of json.dumps(..., indent=2, sort_keys=True) plus a
+    newline: keys sorted, two-space indent, non-ASCII escaped.
     """
     meta = report.run_meta()
     body = report.body_dict()
@@ -134,20 +160,21 @@ def write_report(report: RunReport, out_root: str | Path) -> tuple[Path, str]:
     text = _text_body(report, digest)
     stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
     name = f"{stamp}-{digest}"
+    root = Path(out_root)
     for suffix in itertools.count():
-        out_dir = Path(out_root) / (f"{name}-{suffix}" if suffix else name)
+        out_dir = root / (f"{name}-{suffix}" if suffix else name)
         try:
-            out_dir.mkdir(parents=True)
+            os.makedirs(out_dir)
             break
         except FileExistsError:  # same second, same content: disambiguate
             continue
-    (out_dir / "report.json").write_text(
-        json.dumps({"report": body, "run_meta": meta}, indent=2, sort_keys=True) + "\n"
-    )
+    with open(os.path.join(out_dir, "report.json"), "w") as f:
+        f.write(_json({"report": body, "run_meta": meta}) + "\n")
     timing_lines = ["timings (excluded from content hash):"]
     for cid, secs in meta["wall_time_s"].items():
         timing_lines.append(f"  {cid}: {secs}s")
     timing_lines.append(f"  total: {meta['total_wall_time_s']}s")
     timing_lines.append(f"generated-at: {meta['generated_at']}")
-    (out_dir / "report.txt").write_text(text + "\n".join(timing_lines) + "\n")
+    with open(os.path.join(out_dir, "report.txt"), "w") as f:
+        f.write(text + "\n".join(timing_lines) + "\n")
     return out_dir, text

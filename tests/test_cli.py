@@ -4,9 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kappasets
 from kappasets import cli, report, suites, words
@@ -147,6 +150,69 @@ def test_each_report_is_hashed_and_rendered_once(tmp_path, capsys, monkeypatch):
     assert where == f"{run}\n"
     text = (run / "report.txt").read_text()
     assert text.startswith(shown) and text[len(shown):].startswith("timings (excluded")
+
+
+#: Text with quotes, backslashes, control and non-ASCII characters.
+AWKWARD_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\x00\x1f\x7f\n\t\u00e9\u2603\U0001f600 '), max_size=8)
+
+
+def assert_json_twin_is_what_json_dumps_writes(out_dir, rep, meta):
+    expected = json.dumps({"report": rep.body_dict(), "run_meta": meta}, indent=2, sort_keys=True)
+    assert (out_dir / "report.json").read_bytes() == (expected + "\n").encode()
+
+
+@given(
+    command=AWKWARD_TEXT,
+    claims=st.lists(
+        st.tuples(
+            st.sampled_from(["b", "a", "c.1"]) | AWKWARD_TEXT,  # repeated ids among them
+            AWKWARD_TEXT,
+            st.sampled_from(report.STATUSES),
+            AWKWARD_TEXT,
+            st.sampled_from([0, 1, 2**63 + 1, 10**30]) | st.integers(0, 2**70),
+            st.sampled_from([0.0, 1e-07, 2.5e-05, 1e16, 0.1 + 0.2]) | st.floats(0, 1e20),
+        ),
+        max_size=6,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_report_json_is_what_json_dumps_writes(command, claims):
+    rep = report.RunReport(command, [report.ClaimRecord(*c) for c in claims])
+    meta = rep.run_meta()
+    # unrounded, so that 1e-07 and other exponent forms are written too
+    meta["wall_time_s"] = {c.claim_id: c.wall_time_s for c in rep.claims}
+    rep.run_meta = lambda: meta
+    with tempfile.TemporaryDirectory() as root:
+        out_dir, _ = report.write_report(rep, root)
+        assert_json_twin_is_what_json_dumps_writes(out_dir, rep, meta)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--group", "dihedral:4", "--subset", "0,3,5", "--kappa", "3"],
+        ["construct", "--construction", "thm3", "--params", "m=3", "a1=a", "--radius", "2"],
+        ["search", "--group", "cyclic:8", "--kappa", "3", "--mode", "two-thick", "--cells", "2"],
+        ["verify", "--suite", "meets"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_real_report_json_is_what_json_dumps_writes(argv, tmp_path, capsys, monkeypatch):
+    written = []
+
+    def kept(rep, out_root):
+        meta = rep.run_meta()
+        rep.run_meta = lambda: meta
+        written.append((rep, meta))
+        return report.write_report(rep, out_root)
+
+    monkeypatch.setattr(cli, "write_report", kept)
+    assert run_cli(argv, tmp_path) == 0
+    capsys.readouterr()
+    ((rep, meta),) = written
+    (out_dir,) = (tmp_path / "runs").iterdir()
+    assert rep.claims
+    assert_json_twin_is_what_json_dumps_writes(out_dir, rep, meta)
 
 
 def test_construct_with_adversary(tmp_path, capsys):
@@ -337,6 +403,23 @@ def test_verify_body_does_not_depend_on_earlier_runs(tmp_path, capsys):
     assert report_text(meets, tmp_path, capsys) == alone
     report_text(["verify", "--suite", "duality"], tmp_path, capsys)
     assert report_text(meets, tmp_path, capsys) == alone
+
+
+def test_classify_nodes_do_not_depend_on_earlier_commands_on_the_group(tmp_path, capsys):
+    # the classifiers cache on the GroupTable object, so each command needs a
+    # table of its own, however the spec's checked table is kept
+    argv = ["classify", "--group", "cyclic:6", "--subset", "0,4", "--kappa", "4"]
+    first = subprocess.run(
+        [sys.executable, "-m", "kappasets", *argv, "--out-dir", str(tmp_path / "runs")],
+        capture_output=True,
+        text=True,
+    )
+    assert first.returncode == 0, first.stderr
+    alone = [line for line in first.stdout.splitlines() if not line.startswith("report written to")]
+    assert "nodes: 16" in alone  # large.two-sided, which a cached cover answers for 0
+    for earlier in (["--sides", "left"], ["--kappa", "3"], []):
+        report_text([*argv, *earlier], tmp_path, capsys)
+        assert report_text(argv, tmp_path, capsys) == alone
 
 
 def test_verify_suite_exit_zero(tmp_path, capsys):

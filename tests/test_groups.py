@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kappasets import groups
 from kappasets.groups import (
     GroupAxiomError,
     GroupSpecError,
@@ -118,6 +119,56 @@ def test_exact_associativity_above_order_64(tmp_path):
     # the same construction over a group passes
     _write_table(path, build_group("product:cyclic:13+cyclic:5", max_order=65).mul)
     assert build_group(f"file:{path}", max_order=65).order == 65
+
+
+def test_each_spec_is_checked_once_and_each_call_gets_a_new_table(monkeypatch):
+    checks = []
+    real = groups._check_table
+    monkeypatch.setattr(groups, "_TABLES", {})
+    monkeypatch.setattr(groups, "_check_table", lambda mul: checks.append(len(mul)) or real(mul))
+    a, b = build_group("dihedral:6"), build_group(" dihedral:6 ")
+    assert a is not b
+    assert (a.spec, a.order, a.mul, a.inv, a.labels) == (b.spec, b.order, b.mul, b.inv, b.labels)
+    assert checks == [12]
+    # a product's factors are built by spec too
+    build_group("product:cyclic:2+dihedral:6")
+    build_group("product:cyclic:2+dihedral:6")
+    assert checks == [12, 2, 24]
+
+
+def test_the_table_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(groups, "_TABLES", {})
+    for n in range(1, 2 * groups._TABLES_KEPT):
+        build_group(f"cyclic:{n}")
+    assert len(groups._TABLES) == groups._TABLES_KEPT
+    assert f"cyclic:{2 * groups._TABLES_KEPT - 1}" in groups._TABLES and "cyclic:1" not in groups._TABLES
+    # a table above the default cap is built afresh each time, not kept
+    build_group("cyclic:65", max_order=65)
+    assert "cyclic:65" not in groups._TABLES
+
+
+def test_a_memoised_spec_is_still_refused_under_a_lower_cap():
+    assert build_group("symmetric:4").order == 24
+    for _ in range(2):
+        with pytest.raises(GroupSpecError, match="order 24 exceeds the configured maximum 20"):
+            build_group("symmetric:4", max_order=20)
+    build_group("product:cyclic:5+cyclic:5")
+    # the same message as at the first build: the factor that is too large
+    with pytest.raises(GroupSpecError, match="order 5 exceeds the configured maximum 4"):
+        build_group("product:cyclic:5+cyclic:5", max_order=4)
+
+
+@pytest.mark.parametrize("wrap", ["file:{}", "product:cyclic:2+file:{}"])
+def test_a_group_file_is_read_and_checked_on_every_build(wrap, tmp_path):
+    path = tmp_path / "table.txt"
+    spec = wrap.format(path)
+    for source in ("cyclic:4", "product:cyclic:2+cyclic:2"):
+        _write_table(path, build_group(source).mul)
+        assert build_group(spec).mul == build_group(wrap.replace("file:{}", source)).mul
+    _write_table(path, LOOP5)
+    for _ in range(2):
+        with pytest.raises(GroupAxiomError, match="associativity"):
+            build_group(spec)
 
 
 def _benchmark_workloads():

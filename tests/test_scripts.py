@@ -2,7 +2,9 @@
 census prints its pinned table."""
 
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -98,7 +100,7 @@ def test_compare_outputs_can_leave_the_node_counts_out():
     other = SEARCH_REPORT.replace("cells=2", "cells=3")
 
     def runs(*texts):
-        return [["search", ["search"], 0, text] for text in texts]
+        return [["search", ["search"], 0, text, None] for text in texts]
 
     assert compare.report(SEARCH_REPORT, ignore_nodes=True) == [
         "kappasets report", "version: 0.1.0", "", "[claim search.res-left]",
@@ -109,12 +111,71 @@ def test_compare_outputs_can_leave_the_node_counts_out():
     assert len(compare.differences(runs(SEARCH_REPORT), runs(fewer))) == 1
     assert compare.differences(runs(SEARCH_REPORT), runs(fewer), ignore_nodes=True) == []
     assert len(compare.differences(runs(SEARCH_REPORT), runs(other), ignore_nodes=True)) == 1
-    verify = ["verify", ["verify"], 0, "nodes: 3\nnodes: 4\n"]
+    verify = ["verify", ["verify"], 0, "nodes: 3\nnodes: 4\n", None]
     assert compare.node_totals([*runs(SEARCH_REPORT, fewer), verify]) == {"search": 19, "verify": 7}
-    more = ["verify", ["verify"], 0, "nodes: 3\nnodes: 5\n"]
+    more = ["verify", ["verify"], 0, "nodes: 3\nnodes: 5\n", None]
     assert compare.node_moves(
         [*runs(SEARCH_REPORT, SEARCH_REPORT), verify], [*runs(fewer, SEARCH_REPORT), more]
     ) == {"search": (0, 1), "verify": (1, 0)}
+
+
+def _twin(command="kappasets search --out-dir /a", nodes=12, **dumps):
+    body = {"tool": "kappasets", "version": "0.1.0", "command": command, "claims": [
+        {"claim_id": "search.res-left", "anchor": "max cells", "status": "pass",
+         "detail": "cells=2", "nodes": nodes},
+    ]}
+    meta = {"generated_at": "2026-10-19T10:27:23+00:00", "wall_time_s": {"search.res-left": 0.001},
+            "total_wall_time_s": 0.001}
+    return json.dumps({"report": body, "run_meta": meta}, **(dumps or {"indent": 2, "sort_keys": True})) + "\n"
+
+
+def test_compare_outputs_checks_the_json_twin():
+    compare = load_script("compare_outputs")
+
+    def runs(twin):
+        return [["search", ["search"], 0, SEARCH_REPORT, twin]]
+
+    # the command echo names the run's directory, so it is left out
+    assert compare.differences(runs(_twin()), runs(_twin(command="kappasets search --out-dir /b"))) == []
+    (block,) = compare.differences(runs(_twin()), runs(_twin(nodes=13)))
+    assert block.endswith("report.json: the report objects differ")
+    assert compare.differences(runs(_twin()), runs(_twin(nodes=13)), ignore_nodes=True) == []
+    # the same object in another layout: each tree's file is held to its own
+    for layout in ({"indent": 2}, {"indent": 1, "sort_keys": True}, {"sort_keys": True}):
+        (block,) = compare.differences(runs(_twin()), runs(_twin(**layout)))
+        assert block.splitlines()[1:] == [
+            "report.json (new): not laid out as json.dumps(indent=2, sort_keys=True)"
+        ]
+    assert len(compare.differences(runs(None), runs(_twin()))) == 1
+    assert compare.differences(runs(None), runs(None)) == []
+
+
+def test_compare_outputs_exits_one_when_a_tree_lays_report_json_out_otherwise(tmp_path):
+    # the same report objects on one line: only the layout check can see it
+    tree = tmp_path / "tree"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tree / "src" / "kappasets" / "report.py", "a") as f:
+        f.write(RELAID_WRITER)
+    got = spawn_script("compare_outputs.py", [str(ROOT), str(tree), "--workloads", "search"])
+    assert got.returncode == 1, got.stderr
+    assert "report.json (new): not laid out as json.dumps(indent=2, sort_keys=True)" in got.stdout
+    assert "report objects differ" not in got.stdout
+    compared, _, differ = got.stdout.splitlines()[-1].partition(" commands compared, ")
+    assert int(compared) > 0 and differ == f"{compared} differ"
+
+
+RELAID_WRITER = """
+
+_write_report = write_report
+
+
+def write_report(report, out_root):
+    out_dir, text = _write_report(report, out_root)
+    path = out_dir / "report.json"
+    path.write_text(json.dumps(json.loads(path.read_text())) + "\\n")
+    return out_dir, text
+"""
 
 
 def test_res_tables_refuses_a_negative_budget():
