@@ -106,6 +106,16 @@ the multiplication table and must equal the table's. Otherwise the same
 walk at size kappa-1 over the one thickness table, _thick_walk (the
 rows t[f^-1] on one side, the two-sided thickness table otherwise), must
 find no failing F.
+
+In an abelian group g*A = A*g, so every one-sided notion is the same on
+the two sides. The classifiers still search each side they are asked;
+the classify battery searches one side and hands its verdict to the
+other through mirrored, which re-checks the witness on the new side by
+the same routines: a cover by product_set, a failing F and the entries a
+thick=True witness shows by _least_translating, and a failing L by
+product_set with the cover _min_cover found for it. The walk or count
+over every maximal F is not repeated: the two sides' thickness tables
+agree entry for entry.
 """
 
 from __future__ import annotations
@@ -425,7 +435,7 @@ def _first_empty(
     return None
 
 
-def _abelian(G: GroupTable) -> bool:
+def abelian(G: GroupTable) -> bool:
     """Whether G is abelian, read from its table once per group."""
     c = _cache(G)
     if "abelian" not in c:
@@ -454,7 +464,7 @@ def _cover_floor(G: GroupTable, per: int, need: int, side: str) -> int:
     least = -(-need // per)
     if side != "two-sided":
         return least
-    if _abelian(G):
+    if abelian(G):
         s = (math.isqrt(8 * least + 1) - 1) // 2  # the largest s with s(s+1)/2 <= least
         return s if s * (s + 1) // 2 == least else s + 1
     return math.isqrt(least - 1) + 1
@@ -688,6 +698,34 @@ def _verified_cover(G: GroupTable, amask: int, side: str, counter: NodeCounter) 
     if product_set(G, F, Subset(G.order, amask), shape).mask != G.full_mask:  # pragma: no cover
         raise RuntimeError("minimal cover failed re-verification")
     return F
+
+
+def mirrored(G: GroupTable, A: Subset, v: SizeVerdict, side: str) -> SizeVerdict:
+    """v, a left (right) verdict on A in an abelian G, as the verdict on
+    side, right (left): the same verdict, witness and nodes. The caller
+    checks that G is abelian; the witness is re-checked here on side: a
+    cover F must give A*F = G (F*A = G), a failing F must have no
+    translating element, each F a thick=True witness shows must have its
+    element as the least one, and a failing large L must meet A and be
+    covered on side by the cover _min_cover found for it on v's side."""
+    w, amask = v.witness, A.mask
+    shape = "FA" if side == "left" else "AF"
+    cand = amask if v.variant == "witness-in-A" else G.full_mask
+    if w is None:  # out of budget, not large, or the empty set small: no witness
+        ok = True
+    elif v.notion == "large":
+        ok = product_set(G, w, A, shape).mask == G.full_mask
+    elif v.notion == "small":
+        cover = _min_cover(G, w.mask, v.side, NodeCounter(DEFAULT_NODE_BUDGET))[1]
+        F = Subset.from_indices(G.order, cover)
+        ok = w.mask & amask and product_set(G, F, w, shape).mask == G.full_mask
+    elif v.verdict:
+        ok = all(_least_translating(G, F.mask, cand, amask, side) == x for F, x in w.shown)
+    else:
+        ok = _least_translating(G, w.mask, cand, amask, side) is None
+    if not ok:
+        raise RuntimeError(f"{v.notion} witness failed re-verification on the {side} side")
+    return replace(v, side=side)
 
 
 # -- public classifiers ----------------------------------------------------------

@@ -193,6 +193,14 @@ def _render_small(v: cl.SizeVerdict) -> str:
 
 
 def cmd_classify(args, rep: RunReport) -> None:
+    """The size battery: for each side, large, thick per variant and small.
+
+    In an abelian G, g*A = A*g, so each left claim is the right claim of the
+    same notion and variant. The side that comes first in --sides searches
+    it, and the other reports that verdict, with its witness and nodes,
+    once cl.mirrored has re-checked the witness on its own side. The
+    library classifiers still search every side they are asked, and
+    two-sided claims are always searched."""
     G = build_group(args.group, max_order=args.max_order)
     A = _parse_subset(G, args.subset)
     kappa = args.kappa
@@ -203,27 +211,36 @@ def cmd_classify(args, rep: RunReport) -> None:
     if len(set(sides)) < len(sides):
         raise UsageError(f"a side is repeated in --sides {args.sides}")
     variants = list(cl.VARIANTS) if args.variant == "both" else [args.variant]
+    first = {} if cl.abelian(G) else None  # (classifier, variant) -> the first side's verdict
+
+    def decide(classifier, side, *variant):
+        if first is None or side == "two-sided":
+            return classifier(G, A, kappa, side, *variant, node_budget=budget)
+        key = (classifier, *variant)
+        if key in first:
+            return cl.mirrored(G, A, first[key], side)
+        first[key] = got = classifier(G, A, kappa, side, *variant, node_budget=budget)
+        return got
+
     for side in sides:
         _timed(
             rep,
             f"classify.large.{side}",
             f"{side} {kappa}-large: some F with |F| <= {kappa - 1} covers G from A",
-            lambda: _verdict(is_large(G, A, kappa, side, node_budget=budget), _render_large),
+            lambda: _verdict(decide(is_large, side), _render_large),
         )
         for variant in variants:
             _timed(
                 rep,
                 f"classify.thick.{side}.{variant}",
                 f"{side} {kappa}-thick ({variant}): every small F translates into A",
-                lambda: _verdict(
-                    is_thick(G, A, kappa, side, variant, node_budget=budget), _render_thick
-                ),
+                lambda: _verdict(decide(is_thick, side, variant), _render_thick),
             )
         _timed(
             rep,
             f"classify.small.{side}",
             f"{side} {kappa}-small: removing A keeps every {side} {kappa}-large set large",
-            lambda: _verdict(is_small(G, A, kappa, side, node_budget=budget), _render_small),
+            lambda: _verdict(decide(is_small, side), _render_small),
         )
 
 

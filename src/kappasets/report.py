@@ -112,7 +112,10 @@ def _text_body(report: RunReport, digest: str) -> str:
 def check_out_root(out_root: str | Path) -> None:
     """Raise OSError unless write_report can make its directory under
     out_root: the nearest of out_root and its ancestors that exists must be
-    a writable directory. Nothing is created."""
+    a writable directory. Nothing is created. A writable directory out_root
+    is settled without the walk."""
+    if os.path.isdir(out_root) and os.access(out_root, os.W_OK | os.X_OK):
+        return
     path = Path(out_root).absolute()
     while not path.exists():
         path = path.parent

@@ -423,7 +423,7 @@ def test_the_abelian_flag_is_read_from_the_table():
         ("cyclic:8", True),
     ):
         G = build_group(spec)
-        assert classify._abelian(G) is abelian is commutes(G), spec
+        assert classify.abelian(G) is abelian is commutes(G), spec
 
 
 @pytest.mark.parametrize("spec", ["symmetric:4", "cyclic:24"])
