@@ -92,30 +92,34 @@ a two-sided thickness number lives in the "profile" cache alone.
 
 All searches are deterministic; witnesses are minimal in (size, lex) order
 and re-verified against the raw definitions before they are returned, by
-one routine per definition. _verified_cover re-checks a minimal cover F
-by forming F*A (A*F, F*A*F) with product_set; is_large's witness and
-is_small's failing L both pass through it. _least_translating reads the
-least x that translates F into A off the multiplication table; a failing
-F must have none, and each entry a thick=True witness shows must have its
-element as the least. A thick=True verdict is re-checked on every maximal
-test set of size kappa-1. When there are more of them than entries in the
-thickness table (one per f, and two-sided one per pair f1 < f2 as well)
-and the entries one F reads cannot exclude every candidate by the
+one routine, _rechecked, on one check per definition. _covers forms F*A
+(A*F, F*A*F) with product_set: a large A's cover must give G, and so must
+the cover _min_cover finds for a failing small L; thick_to_large_witness
+checks its A*F by it too. _least_translating reads the least x that
+translates F into A off the multiplication table; a failing F must have
+none, and each entry a thick=True witness shows must have its element as
+the least. is_large, is_thick and is_small share one frame, _classified:
+it checks the arguments, opens the claim's one NodeCounter, and runs the
+decision and then _rechecked on it, so a budget that runs out in either
+makes the verdict inconclusive.
+
+A thick=True verdict is also checked on every maximal test set of size
+kappa-1, by _thick_witness_map. When there are more of them than entries
+in the thickness table (one per f, and two-sided one per pair f1 < f2 as
+well) and the entries one F reads cannot exclude every candidate by the
 pigeonhole count, each entry's count of excluded candidates is read from
 the multiplication table and must equal the table's. Otherwise the same
-walk at size kappa-1 over the one thickness table, _thick_walk (the
-rows t[f^-1] on one side, the two-sided thickness table otherwise), must
-find no failing F.
+walk at size kappa-1 over the one thickness table, _thick_walk (the rows
+t[f^-1] on one side, the two-sided thickness table otherwise), must find
+no failing F.
 
 In an abelian group g*A = A*g, so every one-sided notion is the same on
 the two sides. The classifiers still search each side they are asked;
 the classify battery searches one side and hands its verdict to the
-other through mirrored, which re-checks the witness on the new side by
-the same routines: a cover by product_set, a failing F and the entries a
-thick=True witness shows by _least_translating, and a failing L by
-product_set with the cover _min_cover found for it. The walk or count
-over every maximal F is not repeated: the two sides' thickness tables
-agree entry for entry.
+other through mirrored, a relabel plus _rechecked on the new side, where
+a failing L's cover is the one _min_cover found on the searched side.
+The walk or count over every maximal F is not repeated: the two sides'
+thickness tables agree entry for entry.
 """
 
 from __future__ import annotations
@@ -690,45 +694,80 @@ def _least_translating(G: GroupTable, fmask: int, cand: int, amask: int, side: s
     return next((x for x in bits(cand) if _translate_into(G, fmask, x, amask, side)), None)
 
 
-def _verified_cover(G: GroupTable, amask: int, side: str, counter: NodeCounter) -> Subset:
-    """_min_cover's F for a nonempty A, re-checked against the
-    multiplication table: F*A = G (left), A*F = G (right) or F*A*F = G."""
-    F = Subset.from_indices(G.order, _min_cover(G, amask, side, counter)[1])
-    shape = {"left": "FA", "right": "AF", "two-sided": "FAF"}[side]
-    if product_set(G, F, Subset(G.order, amask), shape).mask != G.full_mask:  # pragma: no cover
-        raise RuntimeError("minimal cover failed re-verification")
-    return F
+#: The product a cover forms per side: F*A, A*F, F*A*F.
+COVER_SHAPES = {"left": "FA", "right": "AF", "two-sided": "FAF"}
+
+
+def _covers(G: GroupTable, F: Subset, A: Subset, side: str) -> bool:
+    """Raw-definition check that F covers G from A: F*A = G (left), A*F = G
+    (right) or F*A*F = G (two-sided), formed by product_set."""
+    return product_set(G, F, A, COVER_SHAPES[side]).mask == G.full_mask
+
+
+def _rechecked(
+    G: GroupTable, A: Subset, notion: str, side: str, kappa: int, variant: str | None,
+    w, searched_side: str, counter: NodeCounter,
+) -> None:
+    """Re-check w, a decided verdict's witness, on side against the raw
+    definitions: a cover F must cover G from A and hold at most kappa-1
+    elements; a failing F must hold at most kappa-1 and have no
+    translating element; each F a ThickWitness shows must have its element
+    as the least; and a failing large L must meet A and be covered on side
+    by at most kappa-1 elements, the cover _min_cover finds for L on
+    searched_side, on counter. A verdict with no witness (not large, the
+    empty set small) has nothing to check. Raises RuntimeError when a
+    check fails."""
+    if w is None:
+        return
+    amask = A.mask
+    if notion == "large":
+        ok = w.size < kappa and _covers(G, w, A, side)
+    elif notion == "small":
+        size, cover = _min_cover(G, w.mask, searched_side, counter)
+        ok = w.mask & amask and size < kappa and _covers(G, Subset.from_indices(G.order, cover), w, side)
+    else:
+        cand = amask if variant == "witness-in-A" else G.full_mask
+        if isinstance(w, ThickWitness):
+            ok = all(_least_translating(G, F.mask, cand, amask, side) == x for F, x in w.shown)
+        else:
+            ok = w.size < kappa and _least_translating(G, w.mask, cand, amask, side) is None
+    if not ok:
+        raise RuntimeError(f"{notion} witness failed re-verification on the {side} side")
 
 
 def mirrored(G: GroupTable, A: Subset, v: SizeVerdict, side: str) -> SizeVerdict:
     """v, a left (right) verdict on A in an abelian G, as the verdict on
-    side, right (left): the same verdict, witness and nodes. The caller
-    checks that G is abelian; the witness is re-checked here on side: a
-    cover F must give A*F = G (F*A = G), a failing F must have no
-    translating element, each F a thick=True witness shows must have its
-    element as the least one, and a failing large L must meet A and be
-    covered on side by the cover _min_cover found for it on v's side."""
-    w, amask = v.witness, A.mask
-    shape = "FA" if side == "left" else "AF"
-    cand = amask if v.variant == "witness-in-A" else G.full_mask
-    if w is None:  # out of budget, not large, or the empty set small: no witness
-        ok = True
-    elif v.notion == "large":
-        ok = product_set(G, w, A, shape).mask == G.full_mask
-    elif v.notion == "small":
-        cover = _min_cover(G, w.mask, v.side, NodeCounter(DEFAULT_NODE_BUDGET))[1]
-        F = Subset.from_indices(G.order, cover)
-        ok = w.mask & amask and product_set(G, F, w, shape).mask == G.full_mask
-    elif v.verdict:
-        ok = all(_least_translating(G, F.mask, cand, amask, side) == x for F, x in w.shown)
-    else:
-        ok = _least_translating(G, w.mask, cand, amask, side) is None
-    if not ok:
-        raise RuntimeError(f"{v.notion} witness failed re-verification on the {side} side")
+    side, right (left): the same verdict, witness and nodes, once
+    _rechecked has re-checked the witness on side. The caller checks that
+    G is abelian."""
+    counter = NodeCounter(DEFAULT_NODE_BUDGET)
+    _rechecked(G, A, v.notion, side, v.kappa, v.variant, v.witness, v.side, counter)
     return replace(v, side=side)
 
 
 # -- public classifiers ----------------------------------------------------------
+
+
+def _classified(
+    notion: str, G: GroupTable, A: Subset, kappa: int, side: str, variant: str | None,
+    node_budget: int, decide,
+) -> SizeVerdict:
+    """The frame of is_large, is_thick and is_small: check the arguments,
+    open the claim's one NodeCounter, and on it run decide(counter), which
+    returns (verdict, witness), and then _rechecked on side. A budget that
+    runs out in either makes the verdict inconclusive."""
+    check_subset(G, A)
+    check_kappa(G, kappa)
+    check_side(side)
+    if variant is not None:
+        check_variant(variant)
+    counter = NodeCounter(node_budget)
+    try:
+        verdict, witness = decide(counter)
+        _rechecked(G, A, notion, side, kappa, variant, witness, side, counter)
+    except BudgetExceeded:
+        verdict = witness = None
+    return SizeVerdict(notion, side, kappa, verdict, variant, witness, counter.spent)
 
 
 def is_large(
@@ -738,16 +777,13 @@ def is_large(
     """Exact decision of left/right/two-sided kappa-largeness with minimal
     witness: cover_within decides at kappa-1, and only a large A has its
     minimal cover searched."""
-    check_subset(G, A)
-    check_kappa(G, kappa)
-    check_side(side)
-    counter = NodeCounter(node_budget)
-    try:
-        large = cover_within(G, A.mask, side, kappa - 1, counter)
-        F = _verified_cover(G, A.mask, side, counter) if large else None
-    except BudgetExceeded:
-        return SizeVerdict("large", side, kappa, None, nodes=counter.spent)
-    return SizeVerdict("large", side, kappa, large, witness=F, nodes=counter.spent)
+
+    def decide(counter):
+        if not cover_within(G, A.mask, side, kappa - 1, counter):
+            return False, None
+        return True, Subset.from_indices(G.order, _min_cover(G, A.mask, side, counter)[1])
+
+    return _classified("large", G, A, kappa, side, None, node_budget, decide)
 
 
 def is_thick(
@@ -766,32 +802,19 @@ def is_thick(
     through the complement's largeness and the two answers are required to
     agree.
     """
-    check_subset(G, A)
-    check_kappa(G, kappa)
-    check_side(side)
-    check_variant(variant)
-    counter = NodeCounter(node_budget)
-    try:
+
+    def decide(counter):
         lmax, fail = _thick_profile(G, A.mask, side, variant, counter)
-        verdict = kappa - 1 <= lmax
+        thick = kappa - 1 <= lmax
         if variant == "witness-in-G":
             comp_large = cover_within(G, A.mask ^ G.full_mask, side, kappa - 1, counter)
-            if verdict == comp_large:  # pragma: no cover - internal duality check
+            if thick == comp_large:  # pragma: no cover - internal duality check
                 raise RuntimeError("thickness/largeness duality cross-check failed")
-        if verdict:
-            witness = _thick_witness_map(G, A.mask, kappa - 1, side, variant, counter)
-        else:
-            if fail is None or len(fail) > kappa - 1:  # pragma: no cover
-                raise RuntimeError("thick counterexample contradicts the profile")
-            witness = Subset.from_indices(G.order, fail)
-            cand = A.mask if variant == "witness-in-A" else G.full_mask
-            if _least_translating(G, witness.mask, cand, A.mask, side) is not None:
-                raise RuntimeError("thick counterexample failed re-verification")  # pragma: no cover
-    except BudgetExceeded:
-        return SizeVerdict("thick", side, kappa, None, variant=variant, nodes=counter.spent)
-    return SizeVerdict(
-        "thick", side, kappa, verdict, variant=variant, witness=witness, nodes=counter.spent
-    )
+        if thick:
+            return True, _thick_witness_map(G, A.mask, kappa - 1, side, variant, counter)
+        return False, Subset.from_indices(G.order, fail)
+
+    return _classified("thick", G, A, kappa, side, variant, node_budget, decide)
 
 
 def _thick_witness_map(
@@ -810,8 +833,8 @@ def _thick_witness_map(
     entry's count is then read once more from the multiplication table, one
     node per entry, and must equal the table's. Otherwise a walk of the
     table at that one size must find no F that fails. Each shown entry's
-    element, read from the table, must then be the one _least_translating
-    finds."""
+    element is read from the table; _rechecked checks it against the raw
+    definition."""
     n = G.order
     cand = amask if variant == "witness-in-A" else G.full_mask
     cols, pairs = _thick_walk(G, amask, side)
@@ -843,14 +866,8 @@ def _thick_witness_map(
         failed = _sweep_translates((), fsize, cand, cols, pairs, shown, counter)
         if failed is not None:  # pragma: no cover
             raise RuntimeError("thick witness map failed re-verification")
-    entries = []
-    for combo, m in shown:
-        x = (m & -m).bit_length() - 1
-        fmask = mask_of(combo)
-        if _least_translating(G, fmask, cand, amask, side) != x:  # pragma: no cover
-            raise RuntimeError("thick witness map failed re-verification")
-        entries.append((Subset(n, fmask), x))
-    return ThickWitness(tuple(entries), math.comb(n, fsize))
+    entries = tuple((Subset(n, mask_of(combo)), (m & -m).bit_length() - 1) for combo, m in shown)
+    return ThickWitness(entries, math.comb(n, fsize))
 
 
 def is_small(
@@ -869,22 +886,19 @@ def is_small(
     nonempty A the scan over L in (size, lex) order, from the least size
     with |L| * (kappa-1) >= |G|, stops at the first large L that meets A:
     it has size m and is the (size, lex)-minimal failing L. A two-sided
-    claim is decided by its left scan, which fails for every nonempty A.
-    Each L, and L minus A, is tested by the decision cover_within at
-    kappa-1; only the failing L's minimal cover is searched, and
-    _verified_cover re-checks it against the multiplication table.
+    claim is its left claim, relabelled: the left scan fails for every
+    nonempty A. Each L, and L minus A, is tested by the decision
+    cover_within at kappa-1; only the failing L's minimal cover is
+    searched, by _rechecked, which checks it against the multiplication
+    table.
     """
-    check_subset(G, A)
-    check_kappa(G, kappa)
-    check_side(side)
-    counter = NodeCounter(node_budget)  # rejects a negative budget, even with no scan
-    if not A.mask:
-        return SizeVerdict("small", side, kappa, True)
     if side == "two-sided":
         return replace(is_small(G, A, kappa, "left", node_budget=node_budget), side=side)
-    n = G.order
-    limit = kappa - 1
-    try:
+
+    def decide(counter):
+        if not A.mask:
+            return True, None
+        n, limit = G.order, kappa - 1
         for size in range(-(-n // limit), n + 1):
             for combo in itertools.combinations(range(n), size):
                 counter.spend()
@@ -892,13 +906,10 @@ def is_small(
                 if lmask & A.mask and cover_within(G, lmask, side, limit, counter):
                     if cover_within(G, lmask & ~A.mask, side, limit, counter):  # pragma: no cover
                         raise RuntimeError("small counterexample is still large without A")
-                    _verified_cover(G, lmask, side, counter)
-                    return SizeVerdict(
-                        "small", side, kappa, False, witness=Subset(n, lmask), nodes=counter.spent
-                    )
-    except BudgetExceeded:
-        return SizeVerdict("small", side, kappa, None, nodes=counter.spent)
-    raise RuntimeError("no large set meets A, yet G itself is large")  # pragma: no cover
+                    return False, Subset(n, lmask)
+        raise RuntimeError("no large set meets A, yet G itself is large")  # pragma: no cover
+
+    return _classified("small", G, A, kappa, side, None, node_budget, decide)
 
 
 # -- the thick-to-large witness construction ------------------------------------
@@ -945,7 +956,9 @@ def thick_to_large_witness(
     """Constructive route from left thickness to right largeness.
 
     For each cover cell H pick the least g with H*g <= A; then
-    F = {g^-1 : g picked} satisfies A*F = G with |F| <= number of cells.
+    F = {g^-1 : g picked} satisfies A*F = G with |F| <= number of cells:
+    an h in H lies in A*g^-1. _covers re-checks A*F = G on the right
+    before F is returned.
     """
     check_subset(G, A)
     check_kappa(G, kappa)
@@ -958,7 +971,7 @@ def thick_to_large_witness(
             raise CoverCellError(i, cell)
         picks.append(g)
     F = Subset.from_indices(n, (G.inv[g] for g in picks))
-    if product_set(G, A, F, "AF").mask != G.full_mask:  # pragma: no cover
+    if not _covers(G, F, A, "right"):  # pragma: no cover
         raise RuntimeError("thick-to-large witness failed re-verification")
     return F
 

@@ -46,13 +46,18 @@ class UsageError(ValueError):
 def _parse_subset(G: GroupTable, text: str) -> Subset:
     """Comma-separated element indices or labels. Only a comma outside
     parentheses separates, so a product label such as (0,1) is one item. An
-    integer in range is an index; any other item must be a label."""
+    integer in range is an index; any other item must be a label. A ")"
+    with no "(" open before it, or a "(" left open, is a usage error."""
     items, depth, start = [], 0, 0
     for j, ch in enumerate(text + ","):
         depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
         if ch == "," and depth == 0:
             items.append(text[start:j].strip())
             start = j + 1
+    if depth:
+        raise UsageError(f"unbalanced parentheses in --subset {text!r}")
     indices = []
     label_index = {lab: i for i, lab in enumerate(G.labels)}
     for item in filter(None, items):

@@ -188,6 +188,32 @@ class TestThickToLarge:
         cover = CoverDecomposition.blocks(Z6, 2)
         assert thick_to_large_witness(Z6, Subset.full(6), 3, cover) == sub(Z6, 0)
 
+    def test_a_nonabelian_witness_is_checked_on_the_right(self):
+        # F = {0,2} gives A*F = G, but F*A = A: the re-check must form A*F
+        A = sub(S3, 0, 2, 4, 5)
+        F = thick_to_large_witness(S3, A, 3, CoverDecomposition.blocks(S3, 2))
+        assert F == sub(S3, 0, 2)
+        assert product_set(S3, F, A, "AF") == Subset.full(6)
+        assert product_set(S3, F, A, "FA") == A
+
+    @pytest.mark.parametrize("spec,cases", [("symmetric:3", 209), ("dihedral:4", 854)])
+    def test_every_left_thick_set_gives_a_right_cover(self, spec, cases):
+        # each left kappa-thick A, at every kappa and block size up to
+        # kappa-1: a*f over a in A and f in F gives every element
+        G = build_group(spec)
+        n = G.order
+        met = 0
+        for m in range(1, 1 << n):
+            A = Subset(n, m)
+            for kappa in range(2, n + 1):
+                if not is_thick(G, A, kappa, "left").verdict:
+                    continue
+                for block in range(1, kappa):
+                    F = thick_to_large_witness(G, A, kappa, CoverDecomposition.blocks(G, block))
+                    assert {G.mul[a][f] for a in A for f in F} == set(range(n)), (m, kappa, block)
+                    met += 1
+        assert met == cases
+
     def test_failing_cell_reported(self):
         cover = CoverDecomposition.blocks(Z6, 2)
         with pytest.raises(CoverCellError) as exc:

@@ -15,7 +15,7 @@ import kappasets
 from kappasets import cli, report, suites, words
 from kappasets.cli import _CONSTRUCTIONS, main
 from kappasets.constructions import Partition
-from kappasets.groups import build_group
+from kappasets.groups import Subset, build_group
 
 
 def run_cli(args, tmp_path):
@@ -68,6 +68,23 @@ def test_subset_labels_name_the_same_elements_as_indices(group, labels, tmp_path
         claims.append(latest_report(tmp_path / str(i))[0]["report"]["claims"])
     assert claims[0] == claims[1]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("subset", ["1,2)", "(0", "0)", "((0,1)", ")(0"])
+def test_an_unbalanced_parenthesis_in_subset_is_a_usage_error(subset, tmp_path, capsys):
+    # each of these once dropped items and exited 0: "1,2)" classified {1},
+    # and "(0", "0)" and "((0,1)" the empty set
+    argv = ["classify", "--group", "cyclic:4", "--subset", subset, "--kappa", "2"]
+    assert run_cli(argv, tmp_path) == 2
+    assert capsys.readouterr().err == f"error: unbalanced parentheses in --subset {subset!r}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_product_labels_with_commas_still_parse():
+    G = build_group("product:cyclic:2+cyclic:3")
+    want = Subset.from_indices(G.order, (G.labels.index("(0,1)"), G.labels.index("(1,2)")))
+    assert want.size == 2
+    assert cli._parse_subset(G, "(0,1),(1,2)") == cli._parse_subset(G, " (1,2) , (0,1) ") == want
 
 
 def test_report_bodies_are_byte_stable(tmp_path, capsys):

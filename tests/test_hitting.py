@@ -413,8 +413,35 @@ def test_an_off_by_one_translating_element_fails_re_verification(monkeypatch):
             # {0,1,2} is 2-thick: each shown F's element must be the least
             with pytest.raises(RuntimeError, match="re-verification"):
                 is_thick(G, Subset.from_indices(4, (0, 1, 2)), 2, side, variant)
-            with pytest.raises(RuntimeError, match="re-verification"):
-                _thick_witness_map(G, 0b0111, 1, side, variant, NodeCounter(10**6))
+
+
+def test_every_decided_verdict_is_rechecked_by_one_routine(monkeypatch):
+    # _rechecked is the one owner of the witness re-check: with it refusing,
+    # every decided claim of each classifier on every side raises, and so
+    # does a verdict handed to the other side
+    G = build_group("cyclic:4")
+    subsets = [Subset(4, m) for m in range(1 << 4)]
+    lefts = [(A, v) for A in subsets for v in (is_large(G, A, 3), is_thick(G, A, 3), is_small(G, A, 3))]
+
+    def refuse(*args):
+        raise RuntimeError("refused")
+
+    monkeypatch.setattr(classify, "_rechecked", refuse)
+    for A in subsets:
+        for side in SIDES:
+            for kappa in (2, 3, 4):
+                claims = [
+                    lambda: is_large(G, A, kappa, side),
+                    *(lambda v=v: is_thick(G, A, kappa, side, v) for v in VARIANTS),
+                    lambda: is_small(G, A, kappa, side),
+                ]
+                for claim in claims:
+                    with pytest.raises(RuntimeError, match="refused"):
+                        claim()
+    for A, v in lefts:
+        assert v.verdict is not None
+        with pytest.raises(RuntimeError, match="refused"):
+            classify.mirrored(G, A, v, "right")
 
 
 def test_the_abelian_flag_is_read_from_the_table():
