@@ -19,7 +19,9 @@ claims' node counts rose and how many fell from the old tree to the new.
     python scripts/compare_outputs.py OLD_TREE NEW_TREE [--workloads search,verify] [--ignore-nodes]
 
 Exits 0 when the trees agree on every command, 1 when any differs (the
-first few differences are printed), 2 on a usage error.
+first few differences are printed), 2 on a usage error. When the two
+trees list different commands, nothing is compared: the message gives
+each tree's command count and the first command that differs.
 """
 
 from __future__ import annotations
@@ -121,8 +123,14 @@ def node_moves(old: list, new: list) -> dict[str, tuple[int, int]]:
 def differences(old: list, new: list, ignore_nodes: bool = False) -> list[str]:
     """One text block per command whose code, report text or report.json
     differs, or whose report.json is not in the canonical layout."""
-    if [r[:2] for r in old] != [r[:2] for r in new]:
-        return ["the two trees list different commands"]
+    listed = [r[:2] for r in old], [r[:2] for r in new]
+    if listed[0] != listed[1]:
+        at = next((i for i, (a, b) in enumerate(zip(*listed)) if a != b), min(map(len, listed)))
+        first = [f"{c[at][0]}: {' '.join(c[at][1])}" if at < len(c) else "none" for c in listed]
+        return [
+            f"the two trees list different commands ({len(old)} old, {len(new)} new);"
+            f" the first to differ is #{at + 1}: old {first[0]}, new {first[1]}"
+        ]
     found = []
     for (workload, argv, code_a, out_a, twin_a), (_, _, code_b, out_b, twin_b) in zip(old, new):
         lines_a, lines_b = report(out_a, ignore_nodes), report(out_b, ignore_nodes)

@@ -37,15 +37,16 @@ mask per F: the cover walk starts from G and removes f1*A*f2 for every
 pair of F, so the first F that leaves nothing covers G; the thickness
 walk starts from the candidates and keeps f1^-1*A*f2^-1, since f1*x*f2
 lies in A iff x lies there, so the first F that leaves nothing fails.
-Each scan walks the sizes upward from its counting floor, _cover_floor:
-below it no F can cover G, or exclude every candidate. The walk's last
-index is one loop that spends one node per F, so a budget stops it at the
-same F every time. For
-the any-translate thickness variant the two routes are cross-checked
-against each other on every call: A is left thick exactly when its
-complement is not left large, and likewise per side. The witness-in-G
-profile is therefore searched, never derived from the complement's cover,
-so that this check and the duality claims compare two independent searches.
+The walk returns that F and keeps nothing else. Each scan walks the
+sizes upward from its counting floor, _cover_floor: below it no F can
+cover G, or exclude every candidate. The walk's last index is one loop
+that spends one node per F, so a budget stops it at the same F every
+time. For the any-translate thickness variant the two routes are
+cross-checked against each other on every call: A is left thick exactly
+when its complement is not left large, and likewise per side. The
+witness-in-G profile is therefore searched, never derived from the
+complement's cover, so that this check and the duality claims compare two
+independent searches.
 
 Callers outside this module ask two numbers per subset: min_cover_size,
 the least |F| with FA = G (AF = G, FAF = G), so A is kappa-large iff it is
@@ -111,7 +112,9 @@ pigeonhole count, each entry's count of excluded candidates is read from
 the multiplication table and must equal the table's. Otherwise the same
 walk at size kappa-1 over the one thickness table, _thick_walk (the rows
 t[f^-1] on one side, the two-sided thickness table otherwise), must find
-no failing F.
+no failing F; the walk returns only F. After either route the shown
+entries are read from that table one way: the first SHOWN_TRANSLATES F
+in lex order, each with the lowest candidate its entries leave.
 
 In an abelian group g*A = A*g, so every one-sided notion is the same on
 the two sides. The classifiers still search each side they are asked;
@@ -216,7 +219,8 @@ class ThickWitness:
     """Witness of thick=True: every maximal test set F was checked against
     the table, by a walk or by the pigeonhole count. shown holds the first
     SHOWN_TRANSLATES of them in lex order, each with its least translating
-    element; len() is the number checked."""
+    element, read from the table after either route; len() is the number
+    checked."""
 
     shown: tuple[tuple[Subset, int], ...]
     total: int
@@ -394,33 +398,28 @@ def _pair_walks(G: GroupTable, amask: int) -> tuple[tuple, tuple]:
 
 def _sweep_translates(
     prefix: tuple[int, ...], depth: int, inter: int, cols: list[int],
-    pairs: list[list[int]] | None, shown: list, counter: NodeCounter,
+    pairs: list[list[int]] | None, counter: NodeCounter,
 ) -> tuple[int, ...] | None:
     """The first F, in lex order, that extends prefix by depth more indices
     and has an empty mask; None when every such F has elements left. inter
     is the mask the prefix leaves, cols[l] what l keeps once it joins;
-    pairs[f][l] narrows cols[l] when f joins (two-sided). The last index
-    is one loop that spends one node per F, so the budget runs out (or the
-    walk stops) at the same F on every call; the first SHOWN_TRANSLATES F
-    are appended to shown with their masks."""
+    pairs[f][l] narrows cols[l] when f joins (two-sided). The walk returns
+    F and nothing else. The last index is one loop that spends one node per
+    F, so the budget runs out (or the walk stops) at the same F on every
+    call."""
     n = len(cols)
     start = prefix[-1] + 1 if prefix else 0
     if depth > 1:
         for f in range(start, n - depth + 1):
             nxt = cols if pairs is None else list(map(int.__and__, cols, pairs[f]))
-            got = _sweep_translates(
-                (*prefix, f), depth - 1, inter & cols[f], nxt, pairs, shown, counter
-            )
+            got = _sweep_translates((*prefix, f), depth - 1, inter & cols[f], nxt, pairs, counter)
             if got is not None:
                 return got
         return None
     for f in range(start, n):
         counter.spend()
-        m = inter & cols[f]
-        if not m:
+        if not inter & cols[f]:
             return (*prefix, f)
-        if len(shown) < SHOWN_TRANSLATES:
-            shown.append(((*prefix, f), m))
     return None
 
 
@@ -428,12 +427,11 @@ def _first_empty(
     sizes: range, inter: int, walk: tuple, counter: NodeCounter
 ) -> tuple[int, ...] | None:
     """The first F by size, then lex, whose walk mask is empty: the empty F
-    when inter is."""
+    when inter is. Like _sweep_translates, it returns only F."""
     if not inter:
         return ()
-    shown: list = []
     for s in sizes:
-        got = _sweep_translates((), s, inter, *walk, shown, counter)
+        got = _sweep_translates((), s, inter, *walk, counter)
         if got is not None:
             return got
     return None
@@ -832,8 +830,11 @@ def _thick_witness_map(
     route is chosen from the table's popcounts at no node cost; each
     entry's count is then read once more from the multiplication table, one
     node per entry, and must equal the table's. Otherwise a walk of the
-    table at that one size must find no F that fails. Each shown entry's
-    element is read from the table; _rechecked checks it against the raw
+    table at that one size must find no F that fails; it returns only F.
+    Either route only checks. The shown entries are then built one way:
+    the first SHOWN_TRANSLATES combinations in lex order, each F's table
+    entries intersected with the candidates, the lowest bit left its
+    element, at no node cost; _rechecked checks each against the raw
     definition."""
     n = G.order
     cand = amask if variant == "witness-in-A" else G.full_mask
@@ -859,15 +860,12 @@ def _thick_witness_map(
             counter.spend()
             if _excluded(G, e, cand, amask, side) != count:
                 raise RuntimeError("thick witness map failed re-verification")
-        combos = itertools.islice(itertools.combinations(range(n), fsize), SHOWN_TRANSLATES)
-        shown = [(c, functools.reduce(int.__and__, map(entry, entries_of(c)), cand)) for c in combos]
-    else:
-        shown = []
-        failed = _sweep_translates((), fsize, cand, cols, pairs, shown, counter)
-        if failed is not None:  # pragma: no cover
-            raise RuntimeError("thick witness map failed re-verification")
-    entries = tuple((Subset(n, mask_of(combo)), (m & -m).bit_length() - 1) for combo, m in shown)
-    return ThickWitness(entries, math.comb(n, fsize))
+    elif _sweep_translates((), fsize, cand, cols, pairs, counter) is not None:  # pragma: no cover
+        raise RuntimeError("thick witness map failed re-verification")
+    combos = itertools.islice(itertools.combinations(range(n), fsize), SHOWN_TRANSLATES)
+    masks = ((c, functools.reduce(int.__and__, map(entry, entries_of(c)), cand)) for c in combos)
+    shown = tuple((Subset(n, mask_of(c)), (m & -m).bit_length() - 1) for c, m in masks)
+    return ThickWitness(shown, math.comb(n, fsize))
 
 
 def is_small(

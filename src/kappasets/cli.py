@@ -46,8 +46,9 @@ class UsageError(ValueError):
 def _parse_subset(G: GroupTable, text: str) -> Subset:
     """Comma-separated element indices or labels. Only a comma outside
     parentheses separates, so a product label such as (0,1) is one item. An
-    integer in range is an index; any other item must be a label. A ")"
-    with no "(" open before it, or a "(" left open, is a usage error."""
+    integer in range is an index; any other item must be a label. An item
+    that is an index in range and also the label of another element, or a
+    ")" with no "(" open before it, or a "(" left open, is a usage error."""
     items, depth, start = [], 0, 0
     for j, ch in enumerate(text + ","):
         depth += (ch == "(") - (ch == ")")
@@ -67,6 +68,10 @@ def _parse_subset(G: GroupTable, text: str) -> Subset:
             index = None
         if index is not None and 0 <= index < G.order:
             i = index
+            if label_index.get(item, i) != i:
+                raise UsageError(
+                    f"ambiguous element {item!r} in --subset: index {i}, or the label of element {label_index[item]}"
+                )
         elif item in label_index:
             i = label_index[item]
         elif index is not None:

@@ -111,7 +111,8 @@ def _search_exact_cells(
     Element i takes one step per cell it may join: each open cell in order,
     then, while fewer than t are open, a new cell that starts empty. The
     step grows the cell, asks partial_ok, checks any cell it closes,
-    recurses and undoes.
+    recurses and undoes. The masks are all it keeps: a cell's size is read
+    off its mask's bit count where a step needs it.
 
     Each cell is checked once, as soon as it is closed. The slack, the
     unplaced elements minus those still owed to cells below min_cell, never
@@ -124,7 +125,6 @@ def _search_exact_cells(
     if t * min_cell > n:
         return None  # no slack even before the first element
     cells: list[int] = []
-    sizes: list[int] = []
 
     def rec(i: int, deficit: int) -> list[int] | None:
         # deficit: elements still owed to reach t cells of min_cell each
@@ -138,25 +138,22 @@ def _search_exact_cells(
         for j in range(opened + (opened < t)):
             if j == opened:  # open a new cell: an empty one, grown like the rest
                 cells.append(0)
-                sizes.append(0)
-            short = sizes[j] < min_cell
+            short = cells[j].bit_count() < min_cell
             if not (short or slack):
                 continue  # closed: an element here would leave a cell short
             cells[j] |= bit
-            sizes[j] += 1
             ok = partial_ok is None or partial_ok(cells, j, placed)
-            if ok and not slack and sizes[j] == min_cell:
+            if ok and not slack and cells[j].bit_count() == min_cell:
                 ok = leaf_ok(cells[j])  # the cell just closed
             elif ok and slack == 1 and not short:
                 # the slack runs out here and closes every cell at min_cell or more
-                ok = all(leaf_ok(m) for m, s in zip(cells, sizes) if s >= min_cell)
+                ok = all(leaf_ok(m) for m in cells if m.bit_count() >= min_cell)
             if ok:
                 got = rec(i + 1, deficit - short)
                 if got is not None:
                     return got
             cells[j] ^= bit
-            sizes[j] -= 1
-        del cells[opened:], sizes[opened:]  # the cell this step opened, if any
+        del cells[opened:]  # the cell this step opened, if any
         return None
 
     try:

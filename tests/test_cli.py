@@ -80,6 +80,24 @@ def test_an_unbalanced_parenthesis_in_subset_is_a_usage_error(subset, tmp_path, 
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("subset", ["01", "01,10"])
+def test_an_index_that_is_another_elements_label_is_a_usage_error(subset, tmp_path, capsys):
+    # on symmetric:2 the labels are 01 and 10: "01" once read as index 1, so
+    # the identity could not be named by its label and "01,10" classified {1}
+    argv = ["classify", "--group", "symmetric:2", "--subset", subset, "--kappa", "2"]
+    assert run_cli(argv, tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: ambiguous element '01' in --subset: index 1, or the label of element 0\n"
+    )
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_label_out_of_index_range_and_indices_still_parse():
+    G = build_group("symmetric:2")
+    assert cli._parse_subset(G, "10") == Subset.from_indices(2, (1,))
+    assert cli._parse_subset(G, "0,1") == Subset.from_indices(2, (0, 1))
+
+
 def test_product_labels_with_commas_still_parse():
     G = build_group("product:cyclic:2+cyclic:3")
     want = Subset.from_indices(G.order, (G.labels.index("(0,1)"), G.labels.index("(1,2)")))

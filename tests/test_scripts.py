@@ -119,6 +119,21 @@ def test_compare_outputs_can_leave_the_node_counts_out():
     ) == {"search": (0, 1), "verify": (1, 0)}
 
 
+def test_compare_outputs_names_the_first_command_the_trees_list_differently():
+    compare = load_script("compare_outputs")
+    a = ["search", ["search", "--group", "cyclic:8"], 0, SEARCH_REPORT, None]
+    b = ["search", ["search", "--group", "cyclic:9"], 0, SEARCH_REPORT, None]
+    c = ["verify", ["verify", "--suite", "thm3"], 0, "", None]
+    assert compare.differences([a, b], [a, c]) == [
+        "the two trees list different commands (2 old, 2 new); the first to differ is #2:"
+        " old search: search --group cyclic:9, new verify: verify --suite thm3"
+    ]
+    assert compare.differences([a, b], [a]) == [
+        "the two trees list different commands (2 old, 1 new); the first to differ is #2:"
+        " old search: search --group cyclic:9, new none"
+    ]
+
+
 def _twin(command="kappasets search --out-dir /a", nodes=12, **dumps):
     body = {"tool": "kappasets", "version": "0.1.0", "command": command, "claims": [
         {"claim_id": "search.res-left", "anchor": "max cells", "status": "pass",
