@@ -78,8 +78,8 @@ def __getattr__(name: str):
     if name in _EXPORTS:
         return importlib.import_module(f".{name}", __name__)
     # the version literal is report.TOOL_VERSION; it is read on first use so
-    # that importing the package does not load report's json, hashlib and
-    # datetime imports
+    # that importing the package does not load report's json and hashlib
+    # imports
     if name == "__version__":
         from .report import TOOL_VERSION
 

@@ -131,10 +131,10 @@ import functools
 import itertools
 import math
 import weakref
-from dataclasses import dataclass, replace
 
 from .groups import (
     GroupTable,
+    Record,
     Subset,
     bits,
     check_kappa,
@@ -143,6 +143,7 @@ from .groups import (
     inverse_mask,
     mask_of,
     product_set,
+    set_field,
 )
 from .words import Ball, Word, WordSetPredicate, concat, inverse
 
@@ -190,8 +191,7 @@ def check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-@dataclass(frozen=True)
-class SizeVerdict:
+class SizeVerdict(Record):
     """Outcome of a size classification.
 
     verdict None means the node budget ran out (inconclusive, never a
@@ -201,29 +201,37 @@ class SizeVerdict:
     failing F for thick=False; the failing large L for small=False.
     """
 
-    notion: str
-    side: str
-    kappa: int
-    verdict: bool | None
-    variant: str | None = None
-    witness: object = None
-    nodes: int = 0
+    __slots__ = ("notion", "side", "kappa", "verdict", "variant", "witness", "nodes")
+
+    def __init__(
+        self, notion: str, side: str, kappa: int, verdict: bool | None,
+        variant: str | None = None, witness: object = None, nodes: int = 0,
+    ):
+        set_field(self, "notion", notion)
+        set_field(self, "side", side)
+        set_field(self, "kappa", kappa)
+        set_field(self, "verdict", verdict)
+        set_field(self, "variant", variant)
+        set_field(self, "witness", witness)
+        set_field(self, "nodes", nodes)
 
 
 #: Maximal test sets a thick=True witness shows with their translating element.
 SHOWN_TRANSLATES = 4
 
 
-@dataclass(frozen=True)
-class ThickWitness:
+class ThickWitness(Record):
     """Witness of thick=True: every maximal test set F was checked against
     the table, by a walk or by the pigeonhole count. shown holds the first
     SHOWN_TRANSLATES of them in lex order, each with its least translating
     element, read from the table after either route; len() is the number
     checked."""
 
-    shown: tuple[tuple[Subset, int], ...]
-    total: int
+    __slots__ = ("shown", "total")
+
+    def __init__(self, shown: tuple[tuple[Subset, int], ...], total: int):
+        set_field(self, "shown", shown)
+        set_field(self, "total", total)
 
     def __len__(self) -> int:
         return self.total
@@ -740,7 +748,7 @@ def mirrored(G: GroupTable, A: Subset, v: SizeVerdict, side: str) -> SizeVerdict
     G is abelian."""
     counter = NodeCounter(DEFAULT_NODE_BUDGET)
     _rechecked(G, A, v.notion, side, v.kappa, v.variant, v.witness, v.side, counter)
-    return replace(v, side=side)
+    return v.replace(side=side)
 
 
 # -- public classifiers ----------------------------------------------------------
@@ -891,7 +899,7 @@ def is_small(
     table.
     """
     if side == "two-sided":
-        return replace(is_small(G, A, kappa, "left", node_budget=node_budget), side=side)
+        return is_small(G, A, kappa, "left", node_budget=node_budget).replace(side=side)
 
     def decide(counter):
         if not A.mask:
@@ -913,12 +921,14 @@ def is_small(
 # -- the thick-to-large witness construction ------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverDecomposition:
+class CoverDecomposition(Record):
     """Disjoint cover of G by cells of size <= kappa-1 (a finite stand-in
     for writing G as a small-piece union)."""
 
-    cells: tuple[Subset, ...]
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: tuple[Subset, ...]):
+        set_field(self, "cells", cells)
 
     @classmethod
     def blocks(cls, G: GroupTable, block_size: int) -> "CoverDecomposition":

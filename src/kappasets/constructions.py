@@ -10,10 +10,17 @@ verify it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import GroupTable, PartitionError, Subset, check_partition, inverse_mask
+from .groups import (
+    GroupTable,
+    PartitionError,
+    Record,
+    Subset,
+    check_partition,
+    inverse_mask,
+    set_field,
+)
 from .words import (
     Ball,
     DSWord,
@@ -26,8 +33,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Ordered cells partitioning a finite group or a free group.
 
     Group partitions carry Subset cells and their GroupTable; free-group
@@ -35,10 +41,16 @@ class Partition:
     checked over balls (the global claim holds by construction).
     """
 
-    cells: tuple
-    provenance: str
-    group: GroupTable | None = None
-    alphabet_size: int | None = None
+    __slots__ = ("cells", "provenance", "group", "alphabet_size")
+
+    def __init__(
+        self, cells: tuple, provenance: str, group: GroupTable | None = None,
+        alphabet_size: int | None = None,
+    ):
+        set_field(self, "cells", cells)
+        set_field(self, "provenance", provenance)
+        set_field(self, "group", group)
+        set_field(self, "alphabet_size", alphabet_size)
 
     @property
     def num_cells(self) -> int:

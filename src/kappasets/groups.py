@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -53,15 +52,69 @@ def mask_of(indices: Iterable[int]) -> int:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class GroupTable:
+#: How a record's __init__ sets a field past the refusing __setattr__.
+set_field = object.__setattr__
+
+
+class Record:
+    """Base of the package's records. A record names its fields, in
+    constructor order, in __slots__ and sets them in its own __init__ with
+    set_field; a __weakref__ or __dict__ slot is no field. From the
+    fields a record gets equality (same class, equal fields), the hash of
+    the field tuple, the repr Name(field=value, ...) and replace(), and
+    assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("__"))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy of this record with the fields named in changes changed."""
+        for name in self._fields:
+            if name not in changes:
+                changes[name] = getattr(self, name)
+        return self.__class__(**changes)
+
+
+class GroupTable(Record):
     """Immutable finite group; hashable by identity so results can be cached."""
 
-    spec: str
-    order: int
-    mul: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    labels: tuple[str, ...]
+    __slots__ = ("spec", "order", "mul", "inv", "labels", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, spec: str, order: int, mul: tuple[tuple[int, ...], ...], inv: tuple[int, ...],
+        labels: tuple[str, ...],
+    ):
+        set_field(self, "spec", spec)
+        set_field(self, "order", order)
+        set_field(self, "mul", mul)
+        set_field(self, "inv", inv)
+        set_field(self, "labels", labels)
 
     @property
     def full_mask(self) -> int:
@@ -77,16 +130,24 @@ class GroupTable:
         return f"GroupTable({self.spec!r}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Record):
     """Bit-indexed subset of a group of order n."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.n:
+    def __init__(self, n: int, mask: int):
+        if mask < 0 or mask >> n:
             raise ValueError("subset bits out of carrier range")
+        set_field(self, "n", n)
+        set_field(self, "mask", mask)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.mask == other.mask and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "Subset":

@@ -16,10 +16,13 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
+# bound at import, so that a stand-in for time.gmtime (the report directory's
+# stamp) leaves generated_at on the clock
+from time import gmtime as _gmtime
+
+from .groups import Record
 
 TOOL_NAME = "kappasets"
 TOOL_VERSION = "0.1.0"
@@ -27,26 +30,41 @@ TOOL_VERSION = "0.1.0"
 STATUSES = ("pass", "fail", "inconclusive")
 
 
-@dataclass
-class ClaimRecord:
-    """One verified (or refuted, or budget-stopped) claim."""
+class ClaimRecord(Record):
+    """One verified (or refuted, or budget-stopped) claim; anchor states the
+    property being checked in words. Mutable, so unhashable."""
 
-    claim_id: str
-    anchor: str  # the property being checked, stated in words
-    status: str
-    detail: str = ""
-    nodes: int = 0
-    wall_time_s: float = 0.0
+    __slots__ = ("claim_id", "anchor", "status", "detail", "nodes", "wall_time_s")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
+    def __init__(
+        self, claim_id: str, anchor: str, status: str, detail: str = "", nodes: int = 0,
+        wall_time_s: float = 0.0,
+    ):
+        if status not in STATUSES:
+            raise ValueError(f"status must be one of {STATUSES}, got {status!r}")
+        self.claim_id = claim_id
+        self.anchor = anchor
+        self.status = status
+        self.detail = detail
+        self.nodes = nodes
+        self.wall_time_s = wall_time_s
 
 
-@dataclass
-class RunReport:
-    command: str
-    claims: list[ClaimRecord] = field(default_factory=list)
+class RunReport(Record):
+    """A command and its claims, which it gains as they run. Mutable, so
+    unhashable."""
+
+    __slots__ = ("command", "claims", "__dict__")  # __dict__: callers may stand in run_meta
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command: str, claims: list[ClaimRecord] | None = None):
+        self.command = command
+        self.claims = [] if claims is None else claims
 
     def body_dict(self) -> dict:
         return {
@@ -83,10 +101,19 @@ class RunReport:
 
     def run_meta(self) -> dict:
         return {
-            "generated_at": datetime.now(timezone.utc).isoformat(),
+            "generated_at": _utc_now_iso(),
             "wall_time_s": {c.claim_id: round(c.wall_time_s, 6) for c in self.claims},
             "total_wall_time_s": round(sum(c.wall_time_s for c in self.claims), 6),
         }
+
+
+def _utc_now_iso() -> str:
+    """The time now in UTC as datetime.now(timezone.utc).isoformat() writes
+    it, YYYY-MM-DDTHH:MM:SS[.ffffff]+00:00, without loading datetime."""
+    secs, ns = divmod(time.time_ns(), 10**9)
+    micros = ns // 1000
+    fraction = f".{micros:06d}" if micros else ""
+    return time.strftime("%Y-%m-%dT%H:%M:%S", _gmtime(secs)) + fraction + "+00:00"
 
 
 def _text_body(report: RunReport, digest: str) -> str:

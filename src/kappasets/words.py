@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
+
+from .groups import Record, set_field
 
 Word = tuple[int, ...]
 DSWord = tuple[Word, ...]
@@ -219,12 +220,14 @@ def format_word(w: Word) -> str:
     return "".join(f"x{abs(x)}" + ("'" if x < 0 else "") for x in w)
 
 
-@dataclass(frozen=True)
-class WordSetPredicate:
+class WordSetPredicate(Record):
     """Intensional word set: a total, deterministic membership test."""
 
-    description: str
-    fn: Callable[..., bool]
+    __slots__ = ("description", "fn")
+
+    def __init__(self, description: str, fn: Callable[..., bool]):
+        set_field(self, "description", description)
+        set_field(self, "fn", fn)
 
     def __call__(self, w) -> bool:
         return self.fn(w)

@@ -3,7 +3,6 @@ claim's verdict, witness and nodes once its witness is re-checked on the
 right, and the side first in --sides is the one searched."""
 
 import collections
-from dataclasses import replace
 
 import pytest
 
@@ -100,7 +99,7 @@ def test_each_witness_kind_is_rechecked():
             ]
             for v in verdicts:
                 try:
-                    assert cl.mirrored(G, A, v, "right") == replace(v, side="right")
+                    assert cl.mirrored(G, A, v, "right") == v.replace(side="right")
                 except RuntimeError:
                     failed.add((v.notion, v.verdict))
     assert failed == {("large", True), ("thick", True), ("thick", False), ("small", False)}

@@ -2,9 +2,12 @@ import argparse
 import functools
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
+import time
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -159,6 +162,26 @@ def test_identical_reports_in_one_second_get_suffixes(tmp_path, monkeypatch):
     dirs = [report.write_report(rep, tmp_path)[0].name for _ in range(3)]
     stem = f"20260101T010101Z-{digest}"
     assert dirs == [stem, f"{stem}-1", f"{stem}-2"]
+
+
+def test_generated_at_is_the_utc_time_now_in_iso_8601():
+    before = time.time()
+    stamp = report.RunReport("kappasets verify").run_meta()["generated_at"]
+    after = time.time()
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?\+00:00", stamp)
+    got = datetime.fromisoformat(stamp)
+    assert got.utcoffset() == timedelta(0)
+    assert before - 1 < got.timestamp() < after + 1
+
+
+@pytest.mark.parametrize(
+    "ns", [0, 1_700_000_000 * 10**9, 1_700_000_000_000_001_999, 4_102_444_799_999_999_999]
+)
+def test_generated_at_is_written_as_datetime_isoformat_writes_it(ns, monkeypatch):
+    monkeypatch.setattr(report.time, "time_ns", lambda: ns)
+    stamp = report.RunReport("kappasets verify").run_meta()["generated_at"]
+    when = datetime.fromtimestamp(ns // 10**9, timezone.utc)
+    assert stamp == when.replace(microsecond=ns // 1000 % 10**6).isoformat()
 
 
 def test_each_report_is_hashed_and_rendered_once(tmp_path, capsys, monkeypatch):

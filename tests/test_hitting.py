@@ -9,7 +9,6 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -595,9 +594,9 @@ def verdicts(G, side, amask):
     A = Subset(G.order, amask)
     out = []
     for kappa in range(2, G.order + 1):
-        out.append(replace(is_large(G, A, kappa, side), nodes=0))
+        out.append(is_large(G, A, kappa, side).replace(nodes=0))
         for variant in VARIANTS:
-            out.append(replace(is_thick(G, A, kappa, side, variant), nodes=0))
+            out.append(is_thick(G, A, kappa, side, variant).replace(nodes=0))
     return out
 
 
@@ -758,7 +757,7 @@ def test_a_two_sided_large_claim_after_its_decision_walks_once():
     got = is_large(G, A, kappa, "two-sided")
     assert (got.verdict, got.nodes) == (True, 0)
     fresh = is_large(build_group(spec), A, kappa, "two-sided")
-    assert fresh == replace(got, nodes=counter.spent)
+    assert fresh == got.replace(nodes=counter.spent)
     assert got.witness == Subset.from_indices(8, oracle_cover(G, A.mask, "two-sided")[1])
 
 

@@ -29,13 +29,13 @@ EXPORTS = (
 SUBMODULES = ("classify", "constructions", "groups", "resolvability", "words")
 
 
-def loaded_after(statement):
-    """The kappasets modules loaded by a fresh interpreter after statement."""
+def loaded_after(statement, packages=("kappasets",)):
+    """The modules of packages loaded by a fresh interpreter after statement."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     probe = f"{statement}; import json, sys; print(json.dumps(sorted(sys.modules)))"
     got = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    return [name for name in json.loads(got.stdout) if name.split(".")[0] == "kappasets"]
+    return [name for name in json.loads(got.stdout) if name.split(".")[0] in packages]
 
 
 @pytest.mark.parametrize(
@@ -48,6 +48,13 @@ def loaded_after(statement):
 )
 def test_import_loads_only_what_it_names(statement, loaded):
     assert loaded_after(statement) == loaded
+
+
+# import time that every one-shot command pays: dataclasses alone brings in
+# inspect, ast, dis and tokenize
+@pytest.mark.parametrize("statement", ["import kappasets.cli", "import kappasets.groups"])
+def test_import_loads_no_dataclasses_inspect_or_datetime(statement):
+    assert loaded_after(statement, ("dataclasses", "inspect", "datetime")) == []
 
 
 @pytest.mark.parametrize("name", EXPORTS)

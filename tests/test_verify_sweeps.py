@@ -9,7 +9,6 @@ tests at the end hold the suites to one node budget per claim.
 
 import subprocess
 import sys
-from dataclasses import replace
 from operator import getitem
 
 import pytest
@@ -153,7 +152,7 @@ def cell0_flipped_at(build, word, built):
     def flipped(*args, **kwargs):
         part = build(*args, **kwargs)
         real = part.cells[0]
-        built.append(replace(part, cells=(lambda w: real(w) != (w == word), *part.cells[1:])))
+        built.append(part.replace(cells=(lambda w: real(w) != (w == word), *part.cells[1:])))
         return built[-1]
 
     return flipped
