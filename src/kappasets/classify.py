@@ -143,7 +143,6 @@ from .groups import (
     inverse_mask,
     mask_of,
     product_set,
-    set_field,
 )
 from .words import Ball, Word, WordSetPredicate, concat, inverse
 
@@ -192,7 +191,8 @@ def check_variant(variant: str) -> None:
 
 
 class SizeVerdict(Record):
-    """Outcome of a size classification.
+    """Outcome of a size classification: notion, side, kappa, verdict,
+    variant (default None), witness (default None) and nodes (default 0).
 
     verdict None means the node budget ran out (inconclusive, never a
     guess). The witness depends on the notion: the minimal cover F for
@@ -202,18 +202,7 @@ class SizeVerdict(Record):
     """
 
     __slots__ = ("notion", "side", "kappa", "verdict", "variant", "witness", "nodes")
-
-    def __init__(
-        self, notion: str, side: str, kappa: int, verdict: bool | None,
-        variant: str | None = None, witness: object = None, nodes: int = 0,
-    ):
-        set_field(self, "notion", notion)
-        set_field(self, "side", side)
-        set_field(self, "kappa", kappa)
-        set_field(self, "verdict", verdict)
-        set_field(self, "variant", variant)
-        set_field(self, "witness", witness)
-        set_field(self, "nodes", nodes)
+    _defaults = (None, None, 0)
 
 
 #: Maximal test sets a thick=True witness shows with their translating element.
@@ -221,17 +210,13 @@ SHOWN_TRANSLATES = 4
 
 
 class ThickWitness(Record):
-    """Witness of thick=True: every maximal test set F was checked against
-    the table, by a walk or by the pigeonhole count. shown holds the first
-    SHOWN_TRANSLATES of them in lex order, each with its least translating
-    element, read from the table after either route; len() is the number
-    checked."""
+    """Witness of thick=True, with fields shown and total: every maximal
+    test set F was checked against the table, by a walk or by the pigeonhole
+    count. shown holds the first SHOWN_TRANSLATES of them in lex order, as
+    (F, its least translating element) pairs read from the table after
+    either route; total, also len(), is the number checked."""
 
     __slots__ = ("shown", "total")
-
-    def __init__(self, shown: tuple[tuple[Subset, int], ...], total: int):
-        set_field(self, "shown", shown)
-        set_field(self, "total", total)
 
     def __len__(self) -> int:
         return self.total
@@ -581,7 +566,9 @@ def min_cover_size(G: GroupTable, amask: int, side: str, counter: NodeCounter) -
     """Least |F| covering G from A on the given side; |G| + 1 for the empty
     set, which no F covers. Each size from the lower bound up is decided
     until the pair is exact; an exact pair in the size table, found for A
-    or a translate, is read at no node cost."""
+    or a translate, is read at no node cost. A side not in SIDES raises
+    ValueError."""
+    check_side(side)
     lo, hi = _cache(G)["cover_size"].get((side, amask), (0, G.order + 1))
     return lo if lo == hi else _cover_step(G, amask, side, None, counter)[0]
 
@@ -593,6 +580,8 @@ def cover_within(G: GroupTable, amask: int, side: str, k: int, counter: NodeCoun
     What the size table holds for A decides first, and then the counting
     bound refutes (as it does for the empty set), both at no node cost,
     with no table built and nothing entered; else _cover_step decides k.
+    The side is not checked here, since the classifiers and the partition
+    searches call this on every query: its callers pass a checked side.
     """
     lo, hi = _cache(G)["cover_size"].get((side, amask), (0, G.order + 1))
     if lo <= k < hi and _cover_floor(G, amask.bit_count(), G.order, side) <= k:
@@ -662,7 +651,10 @@ def thick_lmax(G: GroupTable, amask: int, side: str, variant: str, counter: Node
     the empty set, and |G| - 1 when every proper F passes. A one-sided
     number already found for a translate of A is read from the size table
     at no node cost: the table holds the least failing size, |G| + 1 when
-    no F fails, and thick_lmax is the lesser of it and |G|, minus one."""
+    no F fails, and thick_lmax is the lesser of it and |G|, minus one. A
+    side not in SIDES or a variant not in VARIANTS raises ValueError."""
+    check_side(side)
+    check_variant(variant)
     lo, hi = _cache(G)["cover_size"].get((side, variant, amask), (0, G.order + 1))
     return min(lo, G.order) - 1 if lo == hi else _thick_profile(G, amask, side, variant, counter)[0]
 
@@ -759,13 +751,14 @@ def _classified(
     node_budget: int, decide,
 ) -> SizeVerdict:
     """The frame of is_large, is_thick and is_small: check the arguments,
-    open the claim's one NodeCounter, and on it run decide(counter), which
-    returns (verdict, witness), and then _rechecked on side. A budget that
-    runs out in either makes the verdict inconclusive."""
+    the variant too when the notion is thick, open the claim's one
+    NodeCounter, and on it run decide(counter), which returns (verdict,
+    witness), and then _rechecked on side. A budget that runs out in either
+    makes the verdict inconclusive."""
     check_subset(G, A)
     check_kappa(G, kappa)
     check_side(side)
-    if variant is not None:
+    if notion == "thick":
         check_variant(variant)
     counter = NodeCounter(node_budget)
     try:
@@ -922,13 +915,10 @@ def is_small(
 
 
 class CoverDecomposition(Record):
-    """Disjoint cover of G by cells of size <= kappa-1 (a finite stand-in
-    for writing G as a small-piece union)."""
+    """Disjoint cover of G by cells, a tuple of Subsets of size <= kappa-1
+    (a finite stand-in for writing G as a small-piece union)."""
 
     __slots__ = ("cells",)
-
-    def __init__(self, cells: tuple[Subset, ...]):
-        set_field(self, "cells", cells)
 
     @classmethod
     def blocks(cls, G: GroupTable, block_size: int) -> "CoverDecomposition":

@@ -31,7 +31,7 @@ from .constructions import (
     thm3_partition,
 )
 from .groups import DEFAULT_MAX_ORDER, GroupTable, Subset, build_group, read_int
-from .report import ClaimRecord, RunReport, check_out_root, write_report
+from .report import ClaimRecord, RunReport, check_out_root, record_claim, write_report
 from .resolvability import THICK_PROBE_NOTE, partition_search, res_search
 from .suites import SUITES, run_suite
 from .words import ball_size, enumerate_ball, format_word, parse_word, words_over
@@ -169,15 +169,6 @@ def _parse_adversary(text: str, alphabet_size: int) -> list:
     return words_over(letters, radius)
 
 
-def _timed(rep: RunReport, claim_id: str, anchor: str, run) -> None:
-    """Append the claim that run() -> (status, detail, nodes) decides, timed."""
-    t0 = time.perf_counter()
-    status, detail, nodes = run()
-    rep.claims.append(
-        ClaimRecord(claim_id, anchor, status, detail, nodes, time.perf_counter() - t0)
-    )
-
-
 def _verdict(v: cl.SizeVerdict, render) -> tuple[str, str, int]:
     """The claim triple of a size verdict; render(v) words a decided witness."""
     if v.verdict is None:
@@ -233,21 +224,21 @@ def cmd_classify(args, rep: RunReport) -> None:
         return got
 
     for side in sides:
-        _timed(
-            rep,
+        record_claim(
+            rep.claims,
             f"classify.large.{side}",
             f"{side} {kappa}-large: some F with |F| <= {kappa - 1} covers G from A",
             lambda: _verdict(decide(is_large, side), _render_large),
         )
         for variant in variants:
-            _timed(
-                rep,
+            record_claim(
+                rep.claims,
                 f"classify.thick.{side}.{variant}",
                 f"{side} {kappa}-thick ({variant}): every small F translates into A",
                 lambda: _verdict(decide(is_thick, side, variant), _render_thick),
             )
-        _timed(
-            rep,
+        record_claim(
+            rep.claims,
             f"classify.small.{side}",
             f"{side} {kappa}-small: removing A keeps every {side} {kappa}-large set large",
             lambda: _verdict(decide(is_small, side), _render_small),
@@ -350,7 +341,7 @@ def cmd_construct(args, rep: RunReport) -> None:
         if radius is None:
             raise UsageError(f"{name} builds no ball and takes no --radius")
         radius = args.radius
-    # the anchor comes out of the builder, so this claim is timed here
+    # timed here, not by record_claim: the anchor comes out of the builder
     t0 = time.perf_counter()
     anchor, detail, cells = build(params, m, radius)
     rep.claims.append(
@@ -359,8 +350,8 @@ def cmd_construct(args, rep: RunReport) -> None:
     if args.adversary is not None:
         scan_ball = enumerate_ball(m, 6 if args.radius is None else args.radius)
         for i, cell in enumerate(cells):
-            _timed(
-                rep,
+            record_claim(
+                rep.claims,
                 f"construct.adversary.cell{i}",
                 f"cell {i} vs adversary ({len(H)} words)",
                 lambda: _scan_adversary(scan_ball, H, cell),
@@ -405,7 +396,7 @@ def cmd_search(args, rep: RunReport) -> None:
                 detail += f" [note: {THICK_PROBE_NOTE}]"
             return status, detail, out.nodes
 
-    _timed(rep, f"search.{args.mode}", anchor, run)
+    record_claim(rep.claims, f"search.{args.mode}", anchor, run)
 
 
 def cmd_verify(args, rep: RunReport) -> None:

@@ -19,7 +19,6 @@ from .groups import (
     Subset,
     check_partition,
     inverse_mask,
-    set_field,
 )
 from .words import (
     Ball,
@@ -34,7 +33,8 @@ from .words import (
 
 
 class Partition(Record):
-    """Ordered cells partitioning a finite group or a free group.
+    """Ordered cells partitioning a finite group or a free group: cells,
+    provenance, group (default None) and alphabet_size (default None).
 
     Group partitions carry Subset cells and their GroupTable; free-group
     partitions carry WordSetPredicate cells plus the alphabet size, and are
@@ -42,15 +42,7 @@ class Partition(Record):
     """
 
     __slots__ = ("cells", "provenance", "group", "alphabet_size")
-
-    def __init__(
-        self, cells: tuple, provenance: str, group: GroupTable | None = None,
-        alphabet_size: int | None = None,
-    ):
-        set_field(self, "cells", cells)
-        set_field(self, "provenance", provenance)
-        set_field(self, "group", group)
-        set_field(self, "alphabet_size", alphabet_size)
+    _defaults = (None, None)
 
     @property
     def num_cells(self) -> int:

@@ -52,23 +52,49 @@ def mask_of(indices: Iterable[int]) -> int:
     return out
 
 
-#: How a record's __init__ sets a field past the refusing __setattr__.
+#: How a record's constructor sets a field past the refusing __setattr__.
 set_field = object.__setattr__
 
 
 class Record:
-    """Base of the package's records. A record names its fields, in
-    constructor order, in __slots__ and sets them in its own __init__ with
-    set_field; a __weakref__ or __dict__ slot is no field. From the
-    fields a record gets equality (same class, equal fields), the hash of
-    the field tuple, the repr Name(field=value, ...) and replace(), and
-    assigning or deleting an attribute raises AttributeError."""
+    """Base of the package's records. A record names its fields once, in
+    constructor order, in __slots__; a __weakref__ or __dict__ slot is no
+    field. Record's one constructor binds positional and then keyword
+    arguments to the fields, and a field left out takes its value from the
+    class's _defaults, which holds the values of the last len(_defaults)
+    fields; a field missing, unknown, given twice or past the last raises
+    TypeError. A record that checks its arguments defines its own __init__
+    and sets its fields with set_field. From the fields a record gets
+    equality (same class, equal fields), the hash of the field tuple, the
+    repr Name(field=value, ...) and replace(), and assigning or deleting an
+    attribute raises AttributeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("__"))
+
+    def __init__(self, *args, **kwargs):
+        fields, given = self._fields, len(args)
+        if given > len(fields):
+            raise TypeError(f"{self.__class__.__name__}() takes {len(fields)} fields, got {given}")
+        first_default = len(fields) - len(self._defaults)
+        for i, name in enumerate(fields):
+            if i < given:
+                value = args[i]
+            elif name in kwargs:
+                value = kwargs.pop(name)
+            elif i >= first_default:
+                value = self._defaults[i - first_default]
+            else:
+                raise TypeError(f"{self.__class__.__name__}() missing field {name!r}")
+            set_field(self, name, value)
+        if kwargs:  # what is left names no field, or one given by position
+            raise TypeError(
+                f"{self.__class__.__name__}() got unknown or repeated fields {sorted(kwargs)}"
+            )
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -93,28 +119,20 @@ class Record:
 
     def replace(self, **changes):
         """A copy of this record with the fields named in changes changed."""
-        for name in self._fields:
-            if name not in changes:
-                changes[name] = getattr(self, name)
-        return self.__class__(**changes)
+        values = [
+            changes.pop(name) if name in changes else getattr(self, name) for name in self._fields
+        ]
+        return self.__class__(*values, **changes)
 
 
 class GroupTable(Record):
-    """Immutable finite group; hashable by identity so results can be cached."""
+    """Immutable finite group: spec, order, the Cayley table mul, the
+    inverses inv and the element labels. Equal and hashable by identity,
+    so results can be cached per table."""
 
     __slots__ = ("spec", "order", "mul", "inv", "labels", "__weakref__")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self, spec: str, order: int, mul: tuple[tuple[int, ...], ...], inv: tuple[int, ...],
-        labels: tuple[str, ...],
-    ):
-        set_field(self, "spec", spec)
-        set_field(self, "order", order)
-        set_field(self, "mul", mul)
-        set_field(self, "inv", inv)
-        set_field(self, "labels", labels)
 
     @property
     def full_mask(self) -> int:
@@ -140,14 +158,6 @@ class Subset(Record):
             raise ValueError("subset bits out of carrier range")
         set_field(self, "n", n)
         set_field(self, "mask", mask)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.mask == other.mask and self.n == other.n
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "Subset":

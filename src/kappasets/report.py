@@ -53,6 +53,16 @@ class ClaimRecord(Record):
         self.wall_time_s = wall_time_s
 
 
+def record_claim(claims: list[ClaimRecord], claim_id: str, anchor: str, run) -> None:
+    """Append to claims the claim that run() -> (status, detail, nodes)
+    decides, with the wall time run took. Every claim of the CLI and the
+    suites is recorded here, except construct's builder claim, whose anchor
+    comes out of the run."""
+    t0 = time.perf_counter()
+    status, detail, nodes = run()
+    claims.append(ClaimRecord(claim_id, anchor, status, detail, nodes, time.perf_counter() - t0))
+
+
 class RunReport(Record):
     """A command and its claims, which it gains as they run. Mutable, so
     unhashable."""

@@ -46,7 +46,7 @@ from .classify import (
     thick_lmax,
 )
 from .constructions import Partition
-from .groups import GroupTable, Record, Subset, check_kappa, set_field
+from .groups import GroupTable, Record, Subset, check_kappa
 
 RES_MODES = ("left", "left+right")
 PROBE_TARGETS = ("all-thick", "all-non-large")
@@ -61,31 +61,21 @@ THICK_PROBE_NOTE = (
 
 
 class SearchOutcome(Record):
-    """Result of a resolvability search: best is a verified partition into
-    cells >= 1 cells. optimal means every larger count was refuted,
-    exhaustively or by the cell-size bound; when the node budget ran out
-    first, best is the one-cell partition {G}, a proved lower bound, and
-    optimal is False."""
+    """Result of a resolvability search, with fields cells, optimal, nodes
+    and best: best is a verified partition into cells >= 1 cells. optimal
+    means every larger count was refuted, exhaustively or by the cell-size
+    bound; when the node budget ran out first, best is the one-cell
+    partition {G}, a proved lower bound, and optimal is False."""
 
     __slots__ = ("cells", "optimal", "nodes", "best")
 
-    def __init__(self, cells: int, optimal: bool, nodes: int, best: Partition):
-        set_field(self, "cells", cells)
-        set_field(self, "optimal", optimal)
-        set_field(self, "nodes", nodes)
-        set_field(self, "best", best)
-
 
 class ProbeOutcome(Record):
-    """Result of a fixed-cell-count partition probe; exhaustive=False means
-    the node budget ran out before the search space was exhausted."""
+    """Result of a fixed-cell-count partition probe, with fields found (a
+    Partition or None), exhaustive and nodes; exhaustive=False means the
+    node budget ran out before the search space was exhausted."""
 
     __slots__ = ("found", "exhaustive", "nodes")
-
-    def __init__(self, found: Partition | None, exhaustive: bool, nodes: int):
-        set_field(self, "found", found)
-        set_field(self, "exhaustive", exhaustive)
-        set_field(self, "nodes", nodes)
 
 
 def _cell_large(G: GroupTable, mask: int, limit: int, mode: str, counter: NodeCounter) -> bool:

@@ -12,7 +12,6 @@ it inconclusive, never a failure.
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache
 from typing import Callable, Iterator
 
@@ -40,7 +39,7 @@ from .constructions import (
     thm3_partition,
 )
 from .groups import GroupTable, Subset, build_group, inverse_mask
-from .report import ClaimRecord
+from .report import ClaimRecord, record_claim
 from .resolvability import THICK_PROBE_NOTE, partition_search, res_search
 from .words import (
     Ball,
@@ -758,16 +757,16 @@ def run_suite(name: str, node_budget: int = DEFAULT_NODE_BUDGET) -> list[ClaimRe
     grid_group.cache_clear()
     records = []
     for claim_id, anchor, check in claims:
-        counter = NodeCounter(node_budget)
-        t0 = time.perf_counter()
-        try:
-            ok, detail = check(counter)
-            status = "pass" if ok else "fail"
-        except BudgetExceeded:
-            status, detail = "inconclusive", "node budget exhausted"
-        records.append(
-            ClaimRecord(
-                claim_id, anchor, status, detail, counter.spent, time.perf_counter() - t0
-            )
-        )
+        record_claim(records, claim_id, anchor, lambda: _counted(check, node_budget))
     return records
+
+
+def _counted(check, node_budget: int) -> tuple[str, str, int]:
+    """The claim triple of check run on a NodeCounter of its own: pass or
+    fail as check decides, inconclusive when the counter runs out."""
+    counter = NodeCounter(node_budget)
+    try:
+        ok, detail = check(counter)
+    except BudgetExceeded:
+        return "inconclusive", "node budget exhausted", counter.spent
+    return "pass" if ok else "fail", detail, counter.spent

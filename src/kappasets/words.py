@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .groups import Record, set_field
+from .groups import Record
 
 Word = tuple[int, ...]
 DSWord = tuple[Word, ...]
@@ -221,13 +221,10 @@ def format_word(w: Word) -> str:
 
 
 class WordSetPredicate(Record):
-    """Intensional word set: a total, deterministic membership test."""
+    """Intensional word set, with fields description and fn, a total,
+    deterministic membership test."""
 
     __slots__ = ("description", "fn")
-
-    def __init__(self, description: str, fn: Callable[..., bool]):
-        set_field(self, "description", description)
-        set_field(self, "fn", fn)
 
     def __call__(self, w) -> bool:
         return self.fn(w)

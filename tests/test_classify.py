@@ -88,6 +88,15 @@ class TestIsLarge:
 
 
 class TestIsThick:
+    @pytest.mark.parametrize("variant", [None, "in-A"])
+    def test_a_variant_outside_variants_is_refused(self, variant):
+        # None is no variant: unchecked, it would classify as witness-in-G
+        with pytest.raises(
+            ValueError,
+            match=rf"^variant must be one of \('witness-in-A', 'witness-in-G'\), got {variant!r}$",
+        ):
+            is_thick(Z6, sub(Z6, 0, 1, 2), 2, "left", variant)
+
     def test_variant_divergence_example(self):
         a = sub(Z2, 1)
         assert is_thick(Z2, a, 2, "left", "witness-in-G").verdict is True

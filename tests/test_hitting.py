@@ -386,6 +386,24 @@ def test_the_empty_set_has_no_witness_in_a(side):
     assert _thick_profile(G, 0, side, "witness-in-A", NodeCounter(0)) == (-1, ())
 
 
+def test_the_size_queries_refuse_an_unknown_side_or_variant():
+    # unchecked, a misspelt variant reads as witness-in-G and any other side
+    # as right, with bit rows kept under that side
+    G, amask = build_group("dihedral:3"), 0b111
+    sides = r"^side must be one of \('left', 'right', 'two-sided'\), got "
+    variants = r"^variant must be one of \('witness-in-A', 'witness-in-G'\), got "
+    for side in ("Left", "bogus"):
+        with pytest.raises(ValueError, match=sides + repr(side)):
+            min_cover_size(G, amask, side, NodeCounter(10**6))
+        with pytest.raises(ValueError, match=sides + repr(side)):
+            thick_lmax(G, amask, side, "witness-in-G", NodeCounter(10**6))
+    with pytest.raises(ValueError, match=variants + "'in-A'"):
+        thick_lmax(G, amask, "left", "in-A", NodeCounter(10**6))
+    assert G not in _caches  # refused before any table was built
+    assert thick_lmax(G, amask, "left", "witness-in-A", NodeCounter(10**6)) == 0
+    assert thick_lmax(G, amask, "left", "witness-in-G", NodeCounter(10**6)) == 1
+
+
 def test_a_cover_that_is_no_cover_fails_re_verification(monkeypatch):
     # {0,1} is 3-large in cyclic:4 and {0} is not 3-small, so each claim
     # re-checks a minimal cover; F = {0} covers neither {0,1} nor its failing L

@@ -72,6 +72,12 @@ def test_built_by_position_by_keyword_and_with_defaults(cls, fields, values, def
     assert field_values(cls(*values[:required]), fields) == values[:required] + defaults
     with pytest.raises(TypeError):
         cls(*values[:required - 1])
+    with pytest.raises(TypeError):
+        cls(*values, nope=1)
+    with pytest.raises(TypeError):
+        cls(values[0], **dict(zip(fields, values)))
+    with pytest.raises(TypeError):
+        cls(*values, None)
 
 
 @pytest.mark.parametrize(FIELDS, cases(RECORDS))
