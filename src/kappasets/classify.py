@@ -2,24 +2,26 @@
 
 Every table the searches read is one family of translates of A, built
 once per side and subset. On one side it is the list t[g] = g*A (left)
-or A*g (right) that _translates builds. A minimal cover F of G is a set of indices whose
-translates t[f] cover G. The thickness tables are the same translates at
-inverse indices: f*x lies in A iff x lies in f^-1*A = t[f^-1] (x*f in A
-iff x in A*f^-1 on the right), so a test set F fails exactly when every
-candidate x lies outside t[f^-1] for some f in F, and the least failing F
-is a minimal cover of the candidates by the masks candidates minus
-t[f^-1]. Both reduce to one exact hitting-set step, _tighten. Given
-bounds on the least number of sets that cover and a size k between them,
-it proves k by the greedy pass stopped once it passes k, and else decides
-k by branch and bound on the uncovered element with the fewest options
-(the column rule of Knuth's Algorithm X). Once the bounds meet,
-_lex_least finds the lex-least cover of that size by one index-order
-search; the one F of 0 or |G| elements is answered without it. The two
-searches stay apart: deciding by the index-order search is about 3.6
-times slower on subsets of groups of order 20-24, and a lex phase by
-branching halves the time there but spends 15% more nodes on the small
-groups of the classify commands, so choosing the lex phase by group
-order waits for a benchmark workload at those orders.
+or A*g (right) that _translates builds and keeps, for the few subsets
+most recently built, in a bounded per-group memo. A minimal cover F of G
+is a set of indices whose translates t[f] cover G. The thickness tables
+are the same translates at inverse indices: f*x lies in A iff x lies in
+f^-1*A = t[f^-1] (x*f in A iff x in A*f^-1 on the right), so a test set
+F fails exactly when every candidate x lies outside t[f^-1] for some f
+in F, and the least failing F is a minimal cover of the candidates by
+the masks candidates minus t[f^-1]. Both reduce to one exact hitting-set
+step, _tighten. Given bounds on the least number of sets that cover and
+a size k between them, it proves k by the greedy pass stopped once it
+passes k, and else decides k by branch and bound on the uncovered
+element with the fewest options (the column rule of Knuth's Algorithm
+X). Once the bounds meet, _lex_least finds the lex-least cover of that
+size by one index-order search; the one F of 0 or |G| elements is
+answered without it. The two searches stay apart: deciding by the
+index-order search is about 3.6 times slower on subsets of groups of
+order 20-24, and a lex phase by branching halves the time there but
+spends 15% more nodes on the small groups of the classify commands, so
+choosing the lex phase by group order waits for a benchmark workload at
+those orders.
 
 A translate is the sum of A's entries in one of the per-group bit rows
 rows[g][a] = 1 << g*a (left) or 1 << a*g (right), built once per group and
@@ -232,6 +234,7 @@ def _cache(G: GroupTable) -> dict:
     if c is None:
         c = {
             "cover": {}, "profile": {}, "pair": {}, "cover_size": {}, "bit_rows": {},
+            "translates": {},
         }
         _caches[G] = c
     return c
@@ -252,13 +255,26 @@ def _bit_rows(G: GroupTable, side: str) -> list[list[int]]:
     return rows
 
 
+#: How many (side, A) translate tuples a group keeps, the most recently built.
+TRANSLATE_MEMO = 8
+
+
 def _translates(G: GroupTable, amask: int, side: str, at=None) -> list[int]:
     """g*A (left) or A*g (right) for each g in at, every g by default: the
-    sum of the bit rows at A's elements, which are distinct."""
-    rows = _bit_rows(G, side)
-    elems = list(bits(amask))
-    at = range(G.order) if at is None else at
-    return [sum(map(rows[g].__getitem__, elems)) for g in at]
+    sum of the bit rows at A's elements, which are distinct. The translates
+    at every g are built once, kept as a tuple in a per-group memo of the
+    TRANSLATE_MEMO most recently built, and read into a new list."""
+    memo = _cache(G)["translates"]
+    key = (side, amask)
+    got = memo.get(key)
+    if got is None:
+        rows = _bit_rows(G, side)
+        elems = list(bits(amask))
+        got = tuple([sum(map(row.__getitem__, elems)) for row in rows])
+        if len(memo) >= TRANSLATE_MEMO:
+            del memo[next(iter(memo))]
+        memo[key] = got
+    return list(got) if at is None else list(map(got.__getitem__, at))
 
 
 def _tighten(
@@ -372,18 +388,30 @@ def _pair_walks(G: GroupTable, amask: int) -> tuple[tuple, tuple]:
     cols[i] and a pair (i, j) with i < j at pairs[i][j], which covers (j, i)
     too. The cover labels F by itself and reads the complements of the
     rows; the thickness labels F by its inverses and reads the rows, since
-    f1*x*f2 lies in A iff x lies in f1^-1*A*f2^-1."""
+    f1*x*f2 lies in A iff x lies in f1^-1*A*f2^-1. In an abelian group
+    f1*A*f2 = (f1*f2)*A, so the rows are read off A's left translates, and
+    both tables are symmetric, which leaves the meets nothing to do."""
     cache = _cache(G)["pair"]
     got = cache.get(amask)
     if got is None:
         n, full, inv = G.order, G.full_mask, G.inv
-        # f1*A*f2 is the sum of shifted[g][f2] = 1 << g*f2 over g in f1*A
         shifted = _bit_rows(G, "left")
         elems = list(bits(amask))
-        rows = [list(map(sum, zip([0] * n, *(shifted[row[a]] for a in elems)))) for row in G.mul]
-        out = [list(map(full.__sub__, row)) for row in rows]
-        cover = ([out[i][i] for i in range(n)], _meet(out))
-        both = _meet(rows)
+        if abelian(G):
+            # g*A, built here rather than read from the translate memo:
+            # through the memo a fresh verify --suite s-set peaked about
+            # 250 KB higher in RSS, at the same tracemalloc peak
+            t = [sum(map(row.__getitem__, elems)) for row in shifted]
+            ct = [full - m for m in t]
+            rows = [list(map(t.__getitem__, row)) for row in G.mul]
+            out = [list(map(ct.__getitem__, row)) for row in G.mul]
+            pairs_out, both = out, rows
+        else:
+            # f1*A*f2 is the sum of shifted[g][f2] = 1 << g*f2 over g in f1*A
+            rows = [list(map(sum, zip([0] * n, *(shifted[row[a]] for a in elems)))) for row in G.mul]
+            out = [list(map(full.__sub__, row)) for row in rows]
+            pairs_out, both = _meet(out), _meet(rows)
+        cover = ([out[i][i] for i in range(n)], pairs_out)
         thick = ([rows[i][i] for i in inv], [list(map(both[i].__getitem__, inv)) for i in inv])
         cache[amask] = got = (cover, thick)
     return got

@@ -6,10 +6,10 @@ error (an --out-dir the report cannot be written under among them, found
 before any claim runs), 3 inconclusive (node budget). Every integer is
 read in one grammar, groups.read_int: ASCII digits after at most one "-".
 
-Each command's parser is built once per process and holds that command's
-subparser alone; it also prints the help and usage errors: its command
-metavar names every command, so its usage lines are the full parser's. An
-unknown or missing command goes to the full parser, also built once.
+A command is parsed by its own subparser alone, built once per process;
+it also prints that command's help and usage errors, as the full parser
+would. An unknown or missing command, or an argument the subparser does
+not know, goes to the full parser, also built once.
 """
 
 from __future__ import annotations
@@ -475,32 +475,36 @@ _COMMANDS = {
 
 @functools.cache
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser or, for a command, a parser with its subparser alone,
-    built once per process: parsing leaves a parser as it was, and its help
-    formatter is made when it prints, so the help width follows the terminal.
-
-    The one-subparser parser names every command in its metavar, so its
-    usage lines, help and errors are the full parser's. The full parser
-    keeps the default metavar: its missing-command error names the action
-    by it ("required: command").
+    """The full parser or, for a command, its subparser alone, built once
+    per process: parsing leaves a parser as it was, and its help formatter
+    is made when it prints, so the help width follows the terminal. A
+    subparser is made under a top-level parser that holds it alone, which
+    names it "kappasets <command>" as the full parser does, so its help and
+    usage errors are the full parser's.
     """
     p = argparse.ArgumentParser(
         prog="kappasets",
         description="size combinatorics of group subsets: exact classifiers, "
         "constructions, partition searches, verification suites",
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = p.add_subparsers(dest="command", required=True)
     for name, add in _COMMANDS.items():
         if command in (None, name):
             add(sub)
-    return p
+    return p if command is None else sub.choices[command]
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the one subparser that argv[0] names, or by the full
-    parser when argv[0] names no command."""
-    return _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    """argv parsed by the subparser that argv[0] names, with command set to
+    argv[0]. When argv[0] names no command, or the subparser leaves an
+    argument it does not know, the full parser parses argv and prints the
+    usage error."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _unwritable(out_dir: str, e: OSError) -> int:

@@ -139,10 +139,8 @@ class GroupTable(Record):
         return (1 << self.order) - 1
 
     def is_abelian(self) -> bool:
-        m = self.mul
-        return all(
-            m[a][b] == m[b][a] for a in range(self.order) for b in range(a + 1, self.order)
-        )
+        """Whether each row of mul, a tuple, equals the matching column."""
+        return all(map(tuple.__eq__, self.mul, zip(*self.mul)))
 
     def __repr__(self) -> str:
         return f"GroupTable({self.spec!r}, order={self.order})"

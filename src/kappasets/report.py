@@ -29,6 +29,10 @@ TOOL_VERSION = "0.1.0"
 
 STATUSES = ("pass", "fail", "inconclusive")
 
+#: The content hash's encoder: json.dumps(..., sort_keys=True,
+#: separators=(",", ":")) builds the same one on every call.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class ClaimRecord(Record):
     """One verified (or refuted, or budget-stopped) claim; anchor states the
@@ -95,9 +99,7 @@ class RunReport(Record):
 
     def content_hash(self, body: dict | None = None) -> str:
         """Hash of body, the body_dict() a caller already built, or of a new one."""
-        blob = json.dumps(
-            self.body_dict() if body is None else body, sort_keys=True, separators=(",", ":")
-        )
+        blob = _COMPACT.encode(self.body_dict() if body is None else body)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def exit_status(self) -> int:

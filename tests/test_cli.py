@@ -245,6 +245,26 @@ def test_report_json_is_what_json_dumps_writes(command, claims):
         assert_json_twin_is_what_json_dumps_writes(out_dir, rep, meta)
 
 
+def test_report_txt_holds_non_ascii_and_control_characters_as_open_writes_them(tmp_path):
+    rep = report.RunReport("kappasets classify \u00e9\u2603\U0001f600 \x00\x1f\x7f\r\t")
+    rep.claims.append(report.ClaimRecord("c\u00e9", "anchor \u2603", "pass", "detail \x1b[0m", 3))
+    meta = {"generated_at": "\u00e9", "wall_time_s": {"c\u00e9": 0.5}, "total_wall_time_s": 0.5}
+    rep.run_meta = lambda: meta
+    out_dir, text = report.write_report(rep, tmp_path)
+    assert "\u00e9\u2603\U0001f600 \x00\x1f\x7f\r\t" in text and "\x1b[0m" in text
+    with open(tmp_path / "reference.txt", "w") as f:
+        f.write(text + "timings (excluded from content hash):\n  c\u00e9: 0.5s\n  total: 0.5s\n")
+        f.write("generated-at: \u00e9\n")
+    assert (out_dir / "report.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+
+def test_a_missing_report_root_is_made_with_its_parents(tmp_path):
+    root = tmp_path / "a" / "b" / "c"
+    out_dir, _ = report.write_report(report.RunReport("kappasets verify"), root)
+    assert isinstance(out_dir, Path) and out_dir.parent == root
+    assert sorted(p.name for p in out_dir.iterdir()) == ["report.json", "report.txt"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -807,6 +827,26 @@ def test_help_and_usage_errors_are_the_full_parsers(argv, tmp_path, capsys, monk
 def test_lean_parse_of_a_valid_command_matches_the_full_parse(name):
     argv = [name, *PARSE_CASES[name][0]]
     assert vars(cli._parse_args(argv)) == vars(cli._build_parser().parse_args(argv))
+
+
+def test_a_valid_command_never_reaches_the_top_level_parser(tmp_path, capsys, monkeypatch):
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    argv = ["classify", "--group", "cyclic:6", "--subset", "0,1,2", "--kappa", "3"]
+    assert run_cli(argv, tmp_path) == 0
+    assert parsed == ["kappasets classify"]
+    args = cli._parse_args(argv)
+    assert parsed == ["kappasets classify"] * 2 and args.command == "classify"
+    # an argument the subparser leaves goes to the full parser, which refuses it
+    assert main([*argv, "--bogus"]) == 2
+    assert parsed[2:] == ["kappasets classify", "kappasets", "kappasets classify"]
+    capsys.readouterr()
 
 
 def test_main_builds_only_the_named_subparser_once(tmp_path, capsys, monkeypatch):

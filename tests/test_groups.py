@@ -39,6 +39,15 @@ def test_symmetric3_is_nonabelian_order_6():
     assert not G.is_abelian()
 
 
+@pytest.mark.parametrize(
+    "spec", sorted({*GRID_SPECS, *ORACLE_SPECS, "symmetric:4", "dihedral:7"})
+)
+def test_is_abelian_is_the_pairwise_definition(spec):
+    G = build_group(spec)
+    pairwise = all(G.mul[a][b] == G.mul[b][a] for a in range(G.order) for b in range(G.order))
+    assert G.is_abelian() is pairwise
+
+
 def test_klein_four_self_inverse():
     G = build_group("product:cyclic:2+cyclic:2")
     assert G.order == 4

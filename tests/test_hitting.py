@@ -794,6 +794,67 @@ def test_a_minimal_cover_builds_the_translates_once(side, monkeypatch):
     assert calls.count(amask) == 1
 
 
+def test_the_translate_memo_is_bounded():
+    # every size query on every side, each answer checked on the way
+    G = build_group("cyclic:8")
+    for amask in range(G.full_mask + 1):
+        assert_matches_oracle(G, amask)
+        assert len(_caches[G]["translates"]) <= classify.TRANSLATE_MEMO
+    assert len(_caches[G]["translates"]) == classify.TRANSLATE_MEMO
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "symmetric:3", "cyclic:8"])
+def test_translates_are_the_sums_of_the_bit_rows(spec):
+    G, rng = build_group(spec), random.Random(spec)
+    for _ in range(200):
+        amask, side = rng.randrange(G.full_mask + 1), rng.choice(ONE_SIDES)
+        at = [rng.randrange(G.order) for _ in range(rng.randrange(G.order + 1))]
+        product = (lambda g, a: G.mul[g][a]) if side == "left" else (lambda g, a: G.mul[a][g])
+        want = [sum(1 << product(g, a) for a in bits(amask)) for g in at]
+        assert classify._translates(G, amask, side, at) == want, (amask, side, at)
+        assert classify._translates(G, amask, side) == cover_masks(G, amask, side)
+
+
+def test_no_caller_can_change_a_memoized_translate():
+    G = build_group("dihedral:4")
+    want = cover_masks(G, 0b1011, "right")
+    for at in (None, range(G.order)):
+        got = classify._translates(G, 0b1011, "right", at)
+        got[0] = got[-1] = 0
+        got.append(1)
+        assert classify._translates(G, 0b1011, "right") == want
+        assert classify._translates(G, 0b1011, "right", range(G.order)) == want
+
+
+def generic_pair_walks(G, amask):
+    """_pair_walks' tables built from the definition in any group: the rows
+    f1*A*f2 from the table, n^2*|A| products, then each pair table the meet
+    of its rows and columns."""
+    n, full, inv, mul = G.order, G.full_mask, G.inv, G.mul
+    rows = [[mask_of(mul[mul[f1][a]][f2] for a in bits(amask)) for f2 in range(n)] for f1 in range(n)]
+    out = [[full ^ m for m in row] for row in rows]
+
+    def meet(table):
+        return [[table[i][j] & table[j][i] for j in range(n)] for i in range(n)]
+
+    both = meet(rows)
+    cover = ([out[i][i] for i in range(n)], meet(out))
+    thick = ([rows[i][i] for i in inv], [[both[i][j] for j in inv] for i in inv])
+    return cover, thick
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*(spec for spec in GRID_SPECS if build_group(spec).is_abelian()), "dihedral:4", "symmetric:3"],
+)
+def test_the_pair_walk_tables_are_the_generic_build(spec):
+    # abelian groups read the tables off A's left translates; the two
+    # non-abelian groups check that only they take the generic build
+    G = build_group(spec)
+    for amask in range(G.full_mask + 1):
+        assert classify._pair_walks(G, amask) == generic_pair_walks(G, amask), amask
+
+
 @pytest.mark.parametrize("spec", ["dihedral:4", "product:cyclic:2+cyclic:4"])
 def test_a_two_sided_profile_enters_no_size(spec):
     # its result lives in the profile cache alone: the cover and size tables
