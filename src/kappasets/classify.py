@@ -395,19 +395,16 @@ def _pair_walks(G: GroupTable, amask: int) -> tuple[tuple, tuple]:
     got = cache.get(amask)
     if got is None:
         n, full, inv = G.order, G.full_mask, G.inv
-        shifted = _bit_rows(G, "left")
-        elems = list(bits(amask))
         if abelian(G):
-            # g*A, built here rather than read from the translate memo:
-            # through the memo a fresh verify --suite s-set peaked about
-            # 250 KB higher in RSS, at the same tracemalloc peak
-            t = [sum(map(row.__getitem__, elems)) for row in shifted]
+            t = _translates(G, amask, "left")
             ct = [full - m for m in t]
             rows = [list(map(t.__getitem__, row)) for row in G.mul]
             out = [list(map(ct.__getitem__, row)) for row in G.mul]
             pairs_out, both = out, rows
         else:
             # f1*A*f2 is the sum of shifted[g][f2] = 1 << g*f2 over g in f1*A
+            shifted = _bit_rows(G, "left")
+            elems = list(bits(amask))
             rows = [list(map(sum, zip([0] * n, *(shifted[row[a]] for a in elems)))) for row in G.mul]
             out = [list(map(full.__sub__, row)) for row in rows]
             pairs_out, both = _meet(out), _meet(rows)
@@ -494,82 +491,73 @@ def _cover_floor(G: GroupTable, per: int, need: int, side: str) -> int:
 
 
 def _cover_bounds(
-    G: GroupTable, key: tuple, target: int, per: int, build, ks, counter: NodeCounter,
-    lex: bool = False,
+    G: GroupTable, key: tuple, target: int, per: int, sets, options, keys, k: int | None,
+    counter: NodeCounter, lex: bool = False,
 ) -> tuple[int, int, tuple[int, ...] | None]:
     """What is known of the least number of sets that hold target, a
-    (lower, upper) pair, once each k of ks in turn that the pair leaves open
-    has been decided (ks None: each size from the lower bound up, until the
-    pair is exact); and with lex, the (size, lex)-least F of that number,
-    None when no F holds target.
+    (lower, upper) pair, once size k has been decided if the pair leaves it
+    open (k None: each size from the lower bound up, until the pair is
+    exact); and with lex, the (size, lex)-least F of that number, None when
+    no F holds target.
 
     key is (side, mask) for a cover number and (side, variant, mask) for a
     least failing test set; per is the most elements one set holds. The
     pair is read from the size table, and _cover_floor raises its lower end,
-    both at no node cost. build() returns the sets (the walk table
-    two-sided), a callable that returns the option lists, and an iterable
-    of the keys to enter; it runs once, when a size is to be decided or a
-    lex phase needs the sets. k = n is decided without search: the one F
-    of n elements holds the target, or no F does and the pair is n + 1.
-    Below n, one side decides k by _tighten. Two-sided walks the sizes from
-    the lower bound up to k, and a hit is the exact number with its (size,
-    lex)-least F. The lex phase runs _lex_least one side, but the one F of
-    0 or n elements is answered without search. Only then, when
-    some size was decided, is the pair entered for every key, one tuple
-    shared by all of them, so a search cut off by its budget enters
-    nothing. A two-sided pair is exact below n only after a hit, whose F
-    _cover_step records, and a two-sided thickness key enters nothing, so
-    two-sided never reaches _lex_least.
+    both at no node cost. sets are the sets (the walk table two-sided),
+    options() returns the option lists one side, and keys are the keys to
+    enter. k = n is decided without search: the one F of n elements holds
+    the target, or no F does and the pair is n + 1. Below n, one side
+    decides k by _tighten. Two-sided walks the sizes from the lower bound up
+    to k, and a hit is the exact number with its (size, lex)-least F. The
+    lex phase runs _lex_least one side, but the one F of 0 or n elements is
+    answered without search. Only then, when some size was decided, is the
+    pair entered for every key, one tuple shared by all of them, so a search
+    cut off by its budget enters nothing. A two-sided pair is exact below n
+    only after a hit, whose F _cover_step records, and a two-sided thickness
+    key enters nothing, so two-sided never reaches _lex_least.
     """
     n, side, tables = G.order, key[0], _cache(G)
     lo, hi = tables["cover_size"].get(key, (0, n + 1))
     lo = max(lo, _cover_floor(G, per, target.bit_count(), side))
-    built, keys, combo = None, (), None
-    for k in range(lo, hi) if ks is None else ks:
-        if not lo <= k < hi:
+    decided, combo = False, None
+    for size in range(lo, hi) if k is None else (k,):
+        if not lo <= size < hi:
             continue
-        sets, options, keys = built = built or build()
-        if k == n:  # the one F of n elements: what it leaves of the target lies
+        decided = True
+        if size == n:  # the one F of n elements: what it leaves of the target lies
             # outside every set, or two-sided in every pair's walk mask
             kept = itertools.chain(*sets[1]) if side == "two-sided" else (~s for s in sets)
             lo, hi = (n + 1, n + 1) if functools.reduce(int.__and__, kept, target) else (lo, n)
         elif side == "two-sided":
-            combo = _first_empty(range(lo, k + 1), target, sets, counter)
-            lo, hi = (k + 1, hi) if combo is None else (len(combo),) * 2
+            combo = _first_empty(range(lo, size + 1), target, sets, counter)
+            lo, hi = (size + 1, hi) if combo is None else (len(combo),) * 2
         else:
-            lo, hi = _tighten(sets, options, target, per, k, (lo, hi), counter)
+            lo, hi = _tighten(sets, options, target, per, size, (lo, hi), counter)
     if lex and combo is None and lo <= n:
         if lo in (0, n):
             combo = tuple(range(lo))
         else:  # one side: two-sided, only a hit makes a pair exact below n
-            combo = _lex_least((built or build())[0], target, lo, per, counter)
-    tables["cover_size"].update(dict.fromkeys(keys, (lo, hi)))
+            combo = _lex_least(sets, target, lo, per, counter)
+    if decided:
+        tables["cover_size"].update(dict.fromkeys(keys, (lo, hi)))
     return lo, hi, combo
 
 
 def _cover_step(
-    G: GroupTable, amask: int, side: str, ks, counter: NodeCounter, lex: bool = False
+    G: GroupTable, amask: int, side: str, k: int | None, counter: NodeCounter, lex: bool = False
 ) -> tuple[int, int, tuple[int, ...] | None]:
     """_cover_bounds for A's cover number: the target is G and each set, a
     translate f*A (A*f) or a pair's f1*A*f2, holds |A| elements. One side
-    reads the translates of A^-1 as options, built at the first exact
-    search, since a greedy proof needs none: e lies in f*A (A*f) iff f lies
-    in e*A^-1 (A^-1*e). The pair is entered for each translate of A, A
+    reads the translates of A^-1 as options, from the translate memo at each
+    exact search, since a greedy proof needs none: e lies in f*A (A*f) iff f
+    lies in e*A^-1 (A^-1*e). The pair is entered for each translate of A, A
     itself two-sided, where an F found is recorded in the "cover" cache."""
-    opts: list[int] = []
-
-    def options():
-        if not opts:
-            opts.extend(_translates(G, inverse_mask(G, amask), side))
-        return opts
-
-    def build():
-        if side == "two-sided":
-            return _pair_walks(G, amask)[0], None, [(side, amask)]
-        masks = _translates(G, amask, side)
-        return masks, options, ((side, m) for m in masks)
-
-    lo, hi, combo = _cover_bounds(G, (side, amask), G.full_mask, amask.bit_count(), build, ks, counter, lex)
+    if side == "two-sided":
+        sets, options, keys = _pair_walks(G, amask)[0], None, [(side, amask)]
+    else:
+        sets = _translates(G, amask, side)
+        options, keys = lambda: _translates(G, inverse_mask(G, amask), side), ((side, m) for m in sets)
+    lo, hi, combo = _cover_bounds(G, (side, amask), G.full_mask, amask.bit_count(), sets, options, keys, k, counter, lex)
     if side == "two-sided" and combo is not None:
         _cache(G)["cover"][side, amask] = (lo, combo)
     return lo, hi, combo
@@ -613,7 +601,7 @@ def cover_within(G: GroupTable, amask: int, side: str, k: int, counter: NodeCoun
     """
     lo, hi = _cache(G)["cover_size"].get((side, amask), (0, G.order + 1))
     if lo <= k < hi and _cover_floor(G, amask.bit_count(), G.order, side) <= k:
-        hi = _cover_step(G, amask, side, (k,), counter)[1]
+        hi = _cover_step(G, amask, side, k, counter)[1]
     return hi <= k
 
 
@@ -654,7 +642,7 @@ def _thick_profile(
         cand = amask if variant == "witness-in-A" else G.full_mask
         walk = _thick_walk(G, amask, side)
         if side == "two-sided":
-            per, built = n - amask.bit_count(), (walk, None, ())
+            per, sets, options, keys = n - amask.bit_count(), walk, None, ()
         else:
             # dom(x), the f with f*x (x*f) in A, is the mirror translate at x^-1;
             # x lies in cand minus t[f^-1] iff f lies outside dom(x)
@@ -666,8 +654,8 @@ def _thick_profile(
                 opts[x] = G.full_mask ^ dom
             sets = [cand & ~col for col in walk[0]]
             per = max(map(int.bit_count, sets))
-            built = (sets, lambda: opts, ((side, variant, m) for m in doms))
-        lo, _, fail = _cover_bounds(G, key, cand, per, lambda: built, None, counter, lex=True)
+            options, keys = lambda: opts, ((side, variant, m) for m in doms)
+        lo, _, fail = _cover_bounds(G, key, cand, per, sets, options, keys, None, counter, lex=True)
         cache[key] = (n - 1, None) if lo >= n else (lo - 1, fail)
     return cache[key]
 

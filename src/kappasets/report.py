@@ -29,10 +29,6 @@ TOOL_VERSION = "0.1.0"
 
 STATUSES = ("pass", "fail", "inconclusive")
 
-#: The content hash's encoder: json.dumps(..., sort_keys=True,
-#: separators=(",", ":")) builds the same one on every call.
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
 
 class ClaimRecord(Record):
     """One verified (or refuted, or budget-stopped) claim; anchor states the
@@ -99,7 +95,7 @@ class RunReport(Record):
 
     def content_hash(self, body: dict | None = None) -> str:
         """Hash of body, the body_dict() a caller already built, or of a new one."""
-        blob = _COMPACT.encode(self.body_dict() if body is None else body)
+        blob = json.dumps(self.body_dict() if body is None else body, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def exit_status(self) -> int:
@@ -151,10 +147,7 @@ def _text_body(report: RunReport, digest: str) -> str:
 def check_out_root(out_root: str | Path) -> None:
     """Raise OSError unless write_report can make its directory under
     out_root: the nearest of out_root and its ancestors that exists must be
-    a writable directory. Nothing is created. A writable directory out_root
-    is settled without the walk."""
-    if os.path.isdir(out_root) and os.access(out_root, os.W_OK | os.X_OK):
-        return
+    a writable directory. Nothing is created."""
     path = Path(out_root).absolute()
     while not path.exists():
         path = path.parent

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .groups import Record
@@ -96,7 +95,7 @@ def ball_size(alphabet_size: int, radius: int) -> int:
 class Ball:
     """All reduced words of length <= radius, indexed in (length, lex) order.
 
-    Index 0 is the identity. The index map is built lazily on first use.
+    Index 0 is the identity.
     """
 
     def __init__(self, alphabet_size: int, radius: int, words: list[Word]):
@@ -114,15 +113,11 @@ class Ball:
     def __iter__(self):
         return iter(self.words)
 
-    @cached_property
-    def _index(self) -> dict[Word, int]:
-        return {u: i for i, u in enumerate(self.words)}
-
     def index_of(self, w: Word) -> int:
-        return self._index[w]
+        return self.words.index(w)
 
     def __contains__(self, w: Word) -> bool:
-        return w in self._index
+        return w in self.words
 
     def __repr__(self) -> str:
         return f"Ball(m={self.alphabet_size}, L={self.radius}, size={self.size})"

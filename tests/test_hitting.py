@@ -892,8 +892,8 @@ def hitting(covers, full, counter):
     a fresh group of order len(covers), entering nothing."""
     G = build_group(f"cyclic:{len(covers)}")
     per = max(c.bit_count() for c in covers)
-    build = lambda: (covers, lambda: transpose(covers, full), ())  # noqa: E731
-    return _cover_bounds(G, ("left", "hitting", 0), full, per, build, None, counter, lex=True)[2]
+    options = lambda: transpose(covers, full)  # noqa: E731
+    return _cover_bounds(G, ("left", "hitting", 0), full, per, covers, options, (), None, counter, lex=True)[2]
 
 
 def test_kernel_edge_cases():
@@ -918,10 +918,28 @@ def test_a_two_sided_walk_that_keeps_an_element_has_no_f():
     # though the floor allows both elements
     G = build_group("cyclic:2")
     walk = ([0b10, 0b10], [[0b10, 0b10], [0b10, 0b10]])
-    got = _cover_bounds(
-        G, ("two-sided", "hitting", 0), 0b11, 1, lambda: (walk, None, ()), None, NodeCounter(10**6), lex=True
-    )
+    got = _cover_bounds(G, ("two-sided", "hitting", 0), 0b11, 1, walk, None, (), None, NodeCounter(10**6), lex=True)
     assert got == (3, 3, None)
+
+
+def test_a_step_with_no_size_left_to_decide_enters_nothing():
+    # A = {0, 1, 2} in cyclic:6 needs two translates, the counting floor
+    # 6 / 3; the seeded pair (0, 2) is inexact, but the floor meets its upper
+    # end, so no size is decided: the lex phase alone runs, without the
+    # option lists, and no key is entered
+    G = build_group("cyclic:6")
+    amask, key = 0b111, ("left", 0b111)
+    table = classify._cache(G)["cover_size"]
+    table[key] = (0, 2)
+    covers = cover_masks(G, amask, "left")
+
+    def options():
+        raise AssertionError("no size is decided, so no option list is read")
+
+    keys = [("left", m) for m in covers]
+    got = _cover_bounds(G, key, G.full_mask, 3, covers, options, keys, None, NodeCounter(10**6), lex=True)
+    assert got == (2, 2, (0, 3))
+    assert table == {key: (0, 2)}
 
 
 def test_kernel_spends_budget():

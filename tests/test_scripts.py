@@ -4,6 +4,7 @@ census prints its pinned table."""
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -191,6 +192,16 @@ def write_report(report, out_root):
     path.write_text(json.dumps(json.loads(path.read_text())) + "\\n")
     return out_dir, text
 """
+
+
+def test_suite_peaks_prints_a_median_and_a_max_per_suite():
+    (line,) = run_script("suite_peaks.py", ["thm3"]).splitlines()
+    got = re.fullmatch(r"thm3  median ([\d,]+) KB  max ([\d,]+) KB", line)
+    assert got, line
+    median, most = (int(x.replace(",", "")) for x in got.groups())
+    assert 0 < median <= most
+    err = run_script("suite_peaks.py", ["thm3", "nope"], returncode=2)
+    assert "error: unknown suite 'nope'" in err
 
 
 def test_res_tables_refuses_a_negative_budget():

@@ -101,9 +101,11 @@ def test_ball_index_order_and_lookup():
     keys = [(len(w), [2 * (abs(x) - 1) + (x < 0) for x in w]) for w in b.words]
     assert keys == sorted(keys)
     assert b.words[0] == ()
-    assert b.words[b.index_of((1, 2))] == (1, 2)
+    assert all(b.index_of(w) == i for i, w in enumerate(b.words))
     assert (1, 2) in b and (1, 2, 1, 2, 1) not in b
-    assert (1, -1) not in b  # unreduced tuples are not ball members
+    assert (1, -1) not in b and (2, 1, -1) not in b  # unreduced tuples are not ball members
+    with pytest.raises(ValueError):
+        b.index_of((1, 2, 1, 2, 1))
 
 
 def test_ball_size_limit():
