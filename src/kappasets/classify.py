@@ -41,8 +41,9 @@ walk starts from the candidates and keeps f1^-1*A*f2^-1, since f1*x*f2
 lies in A iff x lies there, so the first F that leaves nothing fails.
 The walk returns that F and keeps nothing else. Each scan walks the
 sizes upward from its counting floor, _cover_floor: below it no F can
-cover G, or exclude every candidate. The walk's last index is one loop
-that spends one node per F, so a budget stops it at the same F every
+cover G, or exclude every candidate. The walk's last index is looped
+inside its parent's loop, with no call or narrowed table per F, and
+still spends one node per F, so a budget stops it at the same F every
 time. For the any-translate thickness variant the two routes are
 cross-checked against each other on every call: A is left thick exactly
 when its complement is not left large, and likewise per side. The
@@ -96,15 +97,16 @@ a two-sided thickness number lives in the "profile" cache alone.
 All searches are deterministic; witnesses are minimal in (size, lex) order
 and re-verified against the raw definitions before they are returned, by
 one routine, _rechecked, on one check per definition. _covers forms F*A
-(A*F, F*A*F) with product_set: a large A's cover must give G, and so must
-the cover _min_cover finds for a failing small L; thick_to_large_witness
-checks its A*F by it too. _least_translating reads the least x that
-translates F into A off the multiplication table; a failing F must have
-none, and each entry a thick=True witness shows must have its element as
-the least. is_large, is_thick and is_small share one frame, _classified:
-it checks the arguments, opens the claim's one NodeCounter, and runs the
-decision and then _rechecked on it, so a budget that runs out in either
-makes the verdict inconclusive.
+(A*F, F*A*F) as a set of products read from G.mul, which must hold |G|
+elements: a large A's cover must give G, and so must the cover _min_cover
+finds for a failing small L; thick_to_large_witness checks its A*F by it
+too. _least_translating reads the least x that translates F into A off
+the multiplication table, one list of products per candidate; a failing
+F must have none, and each entry a thick=True witness shows must have its
+element as the least. is_large, is_thick and is_small share one frame,
+_classified: it checks the arguments, opens the claim's one NodeCounter,
+and runs the decision and then _rechecked on it, so a budget that runs
+out in either makes the verdict inconclusive.
 
 A thick=True verdict is also checked on every maximal test set of size
 kappa-1, by _thick_witness_map. When there are more of them than entries
@@ -144,7 +146,6 @@ from .groups import (
     check_subset,
     inverse_mask,
     mask_of,
-    product_set,
 )
 from .words import Ball, Word, WordSetPredicate, concat, inverse
 
@@ -422,12 +423,23 @@ def _sweep_translates(
     and has an empty mask; None when every such F has elements left. inter
     is the mask the prefix leaves, cols[l] what l keeps once it joins;
     pairs[f][l] narrows cols[l] when f joins (two-sided). The walk returns
-    F and nothing else. The last index is one loop that spends one node per
-    F, so the budget runs out (or the walk stops) at the same F on every
-    call."""
+    F and nothing else. At depth 2 the last index l runs inside the loop
+    over f and tests keep & cols[l] & pairs[f][l] (one-sided keep &
+    cols[l]), with no narrowed list built. The last index spends one node
+    per F, before its test, at depth 2 as at depth 1, so the budget runs
+    out (or the walk stops) at the same F on every call."""
     n = len(cols)
     start = prefix[-1] + 1 if prefix else 0
-    if depth > 1:
+    if depth == 2:  # the last index runs inside its parent's loop
+        for f in range(start, n - 1):
+            keep = inter & cols[f]
+            row = cols if pairs is None else pairs[f]  # one side: cols[l] & cols[l] is cols[l]
+            for l in range(f + 1, n):
+                counter.spend()
+                if not keep & cols[l] & row[l]:
+                    return (*prefix, f, l)
+        return None
+    if depth > 2:
         for f in range(start, n - depth + 1):
             nxt = cols if pairs is None else list(map(int.__and__, cols, pairs[f]))
             got = _sweep_translates((*prefix, f), depth - 1, inter & cols[f], nxt, pairs, counter)
@@ -675,18 +687,6 @@ def thick_lmax(G: GroupTable, amask: int, side: str, variant: str, counter: Node
     return min(lo, G.order) - 1 if lo == hi else _thick_profile(G, amask, side, variant, counter)[0]
 
 
-def _translate_into(G: GroupTable, fmask: int, x: int, amask: int, side: str) -> bool:
-    """Raw-definition check that x translates F into A."""
-    mul = G.mul
-    if side == "left":
-        return all(amask >> mul[f][x] & 1 for f in bits(fmask))
-    if side == "right":
-        return all(amask >> mul[x][f] & 1 for f in bits(fmask))
-    return all(
-        amask >> mul[mul[f1][x]][f2] & 1 for f1 in bits(fmask) for f2 in bits(fmask)
-    )
-
-
 def _excluded(G: GroupTable, entry: tuple[int, ...], cand: int, amask: int, side: str) -> int:
     """How many x in cand a thickness table entry excludes by the raw
     definition: for (f,) (one side), f*x (x*f) lies outside A; for (f1, f2)
@@ -704,18 +704,35 @@ def _excluded(G: GroupTable, entry: tuple[int, ...], cand: int, amask: int, side
 
 def _least_translating(G: GroupTable, fmask: int, cand: int, amask: int, side: str) -> int | None:
     """The least x in cand that translates F into A by the raw definition:
-    F*x (x*F, F*x*F) lies in A. None when no candidate does."""
-    return next((x for x in bits(cand) if _translate_into(G, fmask, x, amask, side)), None)
-
-
-#: The product a cover forms per side: F*A, A*F, F*A*F.
-COVER_SHAPES = {"left": "FA", "right": "AF", "two-sided": "FAF"}
+    F*x (x*F, F*x*F) lies in A. None when no candidate does. F's elements
+    and their rows of the table (which F*x and F*x*F read) are read once;
+    each candidate is tested with one list of its products."""
+    mul, fs, inside = G.mul, list(bits(fmask)), set(bits(amask))
+    rows = [mul[f] for f in fs]
+    for x in range(G.order):
+        if cand >> x & 1:
+            if side == "left":
+                prods = [row[x] for row in rows]
+            elif side == "right":
+                prods = list(map(mul[x].__getitem__, fs))
+            else:
+                prods = [mul[row[x]][f] for row in rows for f in fs]
+            if inside.issuperset(prods):
+                return x
+    return None
 
 
 def _covers(G: GroupTable, F: Subset, A: Subset, side: str) -> bool:
     """Raw-definition check that F covers G from A: F*A = G (left), A*F = G
-    (right) or F*A*F = G (two-sided), formed by product_set."""
-    return product_set(G, F, A, COVER_SHAPES[side]).mask == G.full_mask
+    (right) or F*A*F = G (two-sided), formed as a set of products read from
+    the table, whose size must be |G|."""
+    mul, fs = G.mul, list(bits(F.mask))
+    got = list(bits(A.mask))
+    if side != "right":  # F*A
+        got = {mul[f][a] for f in fs for a in got}
+    if side != "left":  # times F on the right: A*F, or (F*A)*F
+        got = {mul[a][f] for a in got for f in fs}
+    return len(got) == G.order
 
 
 def _rechecked(

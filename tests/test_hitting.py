@@ -19,11 +19,12 @@ from kappasets.classify import (
     NodeCounter,
     _caches,
     _cover_bounds,
+    _covers,
     _least_translating,
     _min_cover,
+    _sweep_translates,
     _thick_profile,
     _thick_witness_map,
-    _translate_into,
     cover_within,
     is_large,
     is_small,
@@ -209,15 +210,17 @@ def test_every_grid_subset_matches_enumeration(spec):
 
 
 def two_sided_searches(G, amask):
-    """(name, search, oracle) for the two-sided cover and thickness scans of
-    A, each called as f(G, counter); each oracle starts at its counting
-    floor: pairs(s)*|A| >= |G| for the cover, pairs(s)*(|G| - |A|) >=
-    |candidates| for the thickness."""
+    """(name, search, oracle, start) for the two-sided cover and thickness
+    scans of A, search and oracle each called as f(G, counter); each oracle
+    starts at its counting floor, start: pairs(s)*|A| >= |G| for the cover,
+    pairs(s)*(|G| - |A|) >= |candidates| for the thickness."""
     n, count = G.order, amask.bit_count()
+    start = least_pairs(G, count, n)
     yield (
         "cover",
         lambda G, c: _min_cover(G, amask, "two-sided", c),
-        lambda G, c: oracle_pair_cover(G, amask, c, least_pairs(G, count, n)),
+        lambda G, c, s=start: oracle_pair_cover(G, amask, c, s),
+        start,
     )
     for variant in VARIANTS:
         start = least_pairs(G, n - count, count if variant == "witness-in-A" else n)
@@ -225,7 +228,25 @@ def two_sided_searches(G, amask):
             variant,
             lambda G, c, v=variant: _thick_profile(G, amask, "two-sided", v, c),
             lambda G, c, v=variant, s=start: oracle_pair_profile(G, amask, v, c, s),
+            start,
         )
+
+
+def last_index_cuts(n, start, spent):
+    """Budgets that run out at the first and at the last F of a walk's
+    last-index loop, the loop over F[-1] once F[-2] is fixed: of the first
+    spent F of start elements and up, by size then lex, the last F with
+    F[-1] = F[-2] + 1 and the last with F[-1] = n - 1. An F of fewer than
+    two elements has no such loop."""
+    tried = itertools.chain.from_iterable(itertools.combinations(range(n), s) for s in range(start, n + 1))
+    firsts, lasts = [], []
+    for i, F in enumerate(itertools.islice(tried, spent)):
+        if len(F) >= 2:
+            if F[-1] == F[-2] + 1:
+                firsts.append(i)
+            if F[-1] == n - 1:
+                lasts.append(i)
+    return {*firsts[-1:], *lasts[-1:]}
 
 
 def test_two_sided_scans_spend_one_node_per_set_tried():
@@ -234,19 +255,60 @@ def test_two_sided_scans_spend_one_node_per_set_tried():
     for spec in ("dihedral:4", "product:cyclic:2+cyclic:4"):
         G = build_group(spec)
         for amask in range(G.full_mask + 1):
-            for name, search, oracle in two_sided_searches(G, amask):
+            for name, search, oracle, start in two_sided_searches(G, amask):
                 got, want = NodeCounter(10**9), NodeCounter(10**9)
                 search(build_group(spec), got)
                 oracle(G, want)
                 case = (spec, amask, name)
                 assert got.spent == want.spent, case
-                # one node short, or half the nodes, runs out at the same F
-                for budget in {want.spent - 1, want.spent // 2} if want.spent else ():
+                # one node short, half the nodes, or the nodes before the
+                # first or the last F of a last-index loop run out at the
+                # same F
+                cuts = {want.spent - 1, want.spent // 2, *last_index_cuts(G.order, start, want.spent)}
+                for budget in cuts if want.spent else ():
                     assert spent_until_exhausted(
                         lambda c: search(build_group(spec), c), budget
                     ) == spent_until_exhausted(lambda c: oracle(G, c), budget) == budget + 1, (
                         *case, budget
                     )
+
+
+def test_the_walk_returns_the_first_empty_f_after_one_node_per_f():
+    # random tables, one-sided (no pairs) and two-sided, against the F of one
+    # size in lex order, each read as inter & cols[f] for f in F & pairs[f][l]
+    # for f < l in F: the first F whose mask is empty is returned after one
+    # node per F up to it, and every smaller budget runs out at the same F;
+    # masks with each bit set at odds 1/2, 3/4 or 7/8 give early hits, late
+    # hits and no hit at every depth, on both kinds
+    rng = random.Random("sweep")
+    n, full = 7, 0b11111
+    for trial in range(60):
+        ors = 1 + trial // 2 % 3
+
+        def mask():
+            return functools.reduce(int.__or__, [rng.randint(0, full) for _ in range(ors)])
+
+        inter = mask()
+        cols = [mask() for _ in range(n)]
+        pairs = None if trial % 2 else [[mask() for _ in range(n)] for _ in range(n)]
+        for depth in range(1, 5):
+            order = list(itertools.combinations(range(n), depth))
+            masks = [functools.reduce(int.__and__, [cols[f] for f in F], inter) for F in order]
+            if pairs is not None:
+                masks = [
+                    functools.reduce(int.__and__, [pairs[f][l] for f, l in itertools.combinations(F, 2)], m)
+                    for F, m in zip(order, masks)
+                ]
+            hit = next((i for i, m in enumerate(masks) if not m), None)
+            case = (trial, depth)
+            counter = NodeCounter(10**6)
+            got = _sweep_translates((), depth, inter, cols, pairs, counter)
+            assert got == (None if hit is None else order[hit]), case
+            assert counter.spent == (len(order) if hit is None else hit + 1), case
+            for budget in range(counter.spent):
+                assert spent_until_exhausted(
+                    lambda c: _sweep_translates((), depth, inter, cols, pairs, c), budget
+                ) == budget + 1, (*case, budget)
 
 
 def test_sampled_larger_subsets_match_enumeration():
@@ -265,6 +327,16 @@ def test_sampled_larger_subsets_match_enumeration():
         assert_matches_oracle(G, amask)
 
 
+#: The product shape of F*x (x*F, F*x*F) per side.
+TRANSLATE_SHAPES = {"left": "FA", "right": "AF", "two-sided": "FAF"}
+
+
+def translates_into(G, F, x, amask, side):
+    """x translates F into A: F*x (x*F, F*x*F), formed by product_set, lies
+    in A."""
+    return not product_set(G, F, Subset(G.order, 1 << x), TRANSLATE_SHAPES[side]).mask & ~amask
+
+
 def oracle_witness_map(G, amask, fsize, side, variant, counter):
     """For every maximal F in lex order, one node each, the least candidate
     that translates F by the raw definition, tried one (F, x) at a time."""
@@ -273,10 +345,10 @@ def oracle_witness_map(G, amask, fsize, side, variant, counter):
     entries = []
     for combo in itertools.combinations(range(n), fsize):
         counter.spend()
-        fmask = mask_of(combo)
+        F = Subset.from_indices(n, combo)
         for x in candidates:
-            if _translate_into(G, fmask, x, amask, side):
-                entries.append((Subset(n, fmask), x))
+            if translates_into(G, F, x, amask, side):
+                entries.append((F, x))
                 break
         else:
             raise AssertionError(f"no translate of {combo} into a thick set")
@@ -337,9 +409,11 @@ def test_witness_sweep_matches_the_raw_map(spec):
                     entries = n * (n + 1) // 2 if side == "two-sided" else n
                     spent = entries if counted else want_counter.spent
                     assert got_counter.spent == spent, case
-                    # one node short, or half the nodes, runs out at the same
-                    # f or F as the oracle
-                    for budget in (spent - 1, spent // 2):
+                    # one node short, half the nodes, or the nodes before the
+                    # first or the last F of the walk's last-index loop run
+                    # out at the same f or F as the oracle
+                    cuts = () if counted else last_index_cuts(n, fsize, spent)
+                    for budget in {spent - 1, spent // 2, *cuts}:
                         assert spent_until_exhausted(
                             lambda c: _thick_witness_map(G, amask, fsize, side, variant, c), budget
                         ) == budget + 1, (*case, budget)
@@ -352,28 +426,40 @@ def test_witness_sweep_matches_the_raw_map(spec):
         assert ((True, True) in routes) == (n == 8)
 
 
-#: The product shape of F*x (x*F, F*x*F) per side.
-TRANSLATE_SHAPES = {"left": "FA", "right": "AF", "two-sided": "FAF"}
-
-
 @pytest.mark.parametrize("spec", GRID_SPECS)
 def test_least_translating_matches_the_product_sets(spec):
     G = build_group(spec)
     n = G.order
     rng = random.Random(f"least-translating {spec}")
     amasks = [0, G.full_mask, *(rng.randint(0, G.full_mask) for _ in range(6))]
+    # every F of 0-2 elements, and a sample of 3-6, where two-sided one
+    # candidate's list holds up to 36 products
     fmasks = [mask_of(c) for size in range(3) for c in itertools.combinations(range(n), size)]
-    for side, shape in TRANSLATE_SHAPES.items():
+    fmasks += [mask_of(rng.sample(range(n), rng.randint(3, min(6, n)))) for _ in range(40)]
+    for side in SIDES:
         for amask in amasks:
             for cand in (amask, G.full_mask):
                 for fmask in fmasks:
                     F = Subset(n, fmask)
-                    want = next((
-                        x for x in bits(cand)
-                        if not product_set(G, F, Subset(n, 1 << x), shape).mask & ~amask
-                    ), None)
+                    want = next((x for x in bits(cand) if translates_into(G, F, x, amask, side)), None)
                     got = _least_translating(G, fmask, cand, amask, side)
                     assert got == want, (side, amask, cand, fmask)
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS)
+def test_covers_matches_the_product_sets(spec):
+    G = build_group(spec)
+    n = G.order
+    rng = random.Random(f"covers {spec}")
+    pairs = [(0, 0), (0, G.full_mask), (G.full_mask, 0), (G.full_mask, G.full_mask)]
+    pairs += [(rng.randint(0, G.full_mask), rng.randint(0, G.full_mask)) for _ in range(200)]
+    # sparse F and A, where |F|*|A| < |G| <= |F*A*F| can hold
+    pairs += [(mask_of(rng.sample(range(n), 2)), mask_of(rng.sample(range(n), 2))) for _ in range(100)]
+    for fmask, amask in pairs:
+        F, A = Subset(n, fmask), Subset(n, amask)
+        for side in SIDES:
+            want = product_set(G, F, A, TRANSLATE_SHAPES[side]).mask == G.full_mask
+            assert _covers(G, F, A, side) == want, (side, fmask, amask)
 
 
 @pytest.mark.parametrize("side", SIDES)

@@ -204,6 +204,33 @@ def test_suite_peaks_prints_a_median_and_a_max_per_suite():
     assert "error: unknown suite 'nope'" in err
 
 
+def test_suite_peaks_alternates_two_trees():
+    # the same tree on both sides: one line per tree, each with its own peaks
+    lines = run_script("suite_peaks.py", ["thm3", "--against", str(ROOT)]).splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        got = re.fullmatch(rf"thm3  {re.escape(str(ROOT))}  median ([\d,]+) KB  max ([\d,]+) KB", line)
+        assert got, line
+        median, most = (int(x.replace(",", "")) for x in got.groups())
+        assert 0 < median <= most
+    err = run_script("suite_peaks.py", ["thm3", "--against", str(ROOT / "tests")], returncode=2)
+    assert "holds no src/kappasets" in err
+
+
+def test_ab_cycle_times_a_tree_against_itself():
+    out = run_script("ab_cycle.py", [str(ROOT), str(ROOT), "--workload", "search", "--rounds", "1"])
+    head, old, new, won = out.splitlines()
+    assert head == "search, seed 3000: 22 commands x 1 rounds"
+    for name, line in (("old", old), ("new", new)):
+        got = re.fullmatch(rf"{name}  p50 ([\d.]+) ms  mean ([\d.]+) ms  p95 ([\d.]+) ms", line)
+        assert got, line
+        p50, _, p95 = map(float, got.groups())
+        assert 0 < p50 <= p95
+    assert re.fullmatch(r"new tree faster in [01] of 1 rounds", won)
+    err = run_script("ab_cycle.py", [str(ROOT), str(ROOT / "tests")], returncode=2)
+    assert "holds no src/kappasets" in err
+
+
 def test_res_tables_refuses_a_negative_budget():
     err = run_script("res_tables.py", ["--groups", "cyclic:4", "--node-budget", "-1"], returncode=2)
     assert "error: node budget must be >= 0, got -1" in err
